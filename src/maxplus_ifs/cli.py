@@ -99,7 +99,10 @@ def _parse_metric_spec(spec: str):
     if name == "dtilde":
         if set(opts) != {"alpha", "q", "tol"}:
             raise ConfigError("dtilde requires alpha=<r>,q=<r>,tol=<r>")
-        return ("dtilde", SeriesParams(opts["alpha"], opts["q"], opts["tol"]))
+        try:
+            return ("dtilde", SeriesParams(opts["alpha"], opts["q"], opts["tol"]))
+        except ValueError as exc:
+            raise ConfigError(f"dtilde: {exc}") from exc
     if name == "brz":
         if set(opts) != {"tol"} or opts["tol"] <= 0:
             raise ConfigError("brz requires a positive option tol=<real>")
@@ -121,11 +124,12 @@ def cmd_metric(args) -> int:
         print(_fmt(coupling_distance(mu1, mu2)))
     elif kind == "da":
         print(_fmt(lipschitz_distance(mu1, mu2, param)))
-    elif kind == "dtilde":
-        res = series_distance(mu1, mu2, param)
-        print(f"{_fmt(res.value)} tail {_fmt(res.tail_bound)}")
     else:
-        res = harmonic_series_distance(mu1, mu2, param)
+        series = series_distance if kind == "dtilde" else harmonic_series_distance
+        try:
+            res = series(mu1, mu2, param)
+        except ValueError as exc:  # truncation outside the float range
+            raise ConfigError(str(exc)) from exc
         print(f"{_fmt(res.value)} tail {_fmt(res.tail_bound)}")
     return 0
 
@@ -187,6 +191,14 @@ def cmd_verify(args) -> int:
             f"space is {_fmt(ifs.discrete_lip_max)})"
         )
 
+    run_series = alpha <= mp.alpha * (1 + 1e-12) and mp.alpha < mp.q
+    if run_series:
+        params = SeriesParams(mp.alpha, mp.q, mp.tol)
+        try:
+            params.n_terms(space.diameter())
+        except ValueError as exc:
+            raise ConfigError(f"{cfg.path}: [metric] {exc}") from exc
+
     rng = Lcg64(run.seed)
     pairs = [
         (
@@ -217,8 +229,7 @@ def cmd_verify(args) -> int:
         f"{_fmt(worst_gap)} ({used} usable pairs) {'PASS' if d1_ok else 'FAIL'}"
     )
 
-    if alpha <= mp.alpha * (1 + 1e-12) and mp.alpha < mp.q:
-        params = SeriesParams(mp.alpha, mp.q, mp.tol)
+    if run_series:
         factor = mp.alpha / mp.q
         worst_excess = -float("inf")
         worst_ratio = 0.0

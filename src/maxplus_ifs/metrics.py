@@ -1,25 +1,26 @@
-"""Metrics between idempotent measures.
+"""Metrics between idempotent measures, one production route each.
 
-Three structures:
+* the coupling (bottleneck) metric d1: the least threshold at which the
+  pointwise-maximal coupling meets both marginals, in closed form as the
+  directed level-set value, one pass over row chunks of the support
+  distance table (O(|s1| |s2|) time, O(256 |s2|) memory);
+* the Lipschitz-dual pseudometrics d_a = sup {|mu(f) - nu(f)| : Lip f <= a},
+  in closed form through cone test functions; one kernel returns d_a for
+  an array of levels, by sorted cone envelopes on 1-D Euclidean spaces
+  (O(levels * n) after one sort) and otherwise by blocks of the support
+  distance table holding all levels (O(levels * |s1| |s2|), bounded memory);
+* two-sided weighted and harmonic series of the d_a, truncated in closed
+  form with certified tails, one kernel call per series.
 
-* the coupling (bottleneck) metric: optimal couplings of two densities are
-  screened through the pointwise-maximal candidate at a distance threshold,
-  and the smallest feasible threshold is found by binary search (feasibility
-  is monotone in the threshold);
-* the Lipschitz-dual pseudometrics: sup over functions with Lipschitz
-  constant <= a of |mu(f) - nu(f)|, computed in closed form through cone
-  test functions and validated by sampled certificates;
-* two-sided weighted series of the dual pseudometrics, with certified
-  truncation tails.
-
-Every computed route has an independent oracle next to it: subset
-enumeration for the coupling metric, inf-convolution sampling for the dual
-closed form, and a directed level-set formula as a second exact route to
-the coupling optimum.
+Slower exact routes (threshold search, subset enumeration, the dense
+per-level dual formula) are test oracles; sampled inf-convolution
+certificates validate the dual closed form.
 """
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -29,8 +30,9 @@ from .measures import IdempotentMeasure, TestFunction, pushforward
 from .semiring import NEG_INF
 from .spaces import ProductSpace
 
-_BRUTE_FORCE_CELLS = 16
-_DENSE_PAIRS = 4_000_000
+_CHUNK_ROWS = 256  # rows per distance block of d1 and its feasibility test
+_BLOCK_ELEMS = 1 << 20  # level x row x column elements per dual-metric block
+_MAX_TERMS = 1_000_000  # series terms per side; more is refused
 
 
 @dataclass(frozen=True)
@@ -67,13 +69,10 @@ def _check_same_space(mu1: IdempotentMeasure, mu2: IdempotentMeasure) -> None:
         raise ValueError("measures live on different spaces")
 
 
-def _support_tables(mu1, mu2, with_dist=True):
+def _supports(mu1, mu2):
     s1 = mu1.support()
     s2 = mu2.support()
-    l1 = mu1.density[s1]
-    l2 = mu2.density[s2]
-    d = mu1.space.distance_submatrix(s1, s2) if with_dist else None
-    return s1, s2, l1, l2, d
+    return s1, s2, mu1.density[s1], mu2.density[s2]
 
 
 def maximal_coupling(mu1: IdempotentMeasure, mu2: IdempotentMeasure, t: float) -> np.ndarray:
@@ -98,129 +97,107 @@ def coupling_feasible(mu1: IdempotentMeasure, mu2: IdempotentMeasure, t: float) 
 
     Row x needs max_y eta(x, y) = lambda1(x); since min(l1, l2) never
     exceeds l1, that holds iff some y within t has lambda2(y) >= lambda1(x)
-    (bottom rows are automatic).  Columns are symmetric.
+    (bottom rows are automatic).  Columns are symmetric, settled across
+    row chunks of the support distance table.
     """
     _check_same_space(mu1, mu2)
-    s1, s2, l1, l2, _ = _support_tables(mu1, mu2, with_dist=False)
-    if s1.size * s2.size <= _DENSE_PAIRS:
-        d = mu1.space.distance_submatrix(s1, s2)
-        ok_rows = np.all(((l2[None, :] >= l1[:, None]) & (d <= t)).any(axis=1))
-        if not ok_rows:
+    s1, s2, l1, l2 = _supports(mu1, mu2)
+    cols_ok = np.zeros(s2.size, dtype=bool)
+    for start in range(0, s1.size, _CHUNK_ROWS):
+        near = mu1.space.distance_submatrix(s1[start : start + _CHUNK_ROWS], s2) <= t
+        lr = l1[start : start + _CHUNK_ROWS, None]
+        if not np.all(((l2 >= lr) & near).any(axis=1)):
             return False
-        return bool(np.all(((l1[:, None] >= l2[None, :]) & (d <= t)).any(axis=0)))
-    # streamed row/column scan, no |s1| x |s2| allocation
-    for chunk in range(0, s1.size, 256):
-        rows = s1[chunk : chunk + 256]
-        d = mu1.space.distance_submatrix(rows, s2)
-        if not np.all(((l2[None, :] >= l1[chunk : chunk + 256, None]) & (d <= t)).any(axis=1)):
-            return False
-    for chunk in range(0, s2.size, 256):
-        cols = s2[chunk : chunk + 256]
-        d = mu1.space.distance_submatrix(s1, cols)
-        if not np.all(((l1[:, None] >= l2[None, chunk : chunk + 256]) & (d <= t)).any(axis=0)):
-            return False
-    return True
-
-
-def _candidate_thresholds(mu1, mu2) -> np.ndarray:
-    s1, s2, _, _, _ = _support_tables(mu1, mu2, with_dist=False)
-    if s1.size * s2.size <= _DENSE_PAIRS:
-        d = mu1.space.distance_submatrix(s1, s2)
-        cands = np.unique(d)
-    else:
-        seen = [np.array([0.0])]
-        for chunk in range(0, s1.size, 256):
-            seen.append(np.unique(mu1.space.distance_submatrix(s1[chunk : chunk + 256], s2)))
-        cands = np.unique(np.concatenate(seen))
-    if cands.size == 0 or cands[0] != 0.0:
-        cands = np.concatenate([[0.0], cands])
-    return cands
+        cols_ok |= ((lr >= l2) & near).any(axis=0)
+    return bool(cols_ok.all())
 
 
 def coupling_distance(mu1: IdempotentMeasure, mu2: IdempotentMeasure) -> float:
     """Bottleneck coupling distance between two measures on one space.
 
-    Binary search over the sorted candidate thresholds (support-pair
-    distances plus 0) for the smallest t whose maximal coupling satisfies
-    the marginals; feasibility only depends on t through the allowed-pair
-    set and grows with t.  Returns the largest distance realized in the
-    support of the optimal maximal coupling, which is <= the feasible
-    threshold.
+    By coupling_feasible, the least threshold whose maximal coupling meets
+    the marginals is the directed level-set value max(max_x min {d(x, y) :
+    lambda2(y) >= lambda1(x)}, and the mirror term); it is a realized
+    support-pair distance, so also the largest distance in the support of
+    the optimal maximal coupling.  One pass over row chunks of the support
+    distance table: row minima settle the first term, running column minima
+    the second; memory O(chunk * |supp mu2|).
     """
     _check_same_space(mu1, mu2)
-    cands = _candidate_thresholds(mu1, mu2)
-    lo, hi = 0, cands.size - 1
-    if not coupling_feasible(mu1, mu2, float(cands[hi])):
-        raise AssertionError("coupling infeasible at the maximal support distance")
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if coupling_feasible(mu1, mu2, float(cands[mid])):
-            hi = mid
-        else:
-            lo = mid + 1
-    t_star = float(cands[lo])
-    # sup of d over supp(eta_t*): support pairs within t*; equals t* unless
-    # the optimum is the diagonal threshold 0
-    s1, s2, _, _, d = _support_tables(mu1, mu2)
-    below = d[d <= t_star]
-    return float(below.max()) if below.size else 0.0
-
-
-def coupling_distance_levelsets(mu1: IdempotentMeasure, mu2: IdempotentMeasure) -> float:
-    """Independent closed form for the coupling distance.
-
-    Directed part: every support point x of mu1 must reach, within the
-    answer, a point where lambda2 is at least lambda1(x); symmetrically for
-    mu2.  The answer is the larger of the two directed worst cases.
-    """
-    _check_same_space(mu1, mu2)
-    s1, s2, l1, l2, d = _support_tables(mu1, mu2)
-    a = np.where(l2[None, :] >= l1[:, None], d, np.inf).min(axis=1).max()
-    b = np.where(l1[:, None] >= l2[None, :], d, np.inf).min(axis=0).max()
-    return float(max(a, b))
-
-
-def coupling_distance_bruteforce(mu1: IdempotentMeasure, mu2: IdempotentMeasure) -> float:
-    """Exhaustive oracle: try every subset of support pairs as a coupling.
-
-    For each subset A of supp(mu1) x supp(mu2), restrict the pointwise-min
-    density to A, test the marginal conditions, and keep the best feasible
-    max-distance.  Exponential in |A|; guarded at 16 cells.
-    """
-    _check_same_space(mu1, mu2)
-    s1, s2, l1, l2, d = _support_tables(mu1, mu2)
-    n_cells = s1.size * s2.size
-    if n_cells > _BRUTE_FORCE_CELLS:
-        raise ValueError(f"{n_cells} support pairs exceed the brute-force bound")
-    minval = np.minimum(l1[:, None], l2[None, :]).ravel()
-    dist = d.ravel()
-    rows = np.repeat(np.arange(s1.size), s2.size)
-    cols = np.tile(np.arange(s2.size), s1.size)
-    n_masks = 1 << n_cells
-    include = (np.arange(n_masks)[:, None] >> np.arange(n_cells)[None, :]) & 1 == 1
-    ok = np.ones(n_masks, dtype=bool)
-    for x in range(s1.size):
-        cells = np.flatnonzero(rows == x)
-        got = np.where(include[:, cells], minval[cells][None, :], NEG_INF).max(axis=1)
-        ok &= got == l1[x]
-    for y in range(s2.size):
-        cells = np.flatnonzero(cols == y)
-        got = np.where(include[:, cells], minval[cells][None, :], NEG_INF).max(axis=1)
-        ok &= got == l2[y]
-    if not ok.any():
-        raise AssertionError("no feasible coupling subset exists")
-    max_dist = np.where(include, dist[None, :], NEG_INF).max(axis=1)
-    return float(max_dist[ok].min())
+    s1, s2, l1, l2 = _supports(mu1, mu2)
+    worst_row = 0.0
+    col_min = np.full(s2.size, np.inf)
+    for start in range(0, s1.size, _CHUNK_ROWS):
+        d = mu1.space.distance_submatrix(s1[start : start + _CHUNK_ROWS], s2)
+        lr = l1[start : start + _CHUNK_ROWS, None]
+        worst_row = max(worst_row, float(np.where(l2 >= lr, d, np.inf).min(axis=1).max()))
+        np.minimum(col_min, np.where(lr >= l2, d, np.inf).min(axis=0), out=col_min)
+    return max(worst_row, float(col_min.max()))
 
 
 # ---------------------------------------------------------------------------
 # Lipschitz-dual pseudometrics
 # ---------------------------------------------------------------------------
 
-def _lipschitz_delta(l_from, l_to, d, a):
-    """max_x [l_from(x) - max_y (l_to(y) - a * d(x, y))] over support tables."""
-    inner = np.max(l_to[None, :] - a * d, axis=1)
-    return float(np.max(l_from - inner))
+def _envelope_rows(space, lam_from, lam_to, a):
+    """Per level a[k], the support row of lam_from ranked first by cone envelopes.
+
+    1-D Euclidean spaces only.  Over the merged supports sorted by
+    coordinate, max_y (lam_to(y) - a |x - y|) is the larger of the forward
+    pass maximum.accumulate(g + a x) - a x, its mirror, and the y = x term,
+    which enters exactly; O(levels * n) after one sort.
+    """
+    u = np.flatnonzero((lam_from > NEG_INF) | (lam_to > NEG_INF))
+    x = space.coords[u, 0]
+    order = np.argsort(x, kind="stable")
+    u, x = u[order], x[order] - x[order[0]]
+    g, ax = lam_to[u], a * x
+    inner = np.broadcast_to(g, ax.shape).copy()
+    fwd = np.maximum.accumulate(g[:-1] + ax[:, :-1], axis=1) - ax[:, 1:]
+    bwd = np.maximum.accumulate((g - ax)[:, :0:-1], axis=1)[:, ::-1] + ax[:, :-1]
+    np.maximum(inner[:, 1:], fwd, out=inner[:, 1:])
+    np.maximum(inner[:, :-1], bwd, out=inner[:, :-1])
+    return u[np.argmax(lam_from[u] - inner, axis=1)]
+
+
+def _directed_deltas(space, lam_from, lam_to, levels) -> np.ndarray:
+    """max_x [lam_from(x) - max_y (lam_to(y) - a d(x, y))] for every level a.
+
+    Rows are evaluated by the dense formula's own arithmetic, in blocks of
+    the support distance table holding a chunk of levels.  Off the line all
+    rows are, so values are bit-identical to it; on 1-D Euclidean spaces
+    only the row the envelope ranks first, so a value is never above the
+    dense one and below it only where rows tie within the rounding of a * x.
+    """
+    s_from = np.flatnonzero(lam_from > NEG_INF)
+    s_to = np.flatnonzero(lam_to > NEG_INF)
+    line = space.euclidean and space.coords.shape[1] == 1
+    out = np.full(levels.size, NEG_INF)
+    step = max(1, _BLOCK_ELEMS // (s_from.size + s_to.size))
+    for lo in range(0, levels.size, step):
+        a = levels[lo : lo + step, None, None]
+        if line:
+            blocks = [_envelope_rows(space, lam_from, lam_to, a[:, :, 0])[:, None]]
+        else:
+            r = max(1, _BLOCK_ELEMS // (a.size * s_to.size))
+            blocks = [s_from[None, i : i + r] for i in range(0, s_from.size, r)]
+        for rows in blocks:
+            d = space.distance_submatrix(rows.ravel(), s_to).reshape(rows.shape + (s_to.size,))
+            vals = np.max(lam_from[rows] - np.max(lam_to[s_to] - a * d, axis=2), axis=1)
+            out[lo : lo + step] = np.maximum(out[lo : lo + step], vals)
+    return out
+
+
+def _dual_distances(mu1, mu2, levels) -> np.ndarray:
+    """d_a(mu1, mu2) = max(0, delta12, delta21) for every level a at once.
+
+    The inner maximum of delta12 = max_x [lambda1(x) - max_y (lambda2(y) -
+    a d(x, y))] is a distance transform of lambda2 with cone slope a.
+    """
+    levels = np.asarray(levels, dtype=float)
+    d12 = _directed_deltas(mu1.space, mu1.density, mu2.density, levels)
+    d21 = _directed_deltas(mu1.space, mu2.density, mu1.density, levels)
+    return np.maximum(np.maximum(d12, d21), 0.0)
 
 
 def lipschitz_distance(mu1: IdempotentMeasure, mu2: IdempotentMeasure, a: float) -> float:
@@ -229,14 +206,12 @@ def lipschitz_distance(mu1: IdempotentMeasure, mu2: IdempotentMeasure, a: float)
     For fixed x the least a-Lipschitz function vanishing at x is the cone
     y -> -a * d(x, y); maximizing over cones gives
     max_x [lambda1(x) - max_y (lambda2(y) - a d(x, y))] and the symmetric
-    term, and the larger of the two is attained.  O(n^2).
+    term, and the larger of the two is attained.
     """
     _check_same_space(mu1, mu2)
     if a <= 0:
         raise ValueError("Lipschitz bound a must be positive")
-    s1, s2, l1, l2, d = _support_tables(mu1, mu2)
-    value = max(_lipschitz_delta(l1, l2, d, a), _lipschitz_delta(l2, l1, d.T, a))
-    return max(value, 0.0)
+    return float(_dual_distances(mu1, mu2, [a])[0])
 
 
 @dataclass
@@ -278,13 +253,13 @@ def lipschitz_distance_certificates(
     vals2 = np.max(mu2.density[None, :] + reg, axis=1)
     sampled_lower = float(np.max(np.abs(vals1 - vals2)))
 
-    s1, s2, l1, l2, dsup = _support_tables(mu1, mu2)
-    d12 = _lipschitz_delta(l1, l2, dsup, a)
-    d21 = _lipschitz_delta(l2, l1, dsup.T, a)
-    if d12 >= d21:
-        x_star = int(s1[np.argmax(l1 - np.max(l2[None, :] - a * dsup, axis=1))])
-    else:
-        x_star = int(s2[np.argmax(l2 - np.max(l1[None, :] - a * dsup.T, axis=1))])
+    # the dense closed form, row by row, to locate the maximizing cone
+    s1, s2, l1, l2 = _supports(mu1, mu2)
+    dsup = space.distance_submatrix(s1, s2)
+    rows12 = l1 - np.max(l2[None, :] - a * dsup, axis=1)
+    rows21 = l2 - np.max(l1[None, :] - a * dsup.T, axis=1)
+    d12, d21 = float(rows12.max()), float(rows21.max())
+    x_star = int(s1[np.argmax(rows12)] if d12 >= d21 else s2[np.argmax(rows21)])
     cone = TestFunction(space, -a * space.distances_from(x_star))
     cone_value = abs(
         float(np.max(mu1.density + cone.values)) - float(np.max(mu2.density + cone.values))
@@ -323,6 +298,35 @@ class SeriesParams:
         if not self.tol > 0.0:
             raise ValueError("tol must be positive")
 
+    def n_terms(self, diameter: float) -> int:
+        """Terms per side: the least N >= 0 with 2 diam q^(N+1) / (1 - q) <= tol.
+
+        Closed form, settled against the float test; 0 on a one-point space.
+        ValueError when alpha^(+-N) or diam / alpha^N leaves the normal
+        float range, or N would exceed _MAX_TERMS.
+        """
+        if diameter == 0.0:
+            return 0
+        q, alpha, tol = self.q, self.alpha, self.tol
+
+        def over(n: int) -> bool:
+            return 2.0 * diameter * q ** (n + 1) / (1.0 - q) > tol
+
+        est = (math.log(tol) + math.log1p(-q) - math.log(2.0 * diameter)) / math.log(q) - 1.0
+        if est < _MAX_TERMS:
+            n = max(0, math.ceil(est))
+            while n > 0 and not over(n - 1):
+                n -= 1
+            while over(n):
+                n += 1
+            if alpha**n >= sys.float_info.min and math.isfinite(diameter / alpha**n):
+                return n
+        raise ValueError(
+            f"series metric alpha={alpha!r}, q={q!r}, tol={tol!r} on a space of diameter "
+            f"{diameter:g} needs levels alpha^n outside the normal float range "
+            f"(or over {_MAX_TERMS} terms per side); raise tol or lower q"
+        )
+
 
 @dataclass
 class SeriesValue:
@@ -342,32 +346,24 @@ def series_distance(
     """Two-sided series sum_n (q^|n| / alpha^n) d_{alpha^n}(mu1, mu2).
 
     Each term is bounded by q^|n| * diam (the dual distance at level a is
-    at most a * diam), so truncating at the least N with
-    2 * diam * q^(N+1) / (1 - q) <= tol certifies the tail.  The partial
-    sum is a lower estimate; the true value lies within [value,
-    value + tail_bound].  Terms are accumulated in ascending |n| for
-    determinism.
+    at most a * diam), so truncating at N = params.n_terms(diam) certifies
+    the tail 2 * diam * q^(N+1) / (1 - q) <= tol.  The partial sum is a
+    lower estimate; the true value lies within [value, value + tail_bound].
+    All 2N+1 levels come from one kernel call; terms are accumulated in
+    ascending |n| for determinism.
     """
     _check_same_space(mu1, mu2)
     diam = mu1.space.diameter()
     if diam == 0.0:
         return SeriesValue(0.0, 0.0, 0)
     q, alpha = params.q, params.alpha
-    n_terms = 0
-    while 2.0 * diam * q ** (n_terms + 1) / (1.0 - q) > params.tol:
-        n_terms += 1
+    n_terms = params.n_terms(diam)
     tail = 2.0 * diam * q ** (n_terms + 1) / (1.0 - q)
-    s1, s2, l1, l2, d = _support_tables(mu1, mu2)
-
-    def term(n: int) -> float:
-        a = alpha**n
-        da = max(_lipschitz_delta(l1, l2, d, a), _lipschitz_delta(l2, l1, d.T, a), 0.0)
-        return (q ** abs(n) / a) * da
-
-    total = term(0)
-    for k in range(1, n_terms + 1):
-        total += term(-k)
-        total += term(k)
+    order = [0] + [n for k in range(1, n_terms + 1) for n in (-k, k)]
+    levels = [alpha**n for n in order]
+    total = 0.0
+    for n, a, da in zip(order, levels, _dual_distances(mu1, mu2, levels).tolist()):
+        total += (q ** abs(n) / a) * da
     return SeriesValue(total, tail, n_terms)
 
 
@@ -377,10 +373,11 @@ def harmonic_series_distance(
     """One-sided series sum_{n>=1} d_n(mu1, mu2) / (n 2^n).
 
     d_n <= n * diam bounds each term by diam / 2^n, so the tail after N
-    terms is at most diam * 2^-N.
+    terms is at most diam * 2^-N; N is the least N with that bound <= tol,
+    and a ValueError is raised when 2^-N is below the normal float range.
     """
     _check_same_space(mu1, mu2)
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tol must be positive")
     diam = mu1.space.diameter()
     if diam == 0.0:
@@ -388,14 +385,14 @@ def harmonic_series_distance(
     n_terms = 1
     while diam * 2.0 ** (-n_terms) > tol:
         n_terms += 1
-    s1, s2, l1, l2, d = _support_tables(mu1, mu2)
-    total = 0.0
-    for n in range(1, n_terms + 1):
-        da = max(
-            _lipschitz_delta(l1, l2, d, float(n)),
-            _lipschitz_delta(l2, l1, d.T, float(n)),
-            0.0,
+    if 2.0 ** (-n_terms) < sys.float_info.min:
+        raise ValueError(
+            f"harmonic series with tol={tol!r} on a space of diameter {diam:g} "
+            f"needs weights 2^-n below the normal float range; raise tol"
         )
+    levels = np.arange(1, n_terms + 1, dtype=float)
+    total = 0.0
+    for n, da in zip(range(1, n_terms + 1), _dual_distances(mu1, mu2, levels).tolist()):
         total += da / (n * 2.0**n)
     return SeriesValue(total, diam * 2.0 ** (-n_terms), n_terms)
 

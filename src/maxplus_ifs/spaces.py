@@ -11,6 +11,7 @@ an n^2 matrix.
 from __future__ import annotations
 
 import numpy as np
+from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
 # Full distance matrices are materialized (and cached) only below this size.
@@ -29,6 +30,8 @@ class FiniteMetricSpace:
             raise ValueError("need a distance matrix or point coordinates")
         self._matrix = None
         self.coords = None
+        # the metric is the Euclidean distance of coords (not an explicit matrix)
+        self.euclidean = matrix is None
         self.grid_lower = None
         self.grid_upper = None
         self.grid_cells = None
@@ -64,13 +67,12 @@ class FiniteMetricSpace:
     def from_coords(cls, coords) -> "FiniteMetricSpace":
         """Euclidean space on the given points; distinct points required."""
         space = cls(coords=coords)
-        # Euclidean axioms hold automatically; only distinctness can fail.
-        for i in range(space.n_points):
-            row = space.distances_from(i)
-            row[i] = 1.0
-            if np.any(row == 0.0):
-                j = int(np.argmin(row))
-                raise ValueError(f"points {i} and {j} coincide")
+        # Euclidean axioms hold automatically; only distinctness can fail.  A
+        # radius-0 pair query finds exactly the pairs at computed distance 0.
+        pairs = cKDTree(space.coords).query_pairs(0.0, output_type="ndarray")
+        if pairs.size:
+            i, j = min(pairs.tolist())
+            raise ValueError(f"points {i} and {j} coincide")
         return space
 
     def dist(self, i: int, j: int) -> float:
@@ -206,6 +208,7 @@ class ProductSpace(FiniteMetricSpace):
         # metrics is a metric
         self._matrix = None
         self.coords = coords
+        self.euclidean = False
         self.grid_lower = self.grid_upper = self.grid_cells = None
         self.n_points = left.n_points * right.n_points
         self._diameter = None

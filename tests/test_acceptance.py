@@ -20,6 +20,7 @@ from conftest import (
     random_euclidean_space,
     random_table_ifs,
 )
+from oracles import coupling_distance_bruteforce
 
 
 def _report(num: int, ok: bool, desc: str, elapsed: float, budget: float) -> None:
@@ -112,10 +113,10 @@ def _enumerate_densities(n):
 
 
 def _batch_threshold_d1(dist, tables):
-    """Vectorized twin of coupling_distance over all ordered measure pairs.
+    """Vectorized threshold search over all ordered measure pairs.
 
-    Same algorithm: smallest feasible threshold for the maximal coupling,
-    then the largest realized support distance below it.
+    The route of tests/oracles.threshold_d1: smallest feasible threshold for
+    the maximal coupling, then the largest realized support distance below it.
     """
     fin = tables > NEG
     g12 = (tables[None, :, None, :] >= tables[:, None, :, None]) & (
@@ -139,7 +140,7 @@ def _batch_threshold_d1(dist, tables):
 
 
 def _batch_levelset_oracle(dist, tables):
-    """Vectorized twin of coupling_distance_levelsets (independent route)."""
+    """Vectorized twin of coupling_distance (the directed level-set formula)."""
     fin = tables > NEG
     g12 = (tables[None, :, None, :] >= tables[:, None, :, None]) & (
         fin[:, None, :, None] & fin[None, :, None, :]
@@ -177,7 +178,7 @@ def test_criterion_02_oracle_equivalence():
             for j in range(i, m, 31):
                 n_brute += 1
                 ok &= (
-                    mp.coupling_distance_bruteforce(measures[i], measures[j])
+                    coupling_distance_bruteforce(measures[i], measures[j])
                     == batch[i, j]
                 )
     _report(

@@ -165,6 +165,35 @@ def test_metric_spec_errors(tmp_path):
     assert main(["metric", str(fa), str(fa), "bogus"]) == 2
     assert main(["metric", str(fa), str(fa), "da:a=-1"]) == 2
     assert main(["metric", str(fa), str(fa), "dtilde:alpha=0.5"]) == 2
+    assert main(["metric", str(fa), str(fa), "dtilde:alpha=2,q=0.5,tol=1e-6"]) == 2
+    assert main(["metric", str(fa), str(fa), "dtilde:alpha=0.5,q=0.5,tol=0"]) == 2
+
+
+def test_series_outside_float_range_is_a_config_error(tmp_path, capsys):
+    g = mp.build_grid([0], [1], [1])
+    fa, fb = tmp_path / "a.density", tmp_path / "b.density"
+    mp.write_density_file(fa, mp.dirac(g, 0))
+    mp.write_density_file(fb, mp.dirac(g, 1))
+    assert main(["metric", str(fa), str(fb), "dtilde:alpha=0.5,q=0.99,tol=1e-9"]) == 2
+    err = capsys.readouterr().err
+    assert "alpha=0.5, q=0.99, tol=1e-09" in err and "Traceback" not in err
+    assert main(["metric", str(fa), str(fb), "brz:tol=1e-320"]) == 2
+    assert "tol=1e-320" in capsys.readouterr().err
+    # valid parameters near the edge still give a finite value
+    assert main(["metric", str(fa), str(fb), "dtilde:alpha=0.9,q=0.99,tol=1e-9"]) == 0
+    value, _, tail = capsys.readouterr().out.split()
+    assert float(value) == pytest.approx(199.0, abs=1e-6)  # (1+q)/(1-q)
+    cfg = _write(
+        tmp_path,
+        "cantor.cfg",
+        CANTOR_CFG.format(out=tmp_path / "c.density").replace("tol = 1e-6", "tol = 1e-9").replace(
+            "alpha = 0.3333333333333333\nq = 0.5", "alpha = 0.5\nq = 0.99"
+        ),
+    )
+    assert "q = 0.99" in cfg.read_text()
+    assert main(["verify", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "[metric]" in err and "alpha=0.5, q=0.99, tol=1e-09" in err
 
 
 def test_verify_cantor_passes(tmp_path, capsys):
@@ -182,6 +211,27 @@ def test_verify_is_deterministic(tmp_path, capsys):
     assert main(["verify", str(cfg)]) == 0
     second = capsys.readouterr().out
     assert first == second
+
+
+# Full `verify` report of a small snapped Cantor config, recorded before the
+# metric kernels were replaced; any drift in a metric route shows here.
+GOLDEN_VERIFY = """verify: {cfg}
+space: 82 points
+maps: 2, discrete Lipschitz max 1, declared max 0.333333333333
+certificates: declared factor 0.333333333333; sampling restricted to 28 exactly-mapped points (discrete factor on the full space is 1)
+pairs: 20, seed 0, mode declared
+check d1: max ratio 0.333333333333, max excess over bound 1.11022302463e-16 (20 usable pairs) PASS
+check dtilde(alpha=0.333333333333, q=0.5): max ratio 0.474398706649 vs factor 0.666666666667, max certified excess -0.170912755123 (20 usable pairs) PASS
+verify: PASS
+"""
+
+
+def test_verify_golden_report(tmp_path, capsys):
+    text = CANTOR_CFG.format(out=tmp_path / "c.density")
+    text = text.replace("cells = 27", "cells = 81").replace("pairs = 40", "pairs = 20")
+    cfg = _write(tmp_path, "cantor81.cfg", text)
+    assert main(["verify", str(cfg)]) == 0
+    assert capsys.readouterr().out == GOLDEN_VERIFY.format(cfg=cfg)
 
 
 def test_verify_witnessed_ladder(tmp_path, capsys):
@@ -220,6 +270,35 @@ pairs = 30
     text = capsys.readouterr().out
     assert "witnesses verified" in text
     assert "verify: PASS" in text
+
+
+def test_verify_one_point_space_reports_both_checks(tmp_path, capsys):
+    # diameter 0: the series needs no terms; no pair is usable, so FAIL (5)
+    cfgtext = """
+[space]
+kind = matrix
+size = 1
+row = 0
+
+[ifs]
+map = table 0
+witness = rational 2
+weights = 0
+
+[metric]
+alpha = 0.34
+q = 0.5
+tol = 1e-8
+
+[verify]
+pairs = 5
+"""
+    cfg = _write(tmp_path, "one.cfg", cfgtext)
+    assert main(["verify", str(cfg)]) == 5
+    captured = capsys.readouterr()
+    assert "(0 usable pairs) FAIL" in captured.out
+    assert "check dtilde(alpha=0.34, q=0.5)" in captured.out
+    assert captured.err == ""
 
 
 def test_verify_certificate_failure_exit_code(tmp_path, capsys):

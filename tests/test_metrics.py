@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 import maxplus_ifs as mp
-from maxplus_ifs.metrics import SeriesParams, _lipschitz_delta
+from maxplus_ifs.metrics import SeriesParams, _directed_deltas, _dual_distances
 from conftest import (
     NEG,
     np_random_measure,
     random_euclidean_space,
     random_matrix_space,
 )
+from oracles import coupling_distance_bruteforce, dense_deltas, dense_dual, threshold_d1
 
 
 # --- maximal coupling and feasibility ----------------------------------------
@@ -144,9 +145,32 @@ def test_coupling_distance_three_routes_agree():
         m1 = np_random_measure(s, rng, p_finite=0.7, depth=2.0)
         m2 = np_random_measure(s, rng, p_finite=0.7, depth=2.0)
         a = mp.coupling_distance(m1, m2)
-        b = mp.coupling_distance_levelsets(m1, m2)
-        c = mp.coupling_distance_bruteforce(m1, m2)
+        b = threshold_d1(m1, m2)
+        c = coupling_distance_bruteforce(m1, m2)
         assert a == b == c
+
+
+@pytest.mark.parametrize("kind", ["matrix", "coords2d", "coords1d"])
+def test_coupling_distance_equals_threshold_search(kind):
+    # bit for bit, on supports small and above one 256-row chunk
+    rng = np.random.default_rng(21)
+    if kind == "matrix":
+        spaces = [random_matrix_space(rng, n) for n in (7, 40, 330)]
+    elif kind == "coords2d":
+        spaces = [random_euclidean_space(rng, n) for n in (7, 60, 600)]
+    else:
+        spaces = [mp.FiniteMetricSpace.from_coords(rng.permutation(np.arange(n) / n)) for n in (7, 60)]
+        spaces.append(mp.build_grid([0.0], [1.0], [729]))
+    for s in spaces:
+        for trial in range(6):
+            depth = 3.0 if trial % 2 else 7.0
+            m1 = np_random_measure(s, rng, p_finite=0.8, depth=depth)
+            m2 = np_random_measure(s, rng, p_finite=0.8, depth=depth)
+            if trial % 2 == 0:  # integer levels, many ties
+                m1 = mp.normalize(s, np.floor(m1.density))
+                m2 = mp.normalize(s, np.floor(m2.density))
+            assert mp.coupling_distance(m1, m2) == threshold_d1(m1, m2)
+        assert s.n_points < 300 or m1.support().size > 256
 
 
 def test_bruteforce_guard():
@@ -154,7 +178,7 @@ def test_bruteforce_guard():
     s = random_euclidean_space(rng, 5)
     m = mp.uniform(s)
     with pytest.raises(ValueError, match="exceed"):
-        mp.coupling_distance_bruteforce(m, m)  # 25 cells > 16
+        coupling_distance_bruteforce(m, m)  # 25 cells > 16
 
 
 def test_coupling_distance_metric_axioms():
@@ -335,7 +359,7 @@ def test_series_params_validation():
 
 
 def test_lipschitz_delta_matches_brute_max():
-    # the inner closed-form helper against a direct loop
+    # the directed parts of the dual kernel against a direct loop
     rng = np.random.default_rng(18)
     s = random_matrix_space(rng, 5)
     m1, m2 = np_random_measure(s, rng), np_random_measure(s, rng)
@@ -347,7 +371,172 @@ def test_lipschitz_delta_matches_brute_max():
         l1[i] - max(l2[j] - a * d[i, j] for j in range(s2.size))
         for i in range(s1.size)
     )
-    assert _lipschitz_delta(l1, l2, d, a) == pytest.approx(want, abs=1e-15)
+    want_rev = max(
+        l2[j] - max(l1[i] - a * d[i, j] for i in range(s1.size))
+        for j in range(s2.size)
+    )
+    assert _directed_deltas(s, m1.density, m2.density, np.array([a]))[0] == pytest.approx(
+        want, abs=1e-15
+    )
+    assert _directed_deltas(s, m2.density, m1.density, np.array([a]))[0] == pytest.approx(
+        want_rev, abs=1e-15
+    )
+
+
+# --- dual kernel against the per-level dense oracle -------------------------------
+
+EXTREME_LEVELS = np.array([1e-300, 3.0**-43, 1.0, 3.0**43, 1e300])
+
+
+def _line_cases(rng):
+    """Unsorted 1-D spaces with integer-level, continuous, one-point and disjoint pairs."""
+    for trial in range(120):
+        n = int(rng.integers(1, 200))
+        if trial % 2:
+            x = rng.permutation(np.unique(rng.uniform(-2.0, 3.0, n)))
+        else:
+            x = rng.permutation(np.arange(n) / 7.0 - 3.0)
+        s = mp.FiniteMetricSpace.from_coords(x)
+        kind = ["integer", "continuous", "one-point", "disjoint"][trial % 4]
+        if kind == "disjoint" and n > 1:
+            # every other point left of a cut against all points right of it
+            order = np.argsort(x)
+            cut = int(rng.integers(1, n))
+            supports = (order[:cut:2], order[cut:])
+        else:
+            supports = []
+            for _ in range(2):
+                mask = rng.random(n) < rng.uniform(0.05, 1.0)
+                mask[rng.integers(n)] = True
+                supports.append([int(rng.integers(n))] if kind == "one-point" else np.flatnonzero(mask))
+        pair = []
+        for idx in supports:
+            dens = np.full(n, NEG)
+            if kind == "continuous":
+                dens[idx] = rng.uniform(-5.0, 0.0, len(idx))
+            else:
+                dens[idx] = -rng.integers(0, 8, len(idx)).astype(float)
+            pair.append(mp.normalize(s, dens))
+        yield x, pair[0], pair[1]
+
+
+def test_line_kernel_matches_dense_oracle_within_stated_ulps():
+    # Each directed value of the envelope route is the dense formula's value
+    # at the row its envelope ranks first, so it never exceeds the dense
+    # maximum, and falls short of it by at most 8 ulps of a * span + max|l|
+    # (the rounding of a * x in the ranking; the measured worst is ~1.1).
+    # Relative to the value itself the worst measured shortfall here is 191
+    # ulps, at near-tied rows under a = 3^43 and 1e300.
+    rng = np.random.default_rng(22)
+    n_levels = n_exact = 0
+    for x, m1, m2 in _line_cases(rng):
+        got = [
+            _directed_deltas(m1.space, lf.density, lt.density, EXTREME_LEVELS)
+            for lf, lt in ((m1, m2), (m2, m1))
+        ]
+        both = np.union1d(m1.support(), m2.support())
+        span = float(np.ptp(x[both]))
+        lam = np.abs(np.concatenate([m1.density[m1.support()], m2.density[m2.support()]]))
+        for k, a in enumerate(EXTREME_LEVELS):
+            bound = 8.0 * np.spacing(a * span + lam.max())
+            for g, w in zip((got[0][k], got[1][k]), dense_deltas(m1, m2, a)):
+                n_levels += 1
+                n_exact += g == w
+                assert w - bound <= g <= w
+    assert n_exact >= 0.95 * n_levels
+
+
+def test_block_kernel_is_bit_identical_to_dense_oracle():
+    rng = np.random.default_rng(23)
+    levels = np.concatenate([EXTREME_LEVELS, rng.uniform(0.1, 10.0, 40)])
+    for make, n in [(random_matrix_space, 6), (random_matrix_space, 150), (random_euclidean_space, 400)]:
+        s = make(rng, n)
+        for _ in range(3):
+            m1 = np_random_measure(s, rng, p_finite=0.8)
+            m2 = np_random_measure(s, rng, p_finite=0.8)
+            d12 = _directed_deltas(s, m1.density, m2.density, levels)
+            d21 = _directed_deltas(s, m2.density, m1.density, levels)
+            for k, a in enumerate(levels):
+                assert (d12[k], d21[k]) == dense_deltas(m1, m2, a)
+            # the largest case spans several row blocks
+            assert levels.size * m1.support().size * m2.support().size > (1 << 20) or n < 400
+
+
+def test_kernel_blocking_does_not_change_values(monkeypatch):
+    # tiny blocks force many level chunks and one-row blocks
+    rng = np.random.default_rng(26)
+    levels = np.concatenate([EXTREME_LEVELS, rng.uniform(0.1, 10.0, 20)])
+    cases = [mp.build_grid([0.0], [1.0], [60]), random_euclidean_space(rng, 40), random_matrix_space(rng, 30)]
+    for s in cases:
+        m1, m2 = np_random_measure(s, rng), np_random_measure(s, rng)
+        want = _dual_distances(m1, m2, levels)
+        monkeypatch.setattr(mp.metrics, "_BLOCK_ELEMS", 64)
+        got = _dual_distances(m1, m2, levels)
+        monkeypatch.undo()
+        np.testing.assert_array_equal(got, want)
+
+
+def test_dual_metrics_vanish_exactly_on_equal_measures():
+    rng = np.random.default_rng(24)
+    params = SeriesParams(alpha=1 / 3, q=0.5, tol=1e-9)
+    spaces = [
+        mp.build_grid([0.0], [1.0], [243]),
+        mp.FiniteMetricSpace.from_coords(rng.permutation(np.arange(50) * 0.37 + 1e3)),
+        random_euclidean_space(rng, 30),
+        random_matrix_space(rng, 12),
+    ]
+    for s in spaces:
+        for _ in range(5):
+            m = np_random_measure(s, rng)
+            assert np.all(_dual_distances(m, m, EXTREME_LEVELS) == 0.0)
+            assert mp.lipschitz_distance(m, m, 3.0**43) == 0.0
+            assert mp.series_distance(m, m, params).value == 0.0
+            assert mp.harmonic_series_distance(m, m, 1e-9).value == 0.0
+
+
+def test_lipschitz_distance_routes_agree_with_dense_formula():
+    rng = np.random.default_rng(25)
+    line = mp.build_grid([0.0], [1.0], [81])
+    for s in (line, random_euclidean_space(rng, 25), random_matrix_space(rng, 9)):
+        for _ in range(10):
+            m1, m2 = np_random_measure(s, rng), np_random_measure(s, rng)
+            for a in (0.25, 1.0, 4.0, 81.0):
+                assert mp.lipschitz_distance(m1, m2, a) == dense_dual(m1, m2, a)
+
+
+# --- series truncation and its float range ----------------------------------------
+
+def _loop_terms(diam, q, tol):
+    n = 0
+    while 2.0 * diam * q ** (n + 1) / (1.0 - q) > tol:
+        n += 1
+    return n
+
+
+def test_series_terms_closed_form_matches_loop():
+    for diam in (1e-3, 1.0, np.sqrt(2), 7.5):
+        for q in (0.01, 0.3, 0.5, 0.9, 0.99):
+            for tol in (1e-2, 1e-6, 1e-9, 1e-12, 2.0 * diam * q / (1.0 - q)):
+                params = SeriesParams(alpha=0.9, q=q, tol=tol)
+                assert params.n_terms(diam) == _loop_terms(diam, q, tol)
+    assert SeriesParams(alpha=0.5, q=0.5, tol=1e-9).n_terms(0.0) == 0
+
+
+def test_series_near_one_q_and_tiny_tol():
+    two = mp.build_grid([0], [1], [1])
+    dx, dy = mp.dirac(two, 0), mp.dirac(two, 1)
+    # valid and representable: finite value inside its certified interval
+    for params in (SeriesParams(0.9, 0.99, 1e-6), SeriesParams(0.9, 0.95, 1e-12)):
+        res = mp.series_distance(dx, dy, params)
+        expected = (1 + params.q) / (1 - params.q)
+        assert np.isfinite(res.value) and res.tail_bound <= params.tol
+        assert res.value <= expected <= res.value + res.tail_bound + 1e-9
+    # alpha^-N overflows: a clean error that names the parameters
+    with pytest.raises(ValueError, match=r"alpha=0\.5, q=0\.99, tol=1e-09"):
+        mp.series_distance(dx, dy, SeriesParams(0.5, 0.99, 1e-9))
+    with pytest.raises(ValueError, match="tol=1e-320"):
+        mp.harmonic_series_distance(dx, dy, 1e-320)
+    assert mp.harmonic_series_distance(dx, dy, 1e-300).tail_bound <= 1e-300
 
 
 # --- empirical contraction -------------------------------------------------------

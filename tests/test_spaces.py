@@ -53,6 +53,19 @@ def test_from_coords_rejects_duplicates():
         mp.FiniteMetricSpace.from_coords([[0.0], [0.0], [1.0]])
 
 
+def test_from_coords_coincidence_is_computed_distance_zero():
+    # -0.0 and 0.0 are one point; so are points whose squared offset
+    # underflows, while a representable squared offset keeps them apart
+    with pytest.raises(ValueError, match="points 1 and 3 coincide"):
+        mp.FiniteMetricSpace.from_coords([[1.0, 2.0], [0.0, 1.0], [2.0, 0.0], [-0.0, 1.0]])
+    with pytest.raises(ValueError, match="points 0 and 2 coincide"):
+        mp.FiniteMetricSpace.from_coords([[1e-170], [1.0], [0.0], [2e-170]])
+    assert mp.FiniteMetricSpace.from_coords([[1e-150], [0.0]]).n_points == 2
+    # the first index with a twin, and its first twin, as a pairwise scan reports
+    with pytest.raises(ValueError, match="points 0 and 4 coincide"):
+        mp.FiniteMetricSpace.from_coords([[5.0], [3.0], [3.0], [4.0], [5.0], [3.0]])
+
+
 def test_metric_axioms_on_random_spaces():
     rng = np.random.default_rng(3)
     for make in (random_euclidean_space, random_matrix_space):
