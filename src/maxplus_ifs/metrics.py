@@ -2,8 +2,10 @@
 
 * the coupling (bottleneck) metric d1: the least threshold at which the
   pointwise-maximal coupling meets both marginals, in closed form as the
-  directed level-set value, one pass over row chunks of the support
-  distance table (O(|s1| |s2|) time, O(256 |s2|) memory);
+  directed level-set value: nearest neighbours over level-ordered prefixes
+  split into dyadic runs of blocks, by k-d trees on Euclidean spaces
+  (O(n log^2 n)) and by row chunks of the support distance table elsewhere
+  (O(|s1| |s2|) time, O(256 |s|) memory);
 * the Lipschitz-dual pseudometrics d_a = sup {|mu(f) - nu(f)| : Lip f <= a},
   in closed form through cone test functions; one kernel returns d_a for
   an array of levels, by sorted cone envelopes on 1-D Euclidean spaces
@@ -25,6 +27,8 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
+from scipy.spatial import cKDTree
+from scipy.spatial.distance import cdist
 
 from .measures import IdempotentMeasure, TestFunction, pushforward
 from .semiring import NEG_INF
@@ -112,6 +116,58 @@ def coupling_feasible(mu1: IdempotentMeasure, mu2: IdempotentMeasure, t: float) 
     return bool(cols_ok.all())
 
 
+def _nearest(space, rows, cols, width=None) -> np.ndarray:
+    """Per rows[i], the least distance to cols[:width[i]] (all of cols by default).
+
+    The one space-dependent step of d1: a k-d tree over cols on Euclidean
+    spaces, row chunks of the distance table elsewhere and for the masked
+    widths of a partial block.
+    """
+    if space.euclidean and width is None:
+        return cKDTree(space.coords[cols]).query(space.coords[rows])[0]
+    out = np.empty(rows.size)
+    for lo in range(0, rows.size, _CHUNK_ROWS):
+        r = rows[lo : lo + _CHUNK_ROWS]
+        if space.euclidean:
+            d = cdist(space.coords[r], space.coords[cols])
+        else:
+            d = space.distance_submatrix(r, cols)
+        if width is not None:
+            d[np.arange(cols.size) >= width[lo : lo + _CHUNK_ROWS, None]] = np.inf
+        out[lo : lo + _CHUNK_ROWS] = d.min(axis=1)
+    return out
+
+
+def _directed_d1(space, s_from, l_from, s_to, l_to) -> float:
+    """max over x of min {d(x, y) : lambda_to(y) >= lambda_from(x)}.
+
+    With the targets sorted by level, descending, x searches the prefix of
+    the p(x) targets at or above its level.  A prefix splits into aligned
+    dyadic runs of whole _CHUNK_ROWS-point blocks and one partial block;
+    each run is searched once for every x that uses it (Bentley and Saxe's
+    logarithmic method), so Euclidean spaces take O(n log^2 n).
+    """
+    order = np.argsort(-l_to, kind="stable")
+    targets = s_to[order]
+    p = np.searchsorted(-l_to[order], -l_from, side="right")  # >= 1: lambda_to peaks at 0
+    blocks, rest = np.divmod(p, _CHUNK_ROWS)
+    best = np.full(s_from.size, np.inf)
+
+    def search(use, first_block, n_blocks, width=None):
+        users = np.flatnonzero(use)
+        users = users[np.argsort(first_block[users], kind="stable")]
+        firsts, starts = np.unique(first_block[users], return_index=True)
+        for b, q in zip(firsts, np.split(users, starts[1:])):
+            run = targets[b * _CHUNK_ROWS : (b + n_blocks) * _CHUNK_ROWS]
+            w = None if width is None else width[q]
+            best[q] = np.minimum(best[q], _nearest(space, s_from[q], run, w))
+
+    for k in range(int(blocks.max()).bit_length()):
+        search((blocks >> k) & 1 == 1, (blocks >> (k + 1)) << (k + 1), 1 << k)
+    search(rest > 0, blocks, 1, rest)
+    return float(best.max())
+
+
 def coupling_distance(mu1: IdempotentMeasure, mu2: IdempotentMeasure) -> float:
     """Bottleneck coupling distance between two measures on one space.
 
@@ -119,20 +175,16 @@ def coupling_distance(mu1: IdempotentMeasure, mu2: IdempotentMeasure) -> float:
     the marginals is the directed level-set value max(max_x min {d(x, y) :
     lambda2(y) >= lambda1(x)}, and the mirror term); it is a realized
     support-pair distance, so also the largest distance in the support of
-    the optimal maximal coupling.  One pass over row chunks of the support
-    distance table: row minima settle the first term, running column minima
-    the second; memory O(chunk * |supp mu2|).
+    the optimal maximal coupling.  Each term is a nearest-neighbour search
+    over level-ordered prefixes (_directed_d1): O(n log^2 n) on Euclidean
+    spaces, at most one pass over the support table elsewhere, memory
+    O(chunk * |support|).
     """
     _check_same_space(mu1, mu2)
     s1, s2, l1, l2 = _supports(mu1, mu2)
-    worst_row = 0.0
-    col_min = np.full(s2.size, np.inf)
-    for start in range(0, s1.size, _CHUNK_ROWS):
-        d = mu1.space.distance_submatrix(s1[start : start + _CHUNK_ROWS], s2)
-        lr = l1[start : start + _CHUNK_ROWS, None]
-        worst_row = max(worst_row, float(np.where(l2 >= lr, d, np.inf).min(axis=1).max()))
-        np.minimum(col_min, np.where(lr >= l2, d, np.inf).min(axis=0), out=col_min)
-    return max(worst_row, float(col_min.max()))
+    return max(
+        _directed_d1(mu1.space, s1, l1, s2, l2), _directed_d1(mu1.space, s2, l2, s1, l1)
+    )
 
 
 # ---------------------------------------------------------------------------

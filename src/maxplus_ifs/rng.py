@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .measures import IdempotentMeasure, TestFunction, normalize
+from .measures import IdempotentMeasure, normalize
 from .semiring import NEG_INF
 from .spaces import FiniteMetricSpace
 
@@ -31,9 +31,6 @@ class Lcg64:
     def uniform(self, lo: float = 0.0, hi: float = 1.0) -> float:
         u = (self.next_u64() >> 11) * (1.0 / (1 << 53))
         return lo + (hi - lo) * u
-
-    def uniform_array(self, n: int, lo: float = 0.0, hi: float = 1.0) -> np.ndarray:
-        return np.array([self.uniform(lo, hi) for _ in range(n)])
 
     def randint(self, n: int) -> int:
         """Uniform integer in [0, n)."""
@@ -62,8 +59,3 @@ def random_measure(
         raw[candidates[rng.randint(candidates.size)]] = rng.uniform(-depth, 0.0)
     return normalize(space, raw)
 
-
-def random_test_function(
-    space: FiniteMetricSpace, rng: Lcg64, scale: float = 1.0
-) -> TestFunction:
-    return TestFunction(space, rng.uniform_array(space.n_points, -scale, scale))

@@ -3,9 +3,10 @@
 Points are identified by index 0..n-1; coordinates, when present, are
 metadata used for distance evaluation, snapping and rendering.  Explicit
 matrices are validated eagerly (every downstream contraction statement
-presupposes an actual metric).  Grid spaces keep only coordinates and
-evaluate Euclidean distances on demand, so 10^4-point grids never allocate
-an n^2 matrix.
+presupposes an actual metric), and so are Euclidean coordinates (finite,
+nonzero distances between distinct points).  Grid spaces keep only
+coordinates and evaluate Euclidean distances on demand, so 10^4-point grids
+never allocate an n^2 matrix.
 """
 
 from __future__ import annotations
@@ -21,17 +22,19 @@ _DENSE_LIMIT = 2048
 class FiniteMetricSpace:
     """Finite point set with a metric.
 
-    Backed either by an explicit validated distance matrix or by a
-    real-coordinate embedding with the Euclidean metric.
+    Backed by an explicit validated distance matrix, by a real-coordinate
+    embedding with the Euclidean metric, or (a subclass passing n_points)
+    by the subclass's own distance methods.  Coordinates beside a matrix or
+    n_points are metadata.
     """
 
-    def __init__(self, *, matrix=None, coords=None, validate: bool = True):
-        if matrix is None and coords is None:
+    def __init__(self, *, matrix=None, coords=None, n_points=None, validate: bool = True):
+        if matrix is None and coords is None and n_points is None:
             raise ValueError("need a distance matrix or point coordinates")
         self._matrix = None
         self.coords = None
         # the metric is the Euclidean distance of coords (not an explicit matrix)
-        self.euclidean = matrix is None
+        self.euclidean = matrix is None and n_points is None
         self.grid_lower = None
         self.grid_upper = None
         self.grid_cells = None
@@ -43,6 +46,8 @@ class FiniteMetricSpace:
                 raise ValueError("coords must be a nonempty (n, dim) array")
             if not np.all(np.isfinite(coords)):
                 raise ValueError("coordinates must be finite")
+            if self.euclidean and validate:
+                _validate_coords(coords)
             self.coords = coords
             self.coords.flags.writeable = False
         if matrix is not None:
@@ -53,9 +58,9 @@ class FiniteMetricSpace:
             self._matrix.flags.writeable = False
             if coords is not None and coords.shape[0] != matrix.shape[0]:
                 raise ValueError("coords and matrix disagree on point count")
-        self.n_points = (
-            self._matrix.shape[0] if self._matrix is not None else self.coords.shape[0]
-        )
+        if n_points is None:
+            n_points = (matrix if matrix is not None else coords).shape[0]
+        self.n_points = n_points
         self._diameter = None
 
     @classmethod
@@ -66,14 +71,7 @@ class FiniteMetricSpace:
     @classmethod
     def from_coords(cls, coords) -> "FiniteMetricSpace":
         """Euclidean space on the given points; distinct points required."""
-        space = cls(coords=coords)
-        # Euclidean axioms hold automatically; only distinctness can fail.  A
-        # radius-0 pair query finds exactly the pairs at computed distance 0.
-        pairs = cKDTree(space.coords).query_pairs(0.0, output_type="ndarray")
-        if pairs.size:
-            i, j = min(pairs.tolist())
-            raise ValueError(f"points {i} and {j} coincide")
-        return space
+        return cls(coords=coords)
 
     def dist(self, i: int, j: int) -> float:
         if self._matrix is not None:
@@ -136,6 +134,28 @@ class FiniteMetricSpace:
     def __repr__(self):
         kind = "grid" if self.is_grid() else ("coords" if self._matrix is None else "matrix")
         return f"FiniteMetricSpace(n={self.n_points}, kind={kind})"
+
+
+def _validate_coords(coords: np.ndarray) -> None:
+    """Euclidean distances must be finite, and positive between distinct points.
+
+    The squared span bounds every squared distance, so a finite one rules
+    out overflow.  A radius-0 pair query finds exactly the pairs at computed
+    distance 0: repeated points, and points whose squared offset underflows
+    (grid steps below about 1.6e-162).
+    """
+    with np.errstate(over="ignore"):
+        span = np.ptp(coords, axis=0)
+        overflows = not np.isfinite(span @ span)
+    shown = " x ".join(f"{s:.6g}" for s in span)
+    if overflows:
+        raise ValueError(f"coordinate span {shown} overflows when squared; rescale the points")
+    pairs = cKDTree(coords).query_pairs(0.0, output_type="ndarray")
+    if pairs.size:
+        i, j = min(pairs.tolist())
+        raise ValueError(
+            f"points {i} and {j} coincide (computed distance 0 within coordinate span {shown})"
+        )
 
 
 def _validate_metric(matrix: np.ndarray) -> None:
@@ -204,14 +224,8 @@ class ProductSpace(FiniteMetricSpace):
         if left.coords is not None and right.coords is not None:
             il, ir = np.divmod(np.arange(left.n_points * right.n_points), right.n_points)
             coords = np.hstack([left.coords[il], right.coords[ir]])
-        # bypass FiniteMetricSpace.__init__ validation: the max metric of two
-        # metrics is a metric
-        self._matrix = None
-        self.coords = coords
-        self.euclidean = False
-        self.grid_lower = self.grid_upper = self.grid_cells = None
-        self.n_points = left.n_points * right.n_points
-        self._diameter = None
+        # the max metric of two metrics is a metric; the methods below evaluate it
+        super().__init__(coords=coords, n_points=left.n_points * right.n_points)
 
     def pair_index(self, i: int, j: int) -> int:
         return i * self.right.n_points + j

@@ -85,3 +85,16 @@ def coupling_distance_bruteforce(mu1, mu2) -> float:
         raise AssertionError("no feasible coupling subset exists")
     max_dist = np.where(include, dist[None, :], NEG).max(axis=1)
     return float(max_dist[ok].min())
+
+
+def all_pairs_lip(space, target) -> float:
+    """max over pairs i != j of d(f(i), f(j)) / d(i, j), by row blocks of the full table."""
+    idx = np.arange(space.n_points)
+    best = 0.0
+    for lo in range(0, idx.size, 512):
+        rows = idx[lo : lo + 512]
+        d_in = space.distance_submatrix(rows, idx)
+        d_in[np.arange(rows.size), rows] = np.inf  # i = j contributes 0
+        d_out = space.distance_submatrix(target[rows], target)
+        best = max(best, float(np.max(d_out / d_in)))
+    return best

@@ -196,6 +196,27 @@ def test_series_outside_float_range_is_a_config_error(tmp_path, capsys):
     assert "[metric]" in err and "alpha=0.5, q=0.99, tol=1e-09" in err
 
 
+def test_coordinates_outside_the_float_range_are_config_errors(tmp_path, capsys):
+    # squared distances that overflow (or a grid step that squares to 0)
+    # are refused when the space is built; before, verify and solve reported
+    # a discrete factor of 0 or "0 usable pairs"
+    for upper, words in (("1e200", "coordinate span 1e+200 overflows"), ("1e-170", "coincide")):
+        text = CANTOR_CFG.format(out=tmp_path / "c.density").replace(
+            "upper = 1\n", f"upper = {upper}\n"
+        )
+        cfg = _write(tmp_path, "big.cfg", text)
+        for command in ("verify", "solve"):
+            assert main([command, str(cfg)]) == 2
+            captured = capsys.readouterr()
+            assert "[space]" in captured.err and words in captured.err
+            assert "factor" not in captured.out and "bound" not in captured.out
+    fa = tmp_path / "wide.density"
+    fa.write_text("space 2\n0 0 0\n1 3e154 -1\n")
+    assert main(["metric", str(fa), str(fa), "d1"]) == 2
+    err = capsys.readouterr().err
+    assert "coordinate span 3e+154 overflows" in err and "value of p" not in err
+
+
 def test_verify_cantor_passes(tmp_path, capsys):
     cfg = _write(tmp_path, "cantor.cfg", CANTOR_CFG.format(out=tmp_path / "c.density"))
     assert main(["verify", str(cfg)]) == 0

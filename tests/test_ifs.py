@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 
 import maxplus_ifs as mp
 from maxplus_ifs.ifs import CertificateError
@@ -10,6 +11,7 @@ from conftest import (
     random_matrix_space,
     random_table_ifs,
 )
+from oracles import all_pairs_lip
 
 
 # --- comparison functions ---------------------------------------------------
@@ -106,6 +108,41 @@ def test_contraction_map_validation():
         mp.ContractionMap(g, [0, 1])  # not total
     with pytest.raises(ValueError):
         mp.ContractionMap(g, [0, 1, 3])  # out of range
+
+
+# --- discrete Lipschitz constant: neighbour route on the line ---------------
+
+def test_discrete_lip_line_route_equals_all_pairs_on_snapped_grids():
+    maps = [(1 / 3, 0.0), (1 / 3, 2 / 3), (-1 / 3, 1 / 3), (-1 / 3, 1.0), (0.5, 0.25), (-0.9, 0.95)]
+    for k in range(1, 9):
+        grid = mp.build_grid([0.0], [1.0], [3**k])
+        for slope, offset in maps if k < 8 else maps[:2]:
+            m = mp.snap_affine(grid, [[slope]], [offset])
+            assert m.discrete_lip == all_pairs_lip(grid, m.target), (k, slope, offset)
+    # on 3^8 cells a snapped Cantor step grows by a rounding of the grid
+    assert m.discrete_lip == 1.0000000000007285
+
+
+def test_discrete_lip_line_route_equals_all_pairs_on_random_tables():
+    rng = np.random.default_rng(40)
+    for trial in range(60):
+        n = int(rng.integers(1, 40)) if trial % 3 else int(rng.integers(1, 3))
+        scale = 10.0 ** rng.uniform(-3.0, 3.0)
+        x = rng.permutation(rng.uniform(-scale, scale, n))  # unsorted
+        space = mp.FiniteMetricSpace.from_coords(x)
+        twin = mp.FiniteMetricSpace.from_matrix(cdist(space.coords, space.coords))
+        for target in (rng.integers(0, n, n), np.argsort(-x)):
+            lip = mp.ContractionMap(space, target).discrete_lip
+            assert lip == mp.ContractionMap(twin, target).discrete_lip
+            assert n > 1 or lip == 0.0
+
+
+def test_discrete_lip_propagates_nan():
+    # unvalidated infinite distances give inf / inf; never a silent 0
+    inf = float("inf")
+    space = mp.FiniteMetricSpace(matrix=[[0.0, inf], [inf, 0.0]], validate=False)
+    with np.errstate(invalid="ignore"):
+        assert np.isnan(mp.ContractionMap(space, [1, 0]).discrete_lip)
 
 
 # --- the Markov operator ----------------------------------------------------

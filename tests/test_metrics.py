@@ -2,11 +2,13 @@ import itertools
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 
 import maxplus_ifs as mp
 from maxplus_ifs.metrics import SeriesParams, _directed_deltas, _dual_distances
 from conftest import (
     NEG,
+    cantor_ifs,
     np_random_measure,
     random_euclidean_space,
     random_matrix_space,
@@ -150,27 +152,77 @@ def test_coupling_distance_three_routes_agree():
         assert a == b == c
 
 
-@pytest.mark.parametrize("kind", ["matrix", "coords2d", "coords1d"])
+def _measure_pairs(space, rng):
+    """Integer-level and continuous pairs, a Dirac against a spread measure,
+    and two measures on disjoint halves of the space."""
+    half = space.n_points // 2
+    for depth, integer in ((7.0, True), (3.0, False)):
+        m1 = np_random_measure(space, rng, p_finite=0.8, depth=depth)
+        m2 = np_random_measure(space, rng, p_finite=0.8, depth=depth)
+        if integer:  # many tied levels
+            m1 = mp.normalize(space, np.floor(m1.density))
+            m2 = mp.normalize(space, np.floor(m2.density))
+        yield m1, m2
+    yield mp.dirac(space, space.n_points - 1), m1
+    if half:
+        yield (
+            np_random_measure(space, rng, points=np.arange(half)),
+            np_random_measure(space, rng, points=np.arange(half, space.n_points)),
+        )
+
+
+@pytest.mark.parametrize("kind", ["matrix", "coords1d", "coords2d", "coords3d"])
 def test_coupling_distance_equals_threshold_search(kind):
-    # bit for bit, on supports small and above one 256-row chunk
+    # bit for bit, on supports of 1 point, below one 256-point block and
+    # above three (dyadic runs of one and two blocks plus a partial block);
+    # coordinate spaces also as matrix copies, and as grids, where distances tie
     rng = np.random.default_rng(21)
     if kind == "matrix":
-        spaces = [random_matrix_space(rng, n) for n in (7, 40, 330)]
-    elif kind == "coords2d":
-        spaces = [random_euclidean_space(rng, n) for n in (7, 60, 600)]
+        spaces = [random_matrix_space(rng, n) for n in (2, 7, 40, 330)]
     else:
-        spaces = [mp.FiniteMetricSpace.from_coords(rng.permutation(np.arange(n) / n)) for n in (7, 60)]
-        spaces.append(mp.build_grid([0.0], [1.0], [729]))
+        dim = int(kind[6])
+        spaces = [
+            mp.FiniteMetricSpace.from_coords(rng.uniform(0.0, 1.0, (n, dim)))
+            for n in (1, 9, 200, 1100)
+        ]
+        spaces.append(mp.build_grid([0.0] * dim, [1.0] * dim, [{1: 1100, 2: 33, 3: 8}[dim]] * dim))
     for s in spaces:
-        for trial in range(6):
-            depth = 3.0 if trial % 2 else 7.0
-            m1 = np_random_measure(s, rng, p_finite=0.8, depth=depth)
-            m2 = np_random_measure(s, rng, p_finite=0.8, depth=depth)
-            if trial % 2 == 0:  # integer levels, many ties
-                m1 = mp.normalize(s, np.floor(m1.density))
-                m2 = mp.normalize(s, np.floor(m2.density))
-            assert mp.coupling_distance(m1, m2) == threshold_d1(m1, m2)
-        assert s.n_points < 300 or m1.support().size > 256
+        copy = s if s.coords is None else mp.FiniteMetricSpace(
+            matrix=cdist(s.coords, s.coords), validate=False
+        )
+        largest = 0
+        for m1, m2 in _measure_pairs(s, rng):
+            want = threshold_d1(m1, m2)
+            assert mp.coupling_distance(m1, m2) == want
+            c1, c2 = (mp.IdempotentMeasure(copy, m.density) for m in (m1, m2))
+            assert mp.coupling_distance(c1, c2) == want
+            largest = max(largest, m1.support().size)
+        assert s.n_points < 1000 or largest > 3 * 256
+
+
+def test_coordinate_paths_make_no_distance_table_calls(monkeypatch):
+    # a quadratic route through the space's distance methods cannot return
+    # unnoticed on the two coordinate workloads: snapped maps on a 3^8-cell
+    # line and d1 on 6561 points of the plane
+    calls = []
+    for name in ("distances_from", "distance_submatrix"):
+        method = getattr(mp.FiniteMetricSpace, name)
+
+        def counted(self, *args, _method=method, _name=name):
+            calls.append(_name)
+            return _method(self, *args)
+
+        monkeypatch.setattr(mp.FiniteMetricSpace, name, counted)
+    ifs = cantor_ifs(8)
+    plane = mp.build_grid([0.0, 0.0], [1.0, 1.0], [80, 80])
+    rng = np.random.default_rng(70)
+    m1 = mp.normalize(plane, -rng.integers(0, 8, plane.n_points).astype(float))
+    m2 = mp.normalize(plane, -rng.integers(0, 8, plane.n_points).astype(float))
+    assert mp.coupling_distance(m1, m2) > 0.0
+    assert ifs.discrete_lip_max == 1.0000000000007285
+    assert calls == []
+    mp.FiniteMetricSpace.distance_submatrix(plane, [0], [1])
+    assert calls == ["distance_submatrix"]  # the counters do count
 
 
 def test_bruteforce_guard():

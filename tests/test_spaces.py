@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import maxplus_ifs as mp
-from conftest import random_euclidean_space, random_matrix_space
+from conftest import np_random_measure, random_euclidean_space, random_matrix_space
+from oracles import threshold_d1
 
 
 def test_grid_unit_interval():
@@ -66,6 +67,24 @@ def test_from_coords_coincidence_is_computed_distance_zero():
         mp.FiniteMetricSpace.from_coords([[5.0], [3.0], [3.0], [4.0], [5.0], [3.0]])
 
 
+def test_coordinate_distances_must_stay_finite_and_positive():
+    # a squared span that overflows would make distances inf (and discrete
+    # Lipschitz constants inf / inf); a grid step that squares to 0 would
+    # make neighbours coincide; both builders refuse, naming the span
+    with pytest.raises(ValueError, match="coordinate span 1e\\+200 overflows"):
+        mp.build_grid([0.0], [1e200], [27])
+    with pytest.raises(ValueError, match="coordinate span 2e\\+154 overflows"):
+        mp.FiniteMetricSpace.from_coords([[0.0], [1e154], [2e154]])
+    with pytest.raises(ValueError, match="span 1e\\+154 x 1e\\+154 overflows"):
+        mp.FiniteMetricSpace.from_coords([[0.0, 0.0], [1e154, 1e154]])
+    with pytest.raises(ValueError, match="points 0 and 1 coincide .*coordinate span 1e-170"):
+        mp.build_grid([0.0], [1e-170], [27])
+    assert mp.FiniteMetricSpace.from_coords([[0.0], [1e154]]).diameter() == 1e154
+    assert mp.build_grid([0.0], [1e-150], [27]).n_points == 28
+    # an explicit matrix carries the metric; its coordinates are metadata
+    assert mp.FiniteMetricSpace.from_matrix([[0.0, 1.0], [1.0, 0.0]], coords=[[0.0], [0.0]])
+
+
 def test_metric_axioms_on_random_spaces():
     rng = np.random.default_rng(3)
     for make in (random_euclidean_space, random_matrix_space):
@@ -87,6 +106,20 @@ def test_product_examples():
     assert p.diameter() == 1.0
     # left components equal: distance is the right-hand distance
     assert p.dist(p.pair_index(0, 0), p.pair_index(0, 1)) == 1.0
+
+
+def test_product_space_is_built_by_the_base_initializer():
+    # coordinates of a product are metadata: its metric is the max metric
+    a = mp.build_grid([0.0], [1.0], [6])
+    b = mp.build_grid([0.0], [2.0], [4])
+    p = mp.product(a, b)
+    assert p.euclidean is False and p.coords.shape == (35, 2)
+    assert p.n_points == 35 and not p.is_grid()
+    rng = np.random.default_rng(7)
+    for _ in range(10):
+        m1, m2 = np_random_measure(p, rng), np_random_measure(p, rng)
+        assert mp.coupling_distance(m1, m2) == threshold_d1(m1, m2)
+    assert mp.product(random_matrix_space(np.random.default_rng(6), 3), a).coords is None
 
 
 def test_product_is_max_metric_exhaustive():
