@@ -4,7 +4,9 @@ Commands: solve, metric, attractor, verify, render.  Exit codes: 0 success,
 2 configuration or input error, 3 contraction-certificate failure, 4
 non-convergence, 5 verification violation.  All randomness flows from the
 config seed through the fixed 64-bit generator, so reports are byte-stable
-across platforms.
+across platforms.  `verify` formats the reports of
+`metrics.empirical_contraction`, one per check; a failing check names its
+worst pair on stderr (`replay: d1 worst pair is #k of seed s`).
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from .measures import read_density_file, write_density_file
 from .metrics import (
     SeriesParams,
     coupling_distance,
+    empirical_contraction,
     harmonic_series_distance,
     lipschitz_distance,
     series_distance,
@@ -209,55 +212,45 @@ def cmd_verify(args) -> int:
     ]
     print(f"pairs: {vp.pairs}, seed {run.seed}, mode {mode}")
 
-    failures = 0
-
-    worst_gap = -float("inf")
-    worst_ratio = 0.0
-    used = 0
-    for mu1, mu2 in pairs:
-        den = coupling_distance(mu1, mu2)
-        if den == 0.0:
-            continue
-        used += 1
-        num = coupling_distance(markov(ifs, mu1), markov(ifs, mu2))
-        worst_gap = max(worst_gap, num - d1_bound(den))
-        worst_ratio = max(worst_ratio, num / den)
-    d1_ok = used > 0 and worst_gap <= 1e-9
-    failures += 0 if d1_ok else 1
+    step = lambda mu: markov(ifs, mu)  # noqa: E731
+    d1 = empirical_contraction(step, coupling_distance, pairs, d1_bound)
     print(
-        f"check d1: max ratio {_fmt(worst_ratio)}, max excess over bound "
-        f"{_fmt(worst_gap)} ({used} usable pairs) {'PASS' if d1_ok else 'FAIL'}"
+        f"check d1: max ratio {_fmt(d1.max_ratio)}, max excess over bound "
+        f"{_fmt(d1.max_excess)} ({d1.used} usable pairs) {'PASS' if d1.passed else 'FAIL'}"
     )
+    reports = [("d1", d1)]
 
     if run_series:
         factor = mp.alpha / mp.q
-        worst_excess = -float("inf")
-        worst_ratio = 0.0
-        used = 0
-        for mu1, mu2 in pairs:
-            den = series_distance(mu1, mu2, params)
-            if den.value == 0.0:
-                continue
-            used += 1
-            num = series_distance(markov(ifs, mu1), markov(ifs, mu2), params)
+        series = empirical_contraction(
+            step,
+            lambda mu1, mu2: series_distance(mu1, mu2, params),
+            pairs,
             # certified: true numerator <= factor * (value + tail)
-            worst_excess = max(worst_excess, num.value - factor * (den.value + den.tail_bound))
-            worst_ratio = max(worst_ratio, num.value / den.value)
-        series_ok = used > 0 and worst_excess <= 1e-9
-        failures += 0 if series_ok else 1
+            lambda den: factor * (den.value + den.tail_bound),
+        )
         print(
             f"check dtilde(alpha={_fmt(mp.alpha)}, q={_fmt(mp.q)}): max ratio "
-            f"{_fmt(worst_ratio)} vs factor {_fmt(factor)}, max certified excess "
-            f"{_fmt(worst_excess)} ({used} usable pairs) {'PASS' if series_ok else 'FAIL'}"
+            f"{_fmt(series.max_ratio)} vs factor {_fmt(factor)}, max certified excess "
+            f"{_fmt(series.max_excess)} ({series.used} usable pairs) "
+            f"{'PASS' if series.passed else 'FAIL'}"
         )
+        reports.append(("dtilde", series))
     else:
         print(
             f"check dtilde: skipped (needs map factor <= alpha < q; "
             f"factor {_fmt(alpha)}, alpha {_fmt(mp.alpha)}, q {_fmt(mp.q)})"
         )
 
-    print(f"verify: {'PASS' if failures == 0 else 'FAIL'}")
-    return 0 if failures == 0 else 5
+    for name, report in reports:
+        if report.worst is not None and not report.passed:
+            print(
+                f"replay: {name} worst pair is #{report.worst} of seed {run.seed}",
+                file=sys.stderr,
+            )
+    passed = all(report.passed for _, report in reports)
+    print(f"verify: {'PASS' if passed else 'FAIL'}")
+    return 0 if passed else 5
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Sequence, SupportsFloat
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -450,49 +450,58 @@ def harmonic_series_distance(
 
 
 # ---------------------------------------------------------------------------
-# empirical contraction driver
+# empirical contraction engine
 # ---------------------------------------------------------------------------
+
+_PASS_SLACK = 1e-9  # a check passes while every excess over its bound is at most this
+
 
 @dataclass
 class ContractionReport:
+    """Worst case of metric(Op mu1, Op mu2) against bound(metric(mu1, mu2)).
+
+    max_ratio and max_excess are maxima over the used pairs (0.0 and -inf
+    when none is used); worst is the index in the pair list of the largest
+    excess, the first on ties, or None when none is used.
+    """
+
     max_ratio: float
-    pair: tuple[IdempotentMeasure, IdempotentMeasure]
-    numerator: float
-    denominator: float
+    max_excess: float
+    worst: int | None
     used: int
     skipped: int
+
+    @property
+    def passed(self) -> bool:
+        return self.used > 0 and self.max_excess <= _PASS_SLACK
 
 
 def empirical_contraction(
     operator: Callable[[IdempotentMeasure], IdempotentMeasure],
-    metric: Callable[[IdempotentMeasure, IdempotentMeasure], float],
+    metric: Callable[[IdempotentMeasure, IdempotentMeasure], SupportsFloat],
     pairs: Sequence[tuple[IdempotentMeasure, IdempotentMeasure]],
+    bound: Callable[[SupportsFloat], float],
 ) -> ContractionReport:
-    """Largest metric(Op mu1, Op mu2) / metric(mu1, mu2) over the pairs.
+    """Measured contraction of operator in metric over the pairs.
 
-    Pairs at metric distance 0 are skipped; if every pair degenerates the
-    ratio is undefined and an error is raised.
+    Each pair at nonzero distance m = metric(mu1, mu2) is used: its ratio
+    is metric(Op mu1, Op mu2) / m and its excess is that numerator minus
+    bound(m).  bound receives the metric's own return value, so a series
+    check can bound factor * (value + tail_bound).  Pairs at distance 0 are
+    skipped; a report with used == 0 does not pass.
     """
     if not pairs:
         raise ValueError("need at least one measure pair")
-    best = None
-    skipped = 0
-    for mu1, mu2 in pairs:
-        den = float(metric(mu1, mu2))
-        if den == 0.0:
-            skipped += 1
+    report = ContractionReport(0.0, -math.inf, None, 0, 0)
+    for k, (mu1, mu2) in enumerate(pairs):
+        den = metric(mu1, mu2)
+        if float(den) == 0.0:
+            report.skipped += 1
             continue
+        report.used += 1
         num = float(metric(operator(mu1), operator(mu2)))
-        ratio = num / den
-        if best is None or ratio > best[0]:
-            best = (ratio, (mu1, mu2), num, den)
-    if best is None:
-        raise ValueError("all pairs were at distance zero; no ratio defined")
-    return ContractionReport(
-        max_ratio=best[0],
-        pair=best[1],
-        numerator=best[2],
-        denominator=best[3],
-        used=len(pairs) - skipped,
-        skipped=skipped,
-    )
+        excess = num - bound(den)
+        if excess > report.max_excess:
+            report.max_excess, report.worst = excess, k
+        report.max_ratio = max(report.max_ratio, num / float(den))
+    return report

@@ -100,7 +100,8 @@ class FiniteMetricSpace:
                     f"space has {self.n_points} points; dense matrix limited "
                     f"to {_DENSE_LIMIT}"
                 )
-            m = cdist(self.coords, self.coords)
+            idx = np.arange(self.n_points)
+            m = self.distance_submatrix(idx, idx)
             # exact zero diagonal (cdist can leave tiny round-off)
             np.fill_diagonal(m, 0.0)
             m.flags.writeable = False
@@ -262,23 +263,6 @@ class ProductSpace(FiniteMetricSpace):
         return np.maximum(
             self.left.distance_submatrix(rl, cl), self.right.distance_submatrix(rr, cr)
         )
-
-    def distance_matrix(self) -> np.ndarray:
-        if self._matrix is None:
-            if self.n_points > _DENSE_LIMIT:
-                raise ValueError(
-                    f"product space has {self.n_points} points; dense matrix "
-                    f"limited to {_DENSE_LIMIT}"
-                )
-            dl = self.left.distance_matrix()
-            dr = self.right.distance_matrix()
-            nl, nr = self.left.n_points, self.right.n_points
-            m = np.maximum(
-                np.kron(dl, np.ones((nr, nr))), np.tile(dr, (nl, nl))
-            )
-            m.flags.writeable = False
-            self._matrix = m
-        return self._matrix
 
     def diameter(self) -> float:
         if self._diameter is None:

@@ -252,7 +252,51 @@ def test_verify_golden_report(tmp_path, capsys):
     text = text.replace("cells = 27", "cells = 81").replace("pairs = 40", "pairs = 20")
     cfg = _write(tmp_path, "cantor81.cfg", text)
     assert main(["verify", str(cfg)]) == 0
-    assert capsys.readouterr().out == GOLDEN_VERIFY.format(cfg=cfg)
+    captured = capsys.readouterr()
+    assert captured.out == GOLDEN_VERIFY.format(cfg=cfg)
+    assert captured.err == ""  # a passing check names no replay pair
+
+
+GOLDEN_LADDER = """verify: {cfg}
+space: 6 points
+maps: 2, discrete Lipschitz max 0.333333333333, declared max n/a
+certificates: witnesses verified on all pairs
+pairs: 30, seed 3, mode witnessed
+check d1: max ratio 0.333333333333, max excess over bound -0.00183145990247 (30 usable pairs) PASS
+check dtilde(alpha=0.34, q=0.5): max ratio 0.376211129925 vs factor 0.68, max certified excess -0.0422167018176 (30 usable pairs) PASS
+verify: PASS
+"""
+
+
+def test_verify_failure_names_the_worst_seeded_pair(tmp_path, capsys, monkeypatch):
+    # with the identity in place of the Markov operator both checks fail at
+    # the pair of largest distance; stderr names it for a replay from the seed
+    text = CANTOR_CFG.format(out=tmp_path / "c.density")
+    text = text.replace("cells = 27", "cells = 81").replace("pairs = 40", "pairs = 20")
+    cfg = _write(tmp_path, "cantor81.cfg", text)
+    monkeypatch.setattr("maxplus_ifs.cli.markov", lambda ifs, mu: mu)
+    assert main(["verify", str(cfg)]) == 5
+    captured = capsys.readouterr()
+    assert captured.out.count("pairs) FAIL\n") == 2 and captured.out.endswith("verify: FAIL\n")
+    raw = mp.config.parse_config(str(cfg))
+    space = mp.config.build_space(raw)
+    points = mp.config.build_ifs(raw, space).exactly_mapped_points()
+    vp = mp.config.verify_params(raw)
+    rng = mp.Lcg64(mp.config.run_params(raw).seed)
+    measures = [
+        mp.random_measure(space, rng, vp.support_prob, vp.depth, points=points)
+        for _ in range(2 * vp.pairs)
+    ]
+    pairs = list(zip(measures[::2], measures[1::2]))
+    mpar = mp.config.metric_params(raw)
+    params = mp.SeriesParams(mpar.alpha, mpar.q, mpar.tol)
+    # each excess is (1 - factor) * distance minus a constant: argmax of the distance
+    k1 = int(np.argmax([mp.coupling_distance(a, b) for a, b in pairs]))
+    k2 = int(np.argmax([mp.series_distance(a, b, params).value for a, b in pairs]))
+    assert k1 == 13  # a pair inside the stream, not its first
+    assert captured.err == (
+        f"replay: d1 worst pair is #{k1} of seed 0\nreplay: dtilde worst pair is #{k2} of seed 0\n"
+    )
 
 
 def test_verify_witnessed_ladder(tmp_path, capsys):
@@ -291,6 +335,9 @@ pairs = 30
     text = capsys.readouterr().out
     assert "witnesses verified" in text
     assert "verify: PASS" in text
+    # full report, recorded before verify went through empirical_contraction;
+    # the d1 bound here is the combined witness, not a constant factor
+    assert text == GOLDEN_LADDER.format(cfg=cfg)
 
 
 def test_verify_one_point_space_reports_both_checks(tmp_path, capsys):

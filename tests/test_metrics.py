@@ -599,13 +599,35 @@ def test_empirical_contraction_identity_and_constant():
     pairs = [
         (np_random_measure(s, rng), np_random_measure(s, rng)) for _ in range(10)
     ]
-    report = mp.empirical_contraction(lambda m: m, mp.coupling_distance, pairs)
+    dens = [mp.coupling_distance(m1, m2) for m1, m2 in pairs]
+    report = mp.empirical_contraction(lambda m: m, mp.coupling_distance, pairs, lambda t: t)
     assert report.max_ratio == pytest.approx(1.0)
+    assert report.max_excess == 0.0 and report.worst == 0 and report.passed
+    # a bound below the identity's ratio fails at the pair of largest distance
+    report = mp.empirical_contraction(
+        lambda m: m, mp.coupling_distance, pairs, lambda t: 0.5 * t
+    )
+    assert report.worst == int(np.argmax(dens)) and not report.passed
+    assert report.max_excess == 0.5 * max(dens)
     const = mp.dirac(s, 0)
     report = mp.empirical_contraction(
-        lambda m: const, mp.coupling_distance, pairs
+        lambda m: const, mp.coupling_distance, pairs, lambda t: t
     )
     assert report.max_ratio == 0.0
+    assert report.worst == int(np.argmin(dens)) and report.max_excess == -min(dens)
+    # a series metric hands its SeriesValue to the bound, which reads the tail
+    params = SeriesParams(alpha=1 / 3, q=0.5, tol=1e-6)
+    vals = [mp.series_distance(m1, m2, params) for m1, m2 in pairs]
+    series = lambda m1, m2: mp.series_distance(m1, m2, params)  # noqa: E731
+    report = mp.empirical_contraction(
+        lambda m: m, series, pairs, lambda v: v.value + v.tail_bound
+    )
+    assert report.passed and report.used == 10
+    assert report.max_excess == pytest.approx(-vals[0].tail_bound, rel=1e-6)
+    report = mp.empirical_contraction(
+        lambda m: m, series, pairs, lambda v: 0.5 * (v.value + v.tail_bound)
+    )
+    assert report.worst == int(np.argmax([v.value for v in vals])) and not report.passed
 
 
 def test_empirical_contraction_skips_degenerate_pairs():
@@ -614,10 +636,12 @@ def test_empirical_contraction_skips_degenerate_pairs():
     m = np_random_measure(s, rng)
     other = np_random_measure(s, rng)
     report = mp.empirical_contraction(
-        lambda x: x, mp.coupling_distance, [(m, m), (m, other)]
+        lambda x: x, mp.coupling_distance, [(m, m), (m, other)], lambda t: t
     )
-    assert report.skipped == 1 and report.used == 1
-    with pytest.raises(ValueError, match="distance zero"):
-        mp.empirical_contraction(lambda x: x, mp.coupling_distance, [(m, m)])
+    assert report.skipped == 1 and report.used == 1 and report.worst == 1
+    # every pair at distance 0: an empty report, which does not pass
+    report = mp.empirical_contraction(lambda x: x, mp.coupling_distance, [(m, m)], lambda t: t)
+    assert report.used == 0 and not report.passed
+    assert (report.max_ratio, report.max_excess, report.worst) == (0.0, -np.inf, None)
     with pytest.raises(ValueError):
-        mp.empirical_contraction(lambda x: x, mp.coupling_distance, [])
+        mp.empirical_contraction(lambda x: x, mp.coupling_distance, [], lambda t: t)

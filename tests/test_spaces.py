@@ -138,10 +138,16 @@ def test_product_is_max_metric_exhaustive():
 
 def test_product_distance_matrix_matches_dist():
     rng = np.random.default_rng(11)
-    p = mp.product(random_matrix_space(rng, 3), random_matrix_space(rng, 2))
-    m = p.distance_matrix()
-    for i in range(p.n_points):
-        np.testing.assert_array_equal(m[i], p.distances_from(i))
+    grid2d = mp.build_grid([0, 0], [1, 2], [3, 4])
+    for p in (
+        mp.product(random_matrix_space(rng, 3), random_matrix_space(rng, 2)),
+        mp.product(mp.build_grid([0], [1], [4]), grid2d),
+        mp.product(random_matrix_space(rng, 4), grid2d),
+    ):
+        m = p.distance_matrix()
+        for i in range(p.n_points):
+            np.testing.assert_array_equal(m[i], p.distances_from(i))
+            assert m[i, i] == 0.0
 
 
 def test_projections_cover_pairs():
