@@ -14,14 +14,14 @@ Sections:
              none | linear <beta> | rational <c>` per map.
   [initial]  kind = uniform | dirac | file (+ index/path).
   [run]      metric = sup_density | d1; tol; max_iter; seed; out.
-  [metric]   a; alpha; q; tol  (metric parameters for verify/metric).
+  [metric]   alpha; q; tol  (series metric parameters for verify).
   [verify]   pairs; support_prob; depth.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -193,14 +193,8 @@ def build_ifs(cfg: RawConfig, space: FiniteMetricSpace, renormalize: bool = Fals
             except ValueError as exc:
                 raise ConfigError(f"{cfg.path}:{lineno}: {exc}") from exc
             if witness is not None:
-                # re-verify against the declared witness; raises CertificateError
-                snapped = ContractionMap(
-                    space,
-                    snapped.target,
-                    witness=witness,
-                    declared_lip=snapped.declared_lip,
-                    snap_error=snapped.snap_error,
-                )
+                # verify the declared witness, keeping discrete_lip; raises CertificateError
+                snapped = replace(snapped, witness=witness)
             maps.append(snapped)
         elif parts[0] == "table":
             try:
@@ -288,7 +282,6 @@ def run_params(cfg: RawConfig) -> RunParams:
 
 @dataclass
 class MetricParams:
-    a: float
     alpha: float
     q: float
     tol: float
@@ -296,13 +289,10 @@ class MetricParams:
 
 def metric_params(cfg: RawConfig) -> MetricParams:
     p = MetricParams(
-        a=_float(cfg, "metric", "a", 1.0),
         alpha=_float(cfg, "metric", "alpha", 0.5),
         q=_float(cfg, "metric", "q", 0.5),
         tol=_float(cfg, "metric", "tol", 1e-6),
     )
-    if p.a <= 0:
-        raise ConfigError(f"{cfg.path}: [metric] a must be positive")
     if not 0 < p.alpha < 1 or not 0 < p.q < 1:
         raise ConfigError(f"{cfg.path}: [metric] alpha and q must lie in (0, 1)")
     if p.tol <= 0:

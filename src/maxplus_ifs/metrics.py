@@ -312,7 +312,7 @@ def lipschitz_distance_certificates(
     rows21 = l2 - np.max(l1[None, :] - a * dsup.T, axis=1)
     d12, d21 = float(rows12.max()), float(rows21.max())
     x_star = int(s1[np.argmax(rows12)] if d12 >= d21 else s2[np.argmax(rows21)])
-    cone = TestFunction(space, -a * space.distances_from(x_star))
+    cone = TestFunction(space, -a * d[x_star])
     cone_value = abs(
         float(np.max(mu1.density + cone.values)) - float(np.max(mu2.density + cone.values))
     )

@@ -7,6 +7,11 @@ presupposes an actual metric), and so are Euclidean coordinates (finite,
 nonzero distances between distinct points).  Grid spaces keep only
 coordinates and evaluate Euclidean distances on demand, so 10^4-point grids
 never allocate an n^2 matrix.
+
+A space implements one distance routine, `distance_submatrix(rows, cols)`;
+`dist` and the full matrix are read through it, and the all-pairs checks
+(Lipschitz constants, contraction certificates, the diameter) sweep its
+blocks of 512 rows against all points.
 """
 
 from __future__ import annotations
@@ -17,6 +22,8 @@ from scipy.spatial.distance import cdist
 
 # Full distance matrices are materialized (and cached) only below this size.
 _DENSE_LIMIT = 2048
+# Rows per block of the all-pairs sweeps (512 x n distances at a time).
+_BLOCK_ROWS = 512
 
 
 class FiniteMetricSpace:
@@ -24,8 +31,8 @@ class FiniteMetricSpace:
 
     Backed by an explicit validated distance matrix, by a real-coordinate
     embedding with the Euclidean metric, or (a subclass passing n_points)
-    by the subclass's own distance methods.  Coordinates beside a matrix or
-    n_points are metadata.
+    by the subclass's own `distance_submatrix`.  Coordinates beside a
+    matrix or n_points are metadata.
     """
 
     def __init__(self, *, matrix=None, coords=None, n_points=None, validate: bool = True):
@@ -74,15 +81,7 @@ class FiniteMetricSpace:
         return cls(coords=coords)
 
     def dist(self, i: int, j: int) -> float:
-        if self._matrix is not None:
-            return float(self._matrix[i, j])
-        return float(np.linalg.norm(self.coords[i] - self.coords[j]))
-
-    def distances_from(self, i: int) -> np.ndarray:
-        """Row i of the distance matrix as a fresh writable array."""
-        if self._matrix is not None:
-            return self._matrix[i].copy()
-        return np.linalg.norm(self.coords - self.coords[i], axis=1)
+        return float(self.distance_submatrix([i], [j])[0, 0])
 
     def distance_submatrix(self, rows, cols) -> np.ndarray:
         """Distances between two index sets, without a full n^2 matrix."""
@@ -108,29 +107,27 @@ class FiniteMetricSpace:
             self._matrix = m
         return self._matrix
 
+    def _row_blocks(self):
+        """Yield (rows, distance_submatrix(rows, all points)) over row blocks.
+
+        Each block is a fresh array that the caller may overwrite.
+        """
+        idx = np.arange(self.n_points)
+        for start in range(0, self.n_points, _BLOCK_ROWS):
+            rows = idx[start : start + _BLOCK_ROWS]
+            yield rows, self.distance_submatrix(rows, idx)
+
     def diameter(self) -> float:
         if self._diameter is None:
             if self.grid_lower is not None:
                 # corner-to-corner realizes the max over a box grid
                 self._diameter = float(np.linalg.norm(self.grid_upper - self.grid_lower))
-            elif self._matrix is not None:
-                self._diameter = float(self._matrix.max())
             else:
-                best = 0.0
-                for start in range(0, self.n_points, 512):
-                    block = cdist(self.coords[start : start + 512], self.coords)
-                    best = max(best, float(block.max()))
-                self._diameter = best
+                self._diameter = max(float(d.max()) for _, d in self._row_blocks())
         return self._diameter
 
     def is_grid(self) -> bool:
         return self.grid_cells is not None
-
-    def __eq__(self, other):
-        return self is other
-
-    def __hash__(self):
-        return id(self)
 
     def __repr__(self):
         kind = "grid" if self.is_grid() else ("coords" if self._matrix is None else "matrix")
@@ -243,17 +240,6 @@ class ProductSpace(FiniteMetricSpace):
     def proj_right(self) -> np.ndarray:
         """Index map (x, y) -> y."""
         return np.tile(np.arange(self.right.n_points), self.left.n_points)
-
-    def dist(self, a: int, b: int) -> float:
-        ia, ja = self.unpair(a)
-        ib, jb = self.unpair(b)
-        return max(self.left.dist(ia, ib), self.right.dist(ja, jb))
-
-    def distances_from(self, a: int) -> np.ndarray:
-        ia, ja = self.unpair(a)
-        dl = self.left.distances_from(ia)
-        dr = self.right.distances_from(ja)
-        return np.maximum(dl[:, None], dr[None, :]).ravel()
 
     def distance_submatrix(self, rows, cols) -> np.ndarray:
         rows = np.asarray(rows, dtype=int)

@@ -381,6 +381,44 @@ def test_verify_certificate_failure_exit_code(tmp_path, capsys):
     assert main(["verify", str(cfg)]) == 3
 
 
+WITNESSED_PLANE_CFG = """
+[space]
+kind = grid
+lower = 0 0
+upper = 1 1
+cells = 8 8
+
+[ifs]
+map = affine {matrix} 0 0
+witness = linear 0.5
+weights = 0
+"""
+
+
+def test_witnessed_affine_map_computes_discrete_lip_once(tmp_path, monkeypatch):
+    calls = []
+    compute = mp.ContractionMap._compute_lip
+
+    def counted(self):
+        calls.append(self)
+        return compute(self)
+
+    monkeypatch.setattr(mp.ContractionMap, "_compute_lip", counted)
+    cfg = _write(tmp_path, "plane.cfg", WITNESSED_PLANE_CFG.format(matrix="0 0 0 0"))
+    raw = mp.config.parse_config(str(cfg))
+    space = mp.config.build_space(raw)
+    (m,) = mp.config.build_ifs(raw, space).maps
+    assert len(calls) == 1
+    assert m.witness == mp.ComparisonFunction("linear", 0.5) and m.discrete_lip == 0.0
+    assert m.declared_lip == 0.0 and m.snap_error is not None
+    # the witness is still checked: a snapped half-scaling breaks it (exit 3)
+    cfg = _write(tmp_path, "half.cfg", WITNESSED_PLANE_CFG.format(matrix="0.5 0 0 0.5"))
+    raw = mp.config.parse_config(str(cfg))
+    with pytest.raises(mp.CertificateError):
+        mp.config.build_ifs(raw, space)
+    assert len(calls) == 2
+
+
 def test_config_parse_error_reports_line(tmp_path, capsys):
     cfg = _write(tmp_path, "broken.cfg", "[space]\nkind = grid\nbroken line\n")
     assert main(["solve", str(cfg)]) == 2

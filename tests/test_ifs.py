@@ -100,6 +100,36 @@ def test_certificate_failure_reports_worst_pair():
             g, snapped.target, witness=mp.ComparisonFunction("linear", 1 / 3)
         )
     assert issubclass(CertificateError, ValueError)
+    # among tied worst pairs the first in row-major order is named.  With
+    # distances 1 and 2 every gap is exact; the largest, 1.5, is tied at
+    # pairs (1, 6), (2, 6), (3, 4) and (3, 5)
+    m = np.array(
+        [
+            [0, 2, 1, 2, 1, 2, 2],
+            [2, 0, 1, 1, 1, 2, 1],
+            [1, 1, 0, 1, 1, 2, 1],
+            [2, 1, 1, 0, 1, 1, 2],
+            [1, 1, 1, 1, 0, 1, 2],
+            [2, 2, 2, 1, 1, 0, 2],
+            [2, 1, 1, 2, 2, 2, 0],
+        ],
+        dtype=float,
+    )
+    space = mp.FiniteMetricSpace.from_matrix(m)
+    half = mp.ComparisonFunction("linear", 0.5)
+    with pytest.raises(CertificateError) as err:
+        mp.ContractionMap(space, [4, 2, 2, 0, 1, 6, 5], witness=half)
+    assert str(err.value) == (
+        "contraction certificate fails: d(f(1), f(6)) = 2 > witness(d(1, 6)) = 0.5 "
+        "(worst pair (1, 6))"
+    )
+    # ties in two row blocks of the sweep: (9, 10), (10, 11), (599, 600), (600, 601)
+    line = mp.build_grid([0.0], [1000.0], [1000])
+    target = np.zeros(line.n_points, dtype=int)
+    target[[10, 600]] = 5
+    with pytest.raises(CertificateError) as err:
+        mp.ContractionMap(line, target, witness=half)
+    assert str(err.value).endswith("= 5 > witness(d(9, 10)) = 0.5 (worst pair (9, 10))")
 
 
 def test_contraction_map_validation():
@@ -135,6 +165,28 @@ def test_discrete_lip_line_route_equals_all_pairs_on_random_tables():
             lip = mp.ContractionMap(space, target).discrete_lip
             assert lip == mp.ContractionMap(twin, target).discrete_lip
             assert n > 1 or lip == 0.0
+
+
+def test_discrete_lip_equals_all_pairs_off_the_line():
+    # the sweep over row blocks, on spaces where the line route does not
+    # apply; 676 points span two blocks, and 9-D points are where a norm
+    # and cdist disagree in the last bit
+    rng = np.random.default_rng(41)
+    spaces = [
+        mp.build_grid([0.0, 0.0], [1.0, 2.0], [25, 25]),
+        mp.build_grid([0.0, 0.0, 0.0], [1.0, 1.0, 3.0], [4, 5, 6]),
+        mp.FiniteMetricSpace.from_coords(rng.normal(size=(300, 7))),
+        mp.FiniteMetricSpace.from_coords(rng.normal(size=(300, 9))),
+        random_matrix_space(rng, 60),
+        mp.product(mp.build_grid([0.0, 0.0], [1.0, 1.0], [3, 4]), random_matrix_space(rng, 9)),
+    ]
+    for space in spaces:
+        n = space.n_points
+        for target in (rng.integers(0, n, n), np.sort(rng.integers(0, n, n)), np.zeros(n, int)):
+            assert mp.ContractionMap(space, target).discrete_lip == all_pairs_lip(space, target)
+    grid = spaces[0]
+    m = mp.snap_affine(grid, [[0.5, 0.0], [0.0, 0.5]], [0.25, 0.5])
+    assert m.discrete_lip == all_pairs_lip(grid, m.target)
 
 
 def test_discrete_lip_propagates_nan():

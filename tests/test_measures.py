@@ -68,6 +68,24 @@ def test_support_examples():
     np.testing.assert_array_equal(mp.uniform(g).support(), [0, 1, 2])
 
 
+def test_lipschitz_constant_matches_double_loop_on_product():
+    # 600 points: the row-block sweep crosses a block boundary
+    rng = np.random.default_rng(12)
+    left, right = mp.build_grid([0, 0], [1, 1], [3, 4]), random_matrix_space(rng, 30)
+    p = mp.product(left, right)
+    dl, dr = left.distance_matrix(), right.distance_matrix()
+    f = mp.TestFunction(p, rng.normal(size=p.n_points))
+    v = f.values.tolist()
+    best = 0.0
+    for i in range(p.n_points):
+        il, ir = divmod(i, right.n_points)
+        for j in range(p.n_points):
+            jl, jr = divmod(j, right.n_points)
+            if i != j:
+                best = max(best, abs(v[i] - v[j]) / max(dl[il, jl], dr[ir, jr]))
+    assert f.lipschitz_constant() == best
+
+
 def test_measure_axioms_random():
     rng = np.random.default_rng(1)
     g = mp.build_grid([0], [1], [9])

@@ -2,6 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 
 import maxplus_ifs as mp
 from conftest import np_random_measure, random_euclidean_space, random_matrix_space
@@ -145,8 +146,10 @@ def test_product_distance_matrix_matches_dist():
         mp.product(random_matrix_space(rng, 4), grid2d),
     ):
         m = p.distance_matrix()
+        dl, dr = p.left.distance_matrix(), p.right.distance_matrix()
         for i in range(p.n_points):
-            np.testing.assert_array_equal(m[i], p.distances_from(i))
+            il, ir = p.unpair(i)
+            np.testing.assert_array_equal(m[i], np.maximum(dl[il][:, None], dr[ir][None, :]).ravel())
             assert m[i, i] == 0.0
 
 
@@ -164,6 +167,10 @@ def test_diameter_examples():
     single = mp.FiniteMetricSpace.from_coords([[0.25]])
     assert single.diameter() == 0.0
     assert mp.build_grid([0, 0], [1, 1], [1, 1]).diameter() == pytest.approx(np.sqrt(2))
+    # a point set over two row blocks whose farthest pair lies in the second
+    pts = np.random.default_rng(13).uniform(-1.0, 1.0, (700, 3))
+    pts[[600, 699]] = [[-5.0, 0.0, 1.0], [5.0, 2.0, -1.0]]
+    assert mp.FiniteMetricSpace.from_coords(pts).diameter() == cdist(pts, pts).max()
 
 
 def test_hausdorff_examples():
