@@ -23,6 +23,7 @@ from .config import (
     build_space,
     metric_params,
     parse_config,
+    reported,
     run_params,
     verify_params,
 )
@@ -57,7 +58,8 @@ def cmd_solve(args) -> int:
     mu, diag = iterate_fixed_point(
         ifs, mu0, metric=run.metric, tol=run.tol, max_iter=run.max_iter
     )
-    write_density_file(run.out, mu)
+    with reported(f"{args.config}: [run] out"):
+        write_density_file(run.out, mu)
     sup = mu.support()
     print(f"solve: {args.config}")
     print(f"iterations: {diag.iterations}")
@@ -79,61 +81,45 @@ def cmd_solve(args) -> int:
 # metric
 # ---------------------------------------------------------------------------
 
+_METRIC_OPTIONS = {"d1": (), "da": ("a",), "dtilde": ("alpha", "q", "tol"), "brz": ("tol",)}
+
+
 def _parse_metric_spec(spec: str):
+    """Metric name and option values; the metric itself judges the values."""
     name, _, rest = spec.partition(":")
     opts = {}
-    if rest:
-        for item in rest.split(","):
-            key, eq, val = item.partition("=")
-            if not eq:
-                raise ConfigError(f"bad metric option {item!r} in {spec!r}")
-            try:
-                opts[key.strip()] = float(val)
-            except ValueError as exc:
-                raise ConfigError(f"bad metric option value in {item!r}") from exc
-    if name == "d1":
-        if opts:
-            raise ConfigError("d1 takes no options")
-        return ("d1", None)
-    if name == "da":
-        if set(opts) != {"a"} or opts["a"] <= 0:
-            raise ConfigError("da requires a positive option a=<real>")
-        return ("da", opts["a"])
-    if name == "dtilde":
-        if set(opts) != {"alpha", "q", "tol"}:
-            raise ConfigError("dtilde requires alpha=<r>,q=<r>,tol=<r>")
-        try:
-            return ("dtilde", SeriesParams(opts["alpha"], opts["q"], opts["tol"]))
-        except ValueError as exc:
-            raise ConfigError(f"dtilde: {exc}") from exc
-    if name == "brz":
-        if set(opts) != {"tol"} or opts["tol"] <= 0:
-            raise ConfigError("brz requires a positive option tol=<real>")
-        return ("brz", opts["tol"])
-    raise ConfigError(f"unknown metric {name!r} (want d1, da, dtilde or brz)")
+    for item in rest.split(",") if rest else ():
+        key, eq, val = item.partition("=")
+        if not eq:
+            raise ConfigError(f"bad metric option {item!r} in {spec!r}")
+        with reported(f"bad metric option value in {item!r}"):
+            opts[key.strip()] = float(val)
+    if name not in _METRIC_OPTIONS:
+        raise ConfigError(f"unknown metric {name!r} (want d1, da, dtilde or brz)")
+    if set(opts) != set(_METRIC_OPTIONS[name]):
+        wanted = ",".join(f"{key}=<real>" for key in _METRIC_OPTIONS[name])
+        raise ConfigError(f"{name} takes {wanted or 'no options'}")
+    return name, opts
 
 
 def cmd_metric(args) -> int:
-    kind, param = _parse_metric_spec(args.spec)
+    kind, opts = _parse_metric_spec(args.spec)
     space = None
     if args.config:
         space = build_space(parse_config(args.config))
-    try:
+    with reported():
         mu1 = read_density_file(args.file_a, space)
         mu2 = read_density_file(args.file_b, mu1.space)
-    except (OSError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
-    if kind == "d1":
-        print(_fmt(coupling_distance(mu1, mu2)))
-    elif kind == "da":
-        print(_fmt(lipschitz_distance(mu1, mu2, param)))
-    else:
-        series = series_distance if kind == "dtilde" else harmonic_series_distance
-        try:
-            res = series(mu1, mu2, param)
-        except ValueError as exc:  # truncation outside the float range
-            raise ConfigError(str(exc)) from exc
-        print(f"{_fmt(res.value)} tail {_fmt(res.tail_bound)}")
+    with reported(args.spec):
+        if kind == "d1":
+            res = coupling_distance(mu1, mu2)
+        elif kind == "da":
+            res = lipschitz_distance(mu1, mu2, opts["a"])
+        elif kind == "dtilde":
+            res = series_distance(mu1, mu2, SeriesParams(**opts))
+        else:
+            res = harmonic_series_distance(mu1, mu2, opts["tol"])
+    print(_fmt(res) if kind in ("d1", "da") else f"{_fmt(res.value)} tail {_fmt(res.tail_bound)}")
     return 0
 
 
@@ -161,7 +147,7 @@ def cmd_verify(args) -> int:
     space = build_space(cfg)
     ifs = build_ifs(cfg, space, renormalize=args.renormalize)  # CertificateError -> 3
     run = run_params(cfg)
-    mp = metric_params(cfg)
+    params = metric_params(cfg)
     vp = verify_params(cfg)
 
     print(f"verify: {args.config}")
@@ -194,13 +180,10 @@ def cmd_verify(args) -> int:
             f"space is {_fmt(ifs.discrete_lip_max)})"
         )
 
-    run_series = alpha <= mp.alpha * (1 + 1e-12) and mp.alpha < mp.q
+    run_series = alpha <= params.alpha * (1 + 1e-12) and params.alpha < params.q
     if run_series:
-        params = SeriesParams(mp.alpha, mp.q, mp.tol)
-        try:
+        with reported(f"{cfg.path}: [metric]"):
             params.n_terms(space.diameter())
-        except ValueError as exc:
-            raise ConfigError(f"{cfg.path}: [metric] {exc}") from exc
 
     rng = Lcg64(run.seed)
     pairs = [
@@ -221,7 +204,7 @@ def cmd_verify(args) -> int:
     reports = [("d1", d1)]
 
     if run_series:
-        factor = mp.alpha / mp.q
+        factor = params.alpha / params.q
         series = empirical_contraction(
             step,
             lambda mu1, mu2: series_distance(mu1, mu2, params),
@@ -230,7 +213,7 @@ def cmd_verify(args) -> int:
             lambda den: factor * (den.value + den.tail_bound),
         )
         print(
-            f"check dtilde(alpha={_fmt(mp.alpha)}, q={_fmt(mp.q)}): max ratio "
+            f"check dtilde(alpha={_fmt(params.alpha)}, q={_fmt(params.q)}): max ratio "
             f"{_fmt(series.max_ratio)} vs factor {_fmt(factor)}, max certified excess "
             f"{_fmt(series.max_excess)} ({series.used} usable pairs) "
             f"{'PASS' if series.passed else 'FAIL'}"
@@ -239,7 +222,7 @@ def cmd_verify(args) -> int:
     else:
         print(
             f"check dtilde: skipped (needs map factor <= alpha < q; "
-            f"factor {_fmt(alpha)}, alpha {_fmt(mp.alpha)}, q {_fmt(mp.q)})"
+            f"factor {_fmt(alpha)}, alpha {_fmt(params.alpha)}, q {_fmt(params.q)})"
         )
 
     for name, report in reports:
@@ -279,12 +262,10 @@ def _grid_layout(coords: np.ndarray):
 
 
 def cmd_render(args) -> int:
-    if args.floor >= 0:
+    if not args.floor < 0:
         raise ConfigError("--floor must be negative (densities live in [-inf, 0])")
-    try:
+    with reported():
         mu = read_density_file(args.density_file)
-    except (OSError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
     coords = mu.space.coords
     shape, layout = _grid_layout(coords)
     vals = mu.density[layout]
@@ -295,7 +276,7 @@ def cmd_render(args) -> int:
     )
     img = scaled.astype(np.uint8)
     header = f"P5\n{shape[1]} {shape[0]}\n255\n".encode("ascii")
-    with open(args.out, "wb") as fh:
+    with reported(), open(args.out, "wb") as fh:
         fh.write(header + img.tobytes())
     print(f"wrote {shape[1]}x{shape[0]} graymap to {args.out}")
     return 0

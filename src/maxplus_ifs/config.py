@@ -16,17 +16,27 @@ Sections:
   [run]      metric = sup_density | d1; tol; max_iter; seed; out.
   [metric]   alpha; q; tol  (series metric parameters for verify).
   [verify]   pairs; support_prob; depth.
+
+This module only parses.  Each value is converted where it is read, and a
+failed conversion names `path:lineno: [section] key = 'raw'`.  The library
+object built from the values judges them (the space, `ContractionMap`,
+`MaxPlusIFS`, `dirac`, `SeriesParams`), and `reported` turns its
+`ValueError` or `OSError` into a `ConfigError` with the position; a
+`CertificateError` passes through.  Only `[run]` and `[verify]`, which no
+library object owns, are checked here, in a form that also refuses NaN.
 """
 
 from __future__ import annotations
 
+import contextlib
 import os
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .ifs import ComparisonFunction, ContractionMap, MaxPlusIFS, snap_affine
+from .ifs import CertificateError, ComparisonFunction, ContractionMap, MaxPlusIFS, snap_affine
 from .measures import IdempotentMeasure, dirac, read_density_file, uniform
+from .metrics import SeriesParams
 from .spaces import FiniteMetricSpace, build_grid
 
 
@@ -34,31 +44,52 @@ class ConfigError(Exception):
     """Configuration problem, with position when one is known."""
 
 
+@contextlib.contextmanager
+def reported(where: str | None = None):
+    """Re-raise a ValueError or OSError as a ConfigError prefixed by `where`.
+
+    A CertificateError (a ValueError) passes through unchanged.
+    """
+    try:
+        yield
+    except CertificateError:
+        raise
+    except (ValueError, OSError) as exc:
+        raise ConfigError(f"{where}: {exc}" if where else str(exc)) from exc
+
+
 @dataclass
 class RawConfig:
     path: str
     sections: dict = field(default_factory=dict)  # name -> list[(lineno, key, value)]
 
-    def section(self, name: str) -> list[tuple[int, str, str]]:
-        return self.sections.get(name, [])
+    def _lines(self, section: str, key: str) -> list[tuple[int, str]]:
+        return [(ln, raw) for ln, k, raw in self.sections.get(section, []) if k == key]
 
-    def get(self, section: str, key: str, default=None):
-        hits = [v for _, k, v in self.section(section) if k == key]
-        if not hits:
-            return default
-        return hits[-1]
+    def _convert(self, section: str, key: str, lineno: int, raw: str, convert):
+        with reported(f"{self.path}:{lineno}: [{section}] {key} = {raw!r}"):
+            return convert(raw)
 
-    def get_all(self, section: str, key: str) -> list[tuple[int, str]]:
-        return [(ln, v) for ln, k, v in self.section(section) if k == key]
+    def read(self, section: str, key: str, convert=str, default=None):
+        """The last value of key in section through convert; default when absent."""
+        hits = self._lines(section, key)
+        return self._convert(section, key, *hits[-1], convert) if hits else default
+
+    def read_all(self, section: str, key: str, convert=str) -> list:
+        """Every value of a repeated key, in file order, through convert."""
+        return [self._convert(section, key, *hit, convert) for hit in self._lines(section, key)]
+
+
+def _each(convert):
+    """Converter of a whitespace-separated list."""
+    return lambda text: [convert(tok) for tok in text.split()]
 
 
 def parse_config(path: str) -> RawConfig:
     cfg = RawConfig(path=path)
-    try:
+    with reported(path):
         with open(path) as fh:
             lines = fh.read().splitlines()
-    except OSError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
     current = None
     for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
@@ -79,177 +110,98 @@ def parse_config(path: str) -> RawConfig:
     return cfg
 
 
-def _floats(cfg: RawConfig, lineno: int, text: str) -> list[float]:
-    try:
-        return [float(tok) for tok in text.split()]
-    except ValueError as exc:
-        raise ConfigError(f"{cfg.path}:{lineno}: bad number in {text!r}") from exc
-
-
-def _float(cfg: RawConfig, section: str, key: str, default: float) -> float:
-    raw = cfg.get(section, key)
-    if raw is None:
-        return default
-    try:
-        return float(raw)
-    except ValueError as exc:
-        raise ConfigError(f"{cfg.path}: [{section}] {key} = {raw!r} is not a number") from exc
-
-
-def _int(cfg: RawConfig, section: str, key: str, default: int) -> int:
-    raw = cfg.get(section, key)
-    if raw is None:
-        return default
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise ConfigError(f"{cfg.path}: [{section}] {key} = {raw!r} is not an integer") from exc
-
-
 def build_space(cfg: RawConfig) -> FiniteMetricSpace:
-    kind = cfg.get("space", "kind")
+    kind = cfg.read("space", "kind")
     if kind is None:
         raise ConfigError(f"{cfg.path}: missing [space] kind")
     if kind == "grid":
-        lower = cfg.get("space", "lower")
-        upper = cfg.get("space", "upper")
-        cells = cfg.get("space", "cells")
+        lower = cfg.read("space", "lower", _each(float))
+        upper = cfg.read("space", "upper", _each(float))
+        cells = cfg.read("space", "cells", _each(int))
         if lower is None or upper is None or cells is None:
             raise ConfigError(f"{cfg.path}: grid space needs lower, upper and cells")
-        try:
-            return build_grid(
-                [float(t) for t in lower.split()],
-                [float(t) for t in upper.split()],
-                [int(t) for t in cells.split()],
-            )
-        except ValueError as exc:
-            raise ConfigError(f"{cfg.path}: [space] {exc}") from exc
+        with reported(f"{cfg.path}: [space]"):
+            return build_grid(lower, upper, cells)
     if kind == "matrix":
-        n = _int(cfg, "space", "size", 0)
-        rows = cfg.get_all("space", "row")
-        if n < 1 or len(rows) != n:
-            raise ConfigError(f"{cfg.path}: matrix space needs size = n and n row lines")
-        matrix = []
-        for lineno, text in rows:
-            vals = _floats(cfg, lineno, text)
+        n = cfg.read("space", "size", int, 0)
+
+        def row(text):
+            vals = [float(tok) for tok in text.split()]
             if len(vals) != n:
-                raise ConfigError(f"{cfg.path}:{lineno}: expected {n} distances per row")
-            matrix.append(vals)
-        coords = None
-        coord_rows = cfg.get_all("space", "coord")
-        if coord_rows:
-            if len(coord_rows) != n:
-                raise ConfigError(f"{cfg.path}: need one coord line per point")
-            coords = [_floats(cfg, ln, text) for ln, text in coord_rows]
-        try:
+                raise ValueError(f"expected {n} distances per row")
+            return vals
+
+        matrix = cfg.read_all("space", "row", row)
+        if n < 1 or len(matrix) != n:
+            raise ConfigError(f"{cfg.path}: matrix space needs size = n and n row lines")
+        coords = cfg.read_all("space", "coord", _each(float)) or None
+        if coords is not None and len(coords) != n:
+            raise ConfigError(f"{cfg.path}: need one coord line per point")
+        with reported(f"{cfg.path}: [space]"):
             return FiniteMetricSpace.from_matrix(matrix, coords=coords)
-        except ValueError as exc:
-            raise ConfigError(f"{cfg.path}: [space] {exc}") from exc
     raise ConfigError(f"{cfg.path}: unknown space kind {kind!r}")
 
 
-def _parse_witness(cfg: RawConfig, lineno: int, text: str) -> ComparisonFunction | None:
-    parts = text.split()
-    if parts[0] == "none":
+def _witness(text: str) -> ComparisonFunction | None:
+    kind, *params = text.split() or [""]
+    if kind == "none":
         return None
-    if len(parts) != 2 or parts[0] not in ("linear", "rational"):
-        raise ConfigError(
-            f"{cfg.path}:{lineno}: witness must be 'none', 'linear <beta>' or 'rational <c>'"
-        )
-    try:
-        return ComparisonFunction(parts[0], float(parts[1]))
-    except ValueError as exc:
-        raise ConfigError(f"{cfg.path}:{lineno}: {exc}") from exc
+    if len(params) != 1:
+        raise ValueError("witness must be 'none', 'linear <beta>' or 'rational <c>'")
+    return ComparisonFunction(kind, float(params[0]))
+
+
+def _map(space: FiniteMetricSpace, text: str, witness) -> ContractionMap:
+    kind, *tokens = text.split() or [""]
+    if kind == "table":
+        return ContractionMap(space, np.array([int(tok) for tok in tokens], dtype=int), witness)
+    if kind != "affine":
+        raise ValueError("map must be 'affine ...' or 'table ...'")
+    if space.coords is None:
+        raise ValueError("affine maps need a coordinate space")
+    vals = [float(tok) for tok in tokens]
+    dim = space.coords.shape[1]
+    if len(vals) != dim * dim + dim:
+        raise ValueError(f"affine map needs {dim * dim} matrix entries then {dim} offset entries")
+    snapped = snap_affine(space, np.reshape(vals[: dim * dim], (dim, dim)), vals[dim * dim :])
+    # verify the declared witness, keeping discrete_lip; raises CertificateError
+    return snapped if witness is None else replace(snapped, witness=witness)
 
 
 def build_ifs(cfg: RawConfig, space: FiniteMetricSpace, renormalize: bool = False) -> MaxPlusIFS:
-    map_lines = cfg.get_all("ifs", "map")
-    if not map_lines:
+    n_maps = len(cfg.read_all("ifs", "map"))
+    if not n_maps:
         raise ConfigError(f"{cfg.path}: [ifs] needs at least one map")
-    witness_lines = cfg.get_all("ifs", "witness")
-    if witness_lines and len(witness_lines) != len(map_lines):
+    witnesses = cfg.read_all("ifs", "witness", _witness) or [None] * n_maps
+    if len(witnesses) != n_maps:
         raise ConfigError(f"{cfg.path}: need one witness line per map (or none at all)")
-    witnesses = [
-        _parse_witness(cfg, ln, text) for ln, text in witness_lines
-    ] or [None] * len(map_lines)
-
-    dim = space.coords.shape[1] if space.coords is not None else 0
-    maps = []
-    for (lineno, text), witness in zip(map_lines, witnesses):
-        parts = text.split()
-        if parts[0] == "affine":
-            if space.coords is None:
-                raise ConfigError(f"{cfg.path}:{lineno}: affine maps need a coordinate space")
-            vals = _floats(cfg, lineno, " ".join(parts[1:]))
-            if len(vals) != dim * dim + dim:
-                raise ConfigError(
-                    f"{cfg.path}:{lineno}: affine map needs {dim * dim} matrix entries "
-                    f"then {dim} offset entries"
-                )
-            a = np.array(vals[: dim * dim]).reshape(dim, dim)
-            b = np.array(vals[dim * dim :])
-            try:
-                snapped = snap_affine(space, a, b)
-            except ValueError as exc:
-                raise ConfigError(f"{cfg.path}:{lineno}: {exc}") from exc
-            if witness is not None:
-                # verify the declared witness, keeping discrete_lip; raises CertificateError
-                snapped = replace(snapped, witness=witness)
-            maps.append(snapped)
-        elif parts[0] == "table":
-            try:
-                target = [int(tok) for tok in parts[1:]]
-            except ValueError as exc:
-                raise ConfigError(f"{cfg.path}:{lineno}: bad point index") from exc
-            if len(target) != space.n_points:
-                raise ConfigError(
-                    f"{cfg.path}:{lineno}: table needs {space.n_points} entries"
-                )
-            if any(not 0 <= t < space.n_points for t in target):
-                raise ConfigError(f"{cfg.path}:{lineno}: table index out of range")
-            maps.append(ContractionMap(space, np.array(target), witness=witness))
-        else:
-            raise ConfigError(f"{cfg.path}:{lineno}: map must be 'affine ...' or 'table ...'")
-
-    weights_raw = cfg.get("ifs", "weights")
-    if weights_raw is None:
+    witness = iter(witnesses)
+    maps = cfg.read_all("ifs", "map", lambda text: _map(space, text, next(witness)))
+    weights = cfg.read("ifs", "weights", _each(float))
+    if weights is None:
         raise ConfigError(f"{cfg.path}: [ifs] needs weights")
-    weights = np.array([float(t) for t in weights_raw.split()])
-    if weights.shape != (len(maps),):
-        raise ConfigError(f"{cfg.path}: need one weight per map")
-    if weights.max() != 0.0:
-        if renormalize:
-            weights = weights - weights.max()
-        else:
-            raise ConfigError(
-                f"{cfg.path}: weights must have max 0 (got {weights.max()}); "
-                "pass --renormalize to shift them"
-            )
-    try:
+    top = max(weights, default=-np.inf)
+    if renormalize and np.isfinite(top):
+        weights = np.subtract(weights, top)
+    with reported(f"{cfg.path}: [ifs]" + ("" if renormalize else " (no --renormalize)")):
         return MaxPlusIFS(space, tuple(maps), weights)
-    except ValueError as exc:
-        raise ConfigError(f"{cfg.path}: [ifs] {exc}") from exc
 
 
 def build_initial(cfg: RawConfig, space: FiniteMetricSpace) -> IdempotentMeasure:
-    kind = cfg.get("initial", "kind", "uniform")
+    kind = cfg.read("initial", "kind", default="uniform")
     if kind == "uniform":
         return uniform(space)
     if kind == "dirac":
-        idx = _int(cfg, "initial", "index", -1)
-        if not 0 <= idx < space.n_points:
-            raise ConfigError(f"{cfg.path}: [initial] index {idx} out of range")
-        return dirac(space, idx)
+        index = cfg.read("initial", "index", int, -1)
+        with reported(f"{cfg.path}: [initial] index"):
+            return dirac(space, index)
     if kind == "file":
-        path = cfg.get("initial", "path")
+        path = cfg.read("initial", "path")
         if path is None:
             raise ConfigError(f"{cfg.path}: [initial] kind=file needs a path")
-        if not os.path.isabs(path):
-            path = os.path.join(os.path.dirname(os.path.abspath(cfg.path)), path)
-        try:
+        path = os.path.join(os.path.dirname(os.path.abspath(cfg.path)), path)  # unless absolute
+        with reported(f"{cfg.path}: [initial]"):
             return read_density_file(path, space)
-        except (OSError, ValueError) as exc:
-            raise ConfigError(f"{cfg.path}: [initial] {exc}") from exc
     raise ConfigError(f"{cfg.path}: unknown initial kind {kind!r}")
 
 
@@ -263,41 +215,28 @@ class RunParams:
 
 
 def run_params(cfg: RawConfig) -> RunParams:
-    metric = cfg.get("run", "metric", "sup_density")
+    metric = cfg.read("run", "metric", default="sup_density")
     if metric not in ("sup_density", "d1"):
         raise ConfigError(f"{cfg.path}: [run] metric must be sup_density or d1")
-    tol = _float(cfg, "run", "tol", 0.0)
-    if tol < 0:
+    tol = cfg.read("run", "tol", float, 0.0)
+    if not tol >= 0:
         raise ConfigError(f"{cfg.path}: [run] tol must be nonnegative")
-    max_iter = _int(cfg, "run", "max_iter", 1000)
+    max_iter = cfg.read("run", "max_iter", int, 1000)
     if max_iter < 1:
         raise ConfigError(f"{cfg.path}: [run] max_iter must be positive")
-    seed = _int(cfg, "run", "seed", 0)
-    default_out = os.path.splitext(os.path.abspath(cfg.path))[0] + ".density"
-    out = cfg.get("run", "out", default_out)
-    if not os.path.isabs(out):
-        out = os.path.join(os.path.dirname(os.path.abspath(cfg.path)), out)
+    seed = cfg.read("run", "seed", int, 0)
+    here = os.path.abspath(cfg.path)
+    out = cfg.read("run", "out", default=os.path.splitext(here)[0] + ".density")
+    out = os.path.join(os.path.dirname(here), out)  # unless absolute
     return RunParams(metric=metric, tol=tol, max_iter=max_iter, seed=seed, out=out)
 
 
-@dataclass
-class MetricParams:
-    alpha: float
-    q: float
-    tol: float
-
-
-def metric_params(cfg: RawConfig) -> MetricParams:
-    p = MetricParams(
-        alpha=_float(cfg, "metric", "alpha", 0.5),
-        q=_float(cfg, "metric", "q", 0.5),
-        tol=_float(cfg, "metric", "tol", 1e-6),
-    )
-    if not 0 < p.alpha < 1 or not 0 < p.q < 1:
-        raise ConfigError(f"{cfg.path}: [metric] alpha and q must lie in (0, 1)")
-    if p.tol <= 0:
-        raise ConfigError(f"{cfg.path}: [metric] tol must be positive")
-    return p
+def metric_params(cfg: RawConfig) -> SeriesParams:
+    alpha = cfg.read("metric", "alpha", float, 0.5)
+    q = cfg.read("metric", "q", float, 0.5)
+    tol = cfg.read("metric", "tol", float, 1e-6)
+    with reported(f"{cfg.path}: [metric]"):
+        return SeriesParams(alpha, q, tol)
 
 
 @dataclass
@@ -309,14 +248,14 @@ class VerifyParams:
 
 def verify_params(cfg: RawConfig) -> VerifyParams:
     p = VerifyParams(
-        pairs=_int(cfg, "verify", "pairs", 100),
-        support_prob=_float(cfg, "verify", "support_prob", 0.7),
-        depth=_float(cfg, "verify", "depth", 3.0),
+        pairs=cfg.read("verify", "pairs", int, 100),
+        support_prob=cfg.read("verify", "support_prob", float, 0.7),
+        depth=cfg.read("verify", "depth", float, 3.0),
     )
     if p.pairs < 1:
         raise ConfigError(f"{cfg.path}: [verify] pairs must be positive")
     if not 0 < p.support_prob <= 1:
         raise ConfigError(f"{cfg.path}: [verify] support_prob must be in (0, 1]")
-    if p.depth <= 0:
-        raise ConfigError(f"{cfg.path}: [verify] depth must be positive")
+    if not 0 < p.depth < np.inf:
+        raise ConfigError(f"{cfg.path}: [verify] depth must be positive and finite")
     return p

@@ -158,7 +158,7 @@ def snap_affine(space: FiniteMetricSpace, matrix, offset) -> ContractionMap:
     lo = space.coords.min(axis=0)
     hi = space.coords.max(axis=0)
     slack = 1e-9 * max(1.0, float(np.abs(space.coords).max()))
-    if np.any(images < lo - slack) or np.any(images > hi + slack):
+    if not np.all((images >= lo - slack) & (images <= hi + slack)):  # NaN images too
         worst = int(np.argmax(np.maximum(images - hi, lo - images).max(axis=1)))
         raise ValueError(
             f"affine image leaves the bounding box (point {worst} -> {images[worst]})"
@@ -203,7 +203,7 @@ class MaxPlusIFS:
         if not np.all(np.isfinite(w)):
             raise ValueError("weights must be finite")
         if w.max() != 0.0:
-            raise ValueError("weights must be normalized: max weight exactly 0")
+            raise ValueError(f"weights must be normalized: max weight exactly 0 (got {w.max():g})")
         w.flags.writeable = False
         object.__setattr__(self, "maps", maps)
         object.__setattr__(self, "weights", w)
@@ -312,7 +312,7 @@ def iterate_fixed_point(
     for witness-only (non-Banach) systems the stopping rule is
     residual-only.
     """
-    if tol < 0:
+    if not tol >= 0:
         raise ValueError("tol must be nonnegative")
     if max_iter < 1:
         raise ValueError("max_iter must be positive")

@@ -261,8 +261,8 @@ def lipschitz_distance(mu1: IdempotentMeasure, mu2: IdempotentMeasure, a: float)
     term, and the larger of the two is attained.
     """
     _check_same_space(mu1, mu2)
-    if a <= 0:
-        raise ValueError("Lipschitz bound a must be positive")
+    if not 0 < a < math.inf:
+        raise ValueError(f"Lipschitz bound a must lie in (0, inf), got {a!r}")
     return float(_dual_distances(mu1, mu2, [a])[0])
 
 
@@ -366,7 +366,7 @@ class SeriesParams:
 
         est = (math.log(tol) + math.log1p(-q) - math.log(2.0 * diameter)) / math.log(q) - 1.0
         if est < _MAX_TERMS:
-            n = max(0, math.ceil(est))
+            n = math.ceil(max(0.0, est))  # est is -inf at tol = inf
             while n > 0 and not over(n - 1):
                 n -= 1
             while over(n):

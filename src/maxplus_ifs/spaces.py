@@ -38,7 +38,8 @@ class FiniteMetricSpace:
     def __init__(self, *, matrix=None, coords=None, n_points=None, validate: bool = True):
         if matrix is None and coords is None and n_points is None:
             raise ValueError("need a distance matrix or point coordinates")
-        self._matrix = None
+        self._matrix = None  # the explicit metric
+        self._dense = None  # the full distance table, once distance_matrix() built it
         self.coords = None
         # the metric is the Euclidean distance of coords (not an explicit matrix)
         self.euclidean = matrix is None and n_points is None
@@ -61,7 +62,7 @@ class FiniteMetricSpace:
             matrix = np.asarray(matrix, dtype=float)
             if validate:
                 _validate_metric(matrix)
-            self._matrix = matrix
+            self._matrix = self._dense = matrix
             self._matrix.flags.writeable = False
             if coords is not None and coords.shape[0] != matrix.shape[0]:
                 raise ValueError("coords and matrix disagree on point count")
@@ -93,7 +94,7 @@ class FiniteMetricSpace:
 
     def distance_matrix(self) -> np.ndarray:
         """Full matrix, cached; refuses on spaces above the dense limit."""
-        if self._matrix is None:
+        if self._dense is None:
             if self.n_points > _DENSE_LIMIT:
                 raise ValueError(
                     f"space has {self.n_points} points; dense matrix limited "
@@ -104,8 +105,8 @@ class FiniteMetricSpace:
             # exact zero diagonal (cdist can leave tiny round-off)
             np.fill_diagonal(m, 0.0)
             m.flags.writeable = False
-            self._matrix = m
-        return self._matrix
+            self._dense = m
+        return self._dense
 
     def _row_blocks(self):
         """Yield (rows, distance_submatrix(rows, all points)) over row blocks.
@@ -196,6 +197,8 @@ def build_grid(lower, upper, cells_per_axis) -> FiniteMetricSpace:
         raise ValueError("lower, upper and cells_per_axis must share one dimension")
     if np.any(cells < 1):
         raise ValueError("need at least one cell per axis")
+    if not np.all(np.isfinite(lower) & np.isfinite(upper)):
+        raise ValueError("grid bounds must be finite")
     if np.any(lower >= upper):
         raise ValueError("lower bound must be strictly below upper bound")
     axes = [np.linspace(lo, hi, c + 1) for lo, hi, c in zip(lower, upper, cells)]

@@ -68,6 +68,13 @@ def test_snap_rejects_escaping_map():
         mp.snap_affine(g, [[1.0]], [0.5])
 
 
+def test_snap_rejects_non_finite_images():
+    g = mp.build_grid([0], [1], [4])
+    for a, b in (([[np.nan]], [0.0]), ([[0.5]], [np.nan]), ([[0.5]], [np.inf])):
+        with pytest.raises(ValueError, match="bounding box"):
+            mp.snap_affine(g, a, b)
+
+
 def test_snap_tie_breaks_to_lower_index():
     g = mp.build_grid([0], [1], [2])  # points 0, 1/2, 1
     m = mp.snap_affine(g, [[0.0]], [0.25])  # exactly between 0 and 1/2
@@ -362,6 +369,12 @@ def test_iterate_cantor_density_peaks_at_zero():
     assert mu.density[0] == 0.0  # address of the weight-0 map's fixed point
     # invariant: applying the operator once more changes nothing
     assert mp.markov(ifs, mu) == mu
+
+
+def test_iterate_refuses_a_nan_tolerance():
+    ifs = cantor_ifs(3)
+    with pytest.raises(ValueError, match="tol"):
+        mp.iterate_fixed_point(ifs, mp.uniform(ifs.space), tol=float("nan"))
 
 
 def test_iterate_reports_nonconvergence():

@@ -327,6 +327,15 @@ def test_lipschitz_distance_validation():
         mp.lipschitz_distance(m, m, -1.0)
 
 
+def test_lipschitz_distance_refuses_levels_outside_the_positive_reals():
+    g = mp.build_grid([0], [1], [2])
+    m1, m2 = mp.dirac(g, 0), mp.dirac(g, 2)
+    for a in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match=r"\(0, inf\)"):
+            mp.lipschitz_distance(m1, m2, a)
+    assert mp.lipschitz_distance(m1, m2, 1e300) == 1e300  # a * d(0, 2), still finite
+
+
 # --- series metrics -------------------------------------------------------------
 
 def test_series_distance_zero_on_equal():

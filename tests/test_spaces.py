@@ -173,6 +173,29 @@ def test_diameter_examples():
     assert mp.FiniteMetricSpace.from_coords(pts).diameter() == cdist(pts, pts).max()
 
 
+def test_distance_matrix_cache_keeps_the_space_kind():
+    # the full table is cached beside the metric, not in place of it
+    pts = mp.FiniteMetricSpace.from_coords([[0.0], [1.0], [3.0], [7.0], [15.0]])
+    grid = mp.build_grid([0], [1], [4])
+    for space, kind in ((pts, "coords"), (grid, "grid")):
+        before = repr(space)
+        table = space.distance_matrix()
+        assert repr(space) == before and f"kind={kind}" in before
+        assert space.distance_matrix() is table
+        np.testing.assert_array_equal(
+            space.distance_submatrix([0, 4], [1, 2]), cdist(space.coords[[0, 4]], space.coords[[1, 2]])
+        )
+    explicit = mp.FiniteMetricSpace.from_matrix([[0.0, 1.0], [1.0, 0.0]])
+    assert explicit.distance_matrix() is explicit.distance_matrix()
+    assert repr(explicit) == "FiniteMetricSpace(n=2, kind=matrix)"
+
+
+def test_grid_rejects_non_finite_bounds():
+    for lower, upper in (([0.0], [np.inf]), ([-np.inf], [1.0]), ([np.nan], [1.0]), ([0.0], [np.nan])):
+        with pytest.raises(ValueError, match="finite"):
+            mp.build_grid(lower, upper, [9])
+
+
 def test_hausdorff_examples():
     g = mp.build_grid([0], [1], [2])  # points 0, 1/2, 1
     assert mp.hausdorff([0, 1, 2], [0, 1, 2], g) == 0.0
