@@ -262,8 +262,8 @@ def _grid_layout(coords: np.ndarray):
 
 
 def cmd_render(args) -> int:
-    if not args.floor < 0:
-        raise ConfigError("--floor must be negative (densities live in [-inf, 0])")
+    if not -np.inf < args.floor < 0:
+        raise ConfigError("--floor must be finite and negative (densities live in [-inf, 0])")
     with reported():
         mu = read_density_file(args.density_file)
     coords = mu.space.coords

@@ -17,7 +17,7 @@ from dataclasses import InitVar, dataclass, field
 import numpy as np
 
 from .measures import IdempotentMeasure, TestFunction, pushforward, weighted_oplus
-from .spaces import FiniteMetricSpace, product
+from .spaces import FiniteMetricSpace, _euclidean_table, product
 
 # float round-off headroom for certificate comparisons; genuine violations
 # on a finite space are at least a fraction of the minimal distance
@@ -33,7 +33,7 @@ class ComparisonFunction:
     """Matkowski witness: nondecreasing, phi(t) < t, iterates -> 0.
 
     kind "linear": phi(t) = param * t with param in (0, 1).
-    kind "rational": phi(t) = t / (1 + param * t) with param > 0.
+    kind "rational": phi(t) = t / (1 + param * t) with param in (0, inf).
     Both families satisfy the iterate condition analytically.
     """
 
@@ -45,8 +45,8 @@ class ComparisonFunction:
             if not 0.0 < self.param < 1.0:
                 raise ValueError("linear witness needs a factor in (0, 1)")
         elif self.kind == "rational":
-            if not self.param > 0.0:
-                raise ValueError("rational witness needs a positive parameter")
+            if not 0.0 < self.param < np.inf:
+                raise ValueError("rational witness needs a parameter in (0, inf)")
         else:
             raise ValueError(f"unknown witness kind {self.kind!r}")
 
@@ -100,7 +100,7 @@ class ContractionMap:
         space = self.space
         if space.n_points == 1:
             return 0.0
-        if space.euclidean and space.coords.shape[1] == 1:
+        if space.line:
             # on the line the steepest pair is a neighbouring one: a pair's
             # image distance is at most the sum over the neighbours between
             x = space.coords[:, 0]
@@ -110,7 +110,7 @@ class ContractionMap:
         for rows, d_in in space._row_blocks():
             d_in[np.arange(rows.size), rows] = np.inf  # i = j contributes 0
             ratio = space.distance_submatrix(self.target[rows], self.target)
-            ratio /= d_in  # in place: blocks hold 512 x n floats
+            ratio /= d_in  # in place: a block holds at most 2^18 floats
             blocks.append(ratio.max())
         return float(np.max(blocks))  # NaN from non-finite distances propagates
 
@@ -172,9 +172,7 @@ def snap_affine(space: FiniteMetricSpace, matrix, offset) -> ContractionMap:
         np.clip(axis_idx, 0, cells, out=axis_idx)
         target = np.ravel_multi_index(tuple(axis_idx.T), tuple(cells + 1))
     else:
-        from scipy.spatial.distance import cdist
-
-        d = cdist(images, space.coords)
+        d = _euclidean_table(images, space.coords)
         target = np.argmin(d, axis=1)  # argmin takes the first (lowest) index on ties
     snap_error = np.linalg.norm(images - space.coords[target], axis=1)
     declared = float(np.linalg.norm(a, 2))

@@ -79,7 +79,7 @@ class TestFunction:
             d[np.arange(rows.size), rows] = np.inf
             ratio = self.values - self.values[rows, None]
             np.abs(ratio, out=ratio)
-            ratio /= d  # in place: blocks hold 512 x n floats
+            ratio /= d  # in place: a block holds at most 2^18 floats
             best = max(best, float(ratio.max()))
         return best
 

@@ -3,9 +3,10 @@
 * the coupling (bottleneck) metric d1: the least threshold at which the
   pointwise-maximal coupling meets both marginals, in closed form as the
   directed level-set value: nearest neighbours over level-ordered prefixes
-  split into dyadic runs of blocks, by k-d trees on Euclidean spaces
-  (O(n log^2 n)) and by row chunks of the support distance table elsewhere
-  (O(|s1| |s2|) time, O(256 |s|) memory);
+  split into dyadic runs of blocks, by one sort and `searchsorted` per run
+  on the line, by k-d trees on other Euclidean spaces (both O(n log^2 n))
+  and by row chunks of the support distance table elsewhere (O(|s1| |s2|)
+  time, O(256 |s|) memory);
 * the Lipschitz-dual pseudometrics d_a = sup {|mu(f) - nu(f)| : Lip f <= a},
   in closed form through cone test functions; one kernel returns d_a for
   an array of levels, by sorted cone envelopes on 1-D Euclidean spaces
@@ -16,7 +17,8 @@
 
 Slower exact routes (threshold search, subset enumeration, the dense
 per-level dual formula) are test oracles; sampled inf-convolution
-certificates validate the dual closed form.
+certificates validate the dual closed form.  scipy is imported only for
+the k-d tree off the line, so 1-D runs never load it.
 """
 
 from __future__ import annotations
@@ -27,12 +29,10 @@ from dataclasses import dataclass
 from typing import Callable, Sequence, SupportsFloat
 
 import numpy as np
-from scipy.spatial import cKDTree
-from scipy.spatial.distance import cdist
 
 from .measures import IdempotentMeasure, TestFunction, pushforward
 from .semiring import NEG_INF
-from .spaces import ProductSpace
+from .spaces import ProductSpace, _euclidean_table
 
 _CHUNK_ROWS = 256  # rows per distance block of d1 and its feasibility test
 _BLOCK_ELEMS = 1 << 20  # level x row x column elements per dual-metric block
@@ -119,17 +119,28 @@ def coupling_feasible(mu1: IdempotentMeasure, mu2: IdempotentMeasure, t: float) 
 def _nearest(space, rows, cols, width=None) -> np.ndarray:
     """Per rows[i], the least distance to cols[:width[i]] (all of cols by default).
 
-    The one space-dependent step of d1: a k-d tree over cols on Euclidean
-    spaces, row chunks of the distance table elsewhere and for the masked
-    widths of a partial block.
+    The one space-dependent step of d1.  For all of cols: on the line, cols
+    sorted once and each row's two sorted neighbours found by
+    `searchsorted` (rounding is monotone, so the nearer one is the least
+    |x - y| exactly); a k-d tree over cols on other Euclidean spaces.  Row
+    chunks of the distance table elsewhere and for the masked widths of a
+    partial block, through the spaces' Euclidean table on coordinates.
     """
+    if space.line and width is None:
+        y = np.sort(space.coords[cols, 0])
+        x = space.coords[rows, 0]
+        k = np.searchsorted(y, x)
+        below = np.abs(x - y[np.maximum(k - 1, 0)])
+        return np.minimum(below, np.abs(y[np.minimum(k, y.size - 1)] - x))
     if space.euclidean and width is None:
+        from scipy.spatial import cKDTree
+
         return cKDTree(space.coords[cols]).query(space.coords[rows])[0]
     out = np.empty(rows.size)
     for lo in range(0, rows.size, _CHUNK_ROWS):
         r = rows[lo : lo + _CHUNK_ROWS]
         if space.euclidean:
-            d = cdist(space.coords[r], space.coords[cols])
+            d = _euclidean_table(space.coords[r], space.coords[cols])
         else:
             d = space.distance_submatrix(r, cols)
         if width is not None:
@@ -223,12 +234,11 @@ def _directed_deltas(space, lam_from, lam_to, levels) -> np.ndarray:
     """
     s_from = np.flatnonzero(lam_from > NEG_INF)
     s_to = np.flatnonzero(lam_to > NEG_INF)
-    line = space.euclidean and space.coords.shape[1] == 1
     out = np.full(levels.size, NEG_INF)
     step = max(1, _BLOCK_ELEMS // (s_from.size + s_to.size))
     for lo in range(0, levels.size, step):
         a = levels[lo : lo + step, None, None]
-        if line:
+        if space.line:
             blocks = [_envelope_rows(space, lam_from, lam_to, a[:, :, 0])[:, None]]
         else:
             r = max(1, _BLOCK_ELEMS // (a.size * s_to.size))

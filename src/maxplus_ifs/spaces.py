@@ -11,19 +11,22 @@ never allocate an n^2 matrix.
 A space implements one distance routine, `distance_submatrix(rows, cols)`;
 `dist` and the full matrix are read through it, and the all-pairs checks
 (Lipschitz constants, contraction certificates, the diameter) sweep its
-blocks of 512 rows against all points.
+row blocks of at most 2^18 distances against all points.
+
+On the line (1-D Euclidean coordinates) distances are the exact |x - y|
+and coincident points are found after one sort, both in numpy; scipy
+(`cdist`, the k-d tree) is imported only when a space has two or more
+coordinate axes.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.spatial import cKDTree
-from scipy.spatial.distance import cdist
 
 # Full distance matrices are materialized (and cached) only below this size.
 _DENSE_LIMIT = 2048
-# Rows per block of the all-pairs sweeps (512 x n distances at a time).
-_BLOCK_ROWS = 512
+# Distances per block of the all-pairs sweeps (rows = this // n, at least 1).
+_BLOCK_ELEMS = 1 << 18
 
 
 class FiniteMetricSpace:
@@ -81,6 +84,11 @@ class FiniteMetricSpace:
         """Euclidean space on the given points; distinct points required."""
         return cls(coords=coords)
 
+    @property
+    def line(self) -> bool:
+        """Euclidean on one coordinate axis, where distances are |x - y|."""
+        return self.euclidean and self.coords.shape[1] == 1
+
     def dist(self, i: int, j: int) -> float:
         return float(self.distance_submatrix([i], [j])[0, 0])
 
@@ -90,7 +98,7 @@ class FiniteMetricSpace:
         cols = np.asarray(cols, dtype=int)
         if self._matrix is not None:
             return self._matrix[np.ix_(rows, cols)]
-        return cdist(self.coords[rows], self.coords[cols])
+        return _euclidean_table(self.coords[rows], self.coords[cols])
 
     def distance_matrix(self) -> np.ndarray:
         """Full matrix, cached; refuses on spaces above the dense limit."""
@@ -102,7 +110,7 @@ class FiniteMetricSpace:
                 )
             idx = np.arange(self.n_points)
             m = self.distance_submatrix(idx, idx)
-            # exact zero diagonal (cdist can leave tiny round-off)
+            # exact zero diagonal (cdist can leave tiny round-off off the line)
             np.fill_diagonal(m, 0.0)
             m.flags.writeable = False
             self._dense = m
@@ -114,8 +122,9 @@ class FiniteMetricSpace:
         Each block is a fresh array that the caller may overwrite.
         """
         idx = np.arange(self.n_points)
-        for start in range(0, self.n_points, _BLOCK_ROWS):
-            rows = idx[start : start + _BLOCK_ROWS]
+        step = max(1, _BLOCK_ELEMS // self.n_points)
+        for start in range(0, self.n_points, step):
+            rows = idx[start : start + step]
             yield rows, self.distance_submatrix(rows, idx)
 
     def diameter(self) -> float:
@@ -135,13 +144,51 @@ class FiniteMetricSpace:
         return f"FiniteMetricSpace(n={self.n_points}, kind={kind})"
 
 
+def _euclidean_table(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Euclidean distances between the rows of two (n, dim) coordinate arrays.
+
+    On the line the exact |x - y|, in place; it equals `cdist` bit for bit
+    wherever the squared gap is a normal float (gaps above about 1.5e-154).
+    """
+    if a.shape[1] == 1:
+        d = np.subtract.outer(a[:, 0], b[:, 0])
+        return np.abs(d, out=d)
+    from scipy.spatial.distance import cdist
+
+    return cdist(a, b)
+
+
+def _coincident_pair(coords: np.ndarray) -> tuple[int, int] | None:
+    """Least pair i < j whose computed squared distance is 0, or None.
+
+    On the line: after one stable sort a point has a twin iff a sorted
+    neighbour is one (rounding is monotone), so i is the least index next
+    to a zero gap and j its least other twin (every twin of i exceeds it),
+    as a radius-0 pair query reports.  Elsewhere that query, on a k-d tree.
+    """
+    if coords.shape[1] == 1:
+        x = coords[:, 0]
+        order = np.argsort(x, kind="stable")
+        gap = np.diff(x[order])
+        zero = gap * gap == 0.0
+        if not zero.any():
+            return None
+        i = int(min(order[:-1][zero].min(), order[1:][zero].min()))
+        off = x - x[i]
+        return i, int(np.flatnonzero(off * off == 0.0)[1])
+    from scipy.spatial import cKDTree
+
+    pairs = cKDTree(coords).query_pairs(0.0, output_type="ndarray")
+    return min(map(tuple, pairs.tolist())) if pairs.size else None
+
+
 def _validate_coords(coords: np.ndarray) -> None:
     """Euclidean distances must be finite, and positive between distinct points.
 
     The squared span bounds every squared distance, so a finite one rules
-    out overflow.  A radius-0 pair query finds exactly the pairs at computed
-    distance 0: repeated points, and points whose squared offset underflows
-    (grid steps below about 1.6e-162).
+    out overflow.  `_coincident_pair` finds exactly the pairs at computed
+    squared distance 0: repeated points, and points whose squared offset
+    underflows (gaps below about 1.6e-162).
     """
     with np.errstate(over="ignore"):
         span = np.ptp(coords, axis=0)
@@ -149,9 +196,9 @@ def _validate_coords(coords: np.ndarray) -> None:
     shown = " x ".join(f"{s:.6g}" for s in span)
     if overflows:
         raise ValueError(f"coordinate span {shown} overflows when squared; rescale the points")
-    pairs = cKDTree(coords).query_pairs(0.0, output_type="ndarray")
-    if pairs.size:
-        i, j = min(pairs.tolist())
+    pair = _coincident_pair(coords)
+    if pair is not None:
+        i, j = pair
         raise ValueError(
             f"points {i} and {j} coincide (computed distance 0 within coordinate span {shown})"
         )
@@ -201,6 +248,13 @@ def build_grid(lower, upper, cells_per_axis) -> FiniteMetricSpace:
         raise ValueError("grid bounds must be finite")
     if np.any(lower >= upper):
         raise ValueError("lower bound must be strictly below upper bound")
+    with np.errstate(over="ignore"):
+        span = upper - lower
+    if not np.all(np.isfinite(span)):
+        k = int(np.argmin(np.isfinite(span)))
+        raise ValueError(
+            f"grid span {upper[k]:.6g} - ({lower[k]:.6g}) overflows on axis {k}; rescale the grid"
+        )
     axes = [np.linspace(lo, hi, c + 1) for lo, hi, c in zip(lower, upper, cells)]
     mesh = np.meshgrid(*axes, indexing="ij")
     coords = np.stack([m.ravel() for m in mesh], axis=1)

@@ -98,3 +98,11 @@ def all_pairs_lip(space, target) -> float:
         d_out = space.distance_submatrix(target[rows], target)
         best = max(best, float(np.max(d_out / d_in)))
     return best
+
+
+def coincident_pair_kdtree(coords):
+    """Least pair i < j at computed distance 0, by a radius-0 k-d tree pair query."""
+    from scipy.spatial import cKDTree
+
+    pairs = cKDTree(np.asarray(coords, dtype=float)).query_pairs(0.0, output_type="ndarray")
+    return min(map(tuple, pairs.tolist())) if pairs.size else None

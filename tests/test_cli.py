@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -487,3 +492,32 @@ def test_cantor_render_matches_attractor(tmp_path, capsys):
     pixels = np.frombuffer(data.split(b"255\n", 1)[1], dtype=np.uint8)
     mu = mp.read_density_file(out)
     np.testing.assert_array_equal(np.flatnonzero(pixels), mu.support())
+
+
+SCIPY_PROBE = """
+import sys
+from maxplus_ifs.cli import main
+
+loaded = ["scipy" in sys.modules]
+for argv in sys.argv[1:]:
+    assert main(argv.split("|")) == 0
+    loaded.append("scipy" in sys.modules)
+print(loaded)
+"""
+
+
+def test_line_runs_never_import_scipy(tmp_path):
+    # scipy is only needed off the line; import, solve, verify and d1 on a
+    # 1-D grid run without it, in a fresh interpreter
+    out = tmp_path / "c.density"
+    cfg = _write(tmp_path, "cantor.cfg", CANTOR_CFG.format(out=out))
+    other = tmp_path / "u.density"
+    mp.write_density_file(other, mp.uniform(mp.build_grid([0.0], [1.0], [27])))
+    runs = [f"solve|{cfg}", f"verify|{cfg}", f"metric|{out}|{other}|d1", f"metric|{out}|{other}|dtilde:alpha=0.3,q=0.5,tol=1e-6"]
+    src = str(Path(mp.__file__).resolve().parent.parent)
+    done = subprocess.run(
+        [sys.executable, "-c", SCIPY_PROBE, *runs],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, cwd=tmp_path,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == str([False] * 5)

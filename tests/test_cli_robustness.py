@@ -205,3 +205,26 @@ def test_failing_witness_certificate_still_exits_3(tmp_path, capsys):
     cfg.write_text(table.replace("weights = 0 -1", "witness = linear 0.5\nwitness = none\nweights = 0 -1"))
     assert main(["verify", str(cfg)]) == 3
     assert capsys.readouterr().err.startswith("certificate failure: contraction certificate fails")
+
+
+def test_infinite_rational_witness_is_refused(tmp_path, capsys):
+    # t / (1 + inf * t) is NaN at t = 0; the certificate compared NaN gaps
+    cfg = _cantor(tmp_path, "weights = 0 -1", "witness = rational inf\nwitness = none\nweights = 0 -1")
+    _config_error("verify", cfg, capsys, f"{cfg}:10: [ifs] witness = 'rational inf'", "(0, inf)")
+
+
+def test_overflowing_grid_span_is_refused(tmp_path, capsys):
+    # linspace warned about overflow before the coordinates were refused
+    cfg = _cantor(tmp_path, "lower = 0\nupper = 1\n", "lower = -1e308\nupper = 1e308\n")
+    for command in ("verify", "solve"):
+        _config_error(command, cfg, capsys, "[space]", "grid span 1e+308 - (-1e+308) overflows")
+
+
+def test_infinite_render_floor_is_refused(tmp_path, capsys):
+    # -inf / -inf was NaN inside the scaling
+    density = tmp_path / "d.density"
+    mp.write_density_file(density, mp.uniform(mp.build_grid([0.0], [1.0], [3])))
+    assert main(["render", str(density), str(tmp_path / "d.pgm"), "--floor=-inf"]) == 2
+    err = capsys.readouterr().err
+    assert "--floor must be finite and negative" in err and "Traceback" not in err
+    assert not (tmp_path / "d.pgm").exists()

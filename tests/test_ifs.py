@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.spatial.distance import cdist
@@ -37,6 +39,14 @@ def test_comparison_function_validation():
         mp.ComparisonFunction("rational", -1.0)
     with pytest.raises(ValueError):
         mp.ComparisonFunction("weird", 0.5)
+
+
+def test_rational_witness_refuses_an_infinite_parameter():
+    # t / (1 + inf * t) is NaN at t = 0, so the certificate would compare NaN gaps
+    for param in (np.inf, np.nan, 0.0):
+        with pytest.raises(ValueError, match=r"rational witness needs a parameter in \(0, inf\)"):
+            mp.ComparisonFunction("rational", param)
+    assert mp.ComparisonFunction("rational", 1e308)(0.0) == 0.0
 
 
 # --- snapping ---------------------------------------------------------------
@@ -194,6 +204,20 @@ def test_discrete_lip_equals_all_pairs_off_the_line():
     grid = spaces[0]
     m = mp.snap_affine(grid, [[0.5, 0.0], [0.0, 0.5]], [0.25, 0.5])
     assert m.discrete_lip == all_pairs_lip(grid, m.target)
+
+
+def test_all_pairs_sweep_memory_is_bounded():
+    # row blocks hold at most 2^18 distances, whatever n: snapping on the
+    # 81 x 81 grid peaked at 77 MB with 512-row blocks
+    grid = mp.build_grid([0.0, 0.0], [1.0, 1.0], [80, 80])
+    tracemalloc.start()
+    try:
+        m = mp.snap_affine(grid, [[0.5, 0.1], [0.0, 0.5]], [0.1, 0.2])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 10e6
+    assert m.discrete_lip == 1.4142135623731014  # as with 512-row blocks
 
 
 def test_discrete_lip_propagates_nan():

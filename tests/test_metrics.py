@@ -5,7 +5,7 @@ import pytest
 from scipy.spatial.distance import cdist
 
 import maxplus_ifs as mp
-from maxplus_ifs.metrics import SeriesParams, _directed_deltas, _dual_distances
+from maxplus_ifs.metrics import SeriesParams, _directed_deltas, _dual_distances, _nearest
 from conftest import (
     NEG,
     cantor_ifs,
@@ -198,6 +198,24 @@ def test_coupling_distance_equals_threshold_search(kind):
             assert mp.coupling_distance(c1, c2) == want
             largest = max(largest, m1.support().size)
         assert s.n_points < 1000 or largest > 3 * 256
+
+
+def test_line_nearest_neighbours_equal_the_distance_table_minimum():
+    # sorted neighbours by searchsorted give the least |x - y| bit for bit,
+    # with rows inside and outside cols, at the ends and on tied gaps
+    rng = np.random.default_rng(22)
+    spaces = [mp.build_grid([0.0], [1.0], [300]), mp.build_grid([-3.0], [5.0], [7])]
+    for scale in (1e-155, 1e-3, 1.0, 1e150):
+        spaces.append(mp.FiniteMetricSpace.from_coords(rng.uniform(-scale, scale, 400)))
+    for s in spaces:
+        for _ in range(20):
+            cols = rng.choice(s.n_points, int(rng.integers(1, s.n_points)), replace=False)
+            rows = rng.integers(0, s.n_points, int(rng.integers(1, 60)))
+            want = s.distance_submatrix(rows, cols).min(axis=1)
+            assert np.array_equal(_nearest(s, rows, cols), want)
+            width = rng.integers(1, cols.size + 1, rows.size)
+            masked = np.where(np.arange(cols.size) < width[:, None], s.distance_submatrix(rows, cols), np.inf)
+            assert np.array_equal(_nearest(s, rows, cols, width), masked.min(axis=1))
 
 
 def test_coordinate_paths_make_no_distance_table_calls(monkeypatch):

@@ -1,4 +1,5 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from scipy.spatial.distance import cdist
 
 import maxplus_ifs as mp
 from conftest import np_random_measure, random_euclidean_space, random_matrix_space
-from oracles import threshold_d1
+from oracles import coincident_pair_kdtree, threshold_d1
 
 
 def test_grid_unit_interval():
@@ -66,6 +67,58 @@ def test_from_coords_coincidence_is_computed_distance_zero():
     # the first index with a twin, and its first twin, as a pairwise scan reports
     with pytest.raises(ValueError, match="points 0 and 4 coincide"):
         mp.FiniteMetricSpace.from_coords([[5.0], [3.0], [3.0], [4.0], [5.0], [3.0]])
+
+
+def test_line_coincidence_names_the_pair_of_a_radius_zero_pair_query():
+    # one sort on the line refuses exactly the pairs whose squared gap is 0
+    # (a gap below about 1.57e-162 squares to 0), and names the least pair,
+    # also inside clusters where that pair is not a sorted neighbour
+    rng = np.random.default_rng(30)
+    threshold = 2.0**-537.5
+    refused = 0
+    for trial in range(400):
+        n = int(rng.integers(2, 30))
+        if trial % 4 == 0:  # repeated points, with signed zeros
+            x = rng.integers(-3, 4, n).astype(float)
+            x[rng.random(n) < 0.3] = -0.0
+        elif trial % 4 == 1:  # clusters straddling the underflow threshold
+            x = rng.integers(0, 4, n) * 1e-150 + rng.integers(0, 5, n) * threshold * rng.uniform(0.3, 1.2)
+        elif trial % 4 == 2:  # offsets on both sides of the threshold around 0
+            x = rng.choice([-1.0, 1.0], n) * threshold * rng.uniform(0.0, 3.0, n)
+        else:  # distinct points at scales down to the subnormal squared gaps
+            x = rng.permutation(rng.uniform(-1.0, 1.0, n)) * 10.0 ** rng.uniform(-165, 0)
+        want = coincident_pair_kdtree(x[:, None])
+        if want is None:
+            assert mp.FiniteMetricSpace.from_coords(x).n_points == n
+        else:
+            refused += 1
+            with pytest.raises(ValueError, match=f"points {want[0]} and {want[1]} coincide"):
+                mp.FiniteMetricSpace.from_coords(x)
+    assert 100 < refused < 350
+
+
+def test_line_distances_are_exact_gaps():
+    # |x - y| on the line equals cdist wherever the squared gap is a normal
+    # float; below about 1.5e-154 cdist loses bits and the line keeps the gap
+    rng = np.random.default_rng(31)
+    for scale in (1e-152, 1e-100, 1e-3, 1.0, 1e100, 1e150):
+        x = rng.uniform(-scale, scale, (300, 1))
+        idx = np.arange(300)
+        d = mp.FiniteMetricSpace.from_coords(x).distance_submatrix(idx, idx)
+        assert np.array_equal(d, np.abs(x - x.T))
+        normal = d * d >= np.finfo(float).tiny
+        assert np.array_equal(d[normal], cdist(x, x)[normal]) and normal.sum() > 80000
+    tiny = mp.FiniteMetricSpace.from_coords([[0.0], [1e-160], [3e-160]])
+    assert tiny.dist(0, 1) == 1e-160 and tiny.dist(2, 0) == 3e-160
+    assert tiny.distance_matrix()[1, 2] == 3e-160 - 1e-160
+    assert cdist([[0.0]], [[1e-160]])[0, 0] != 1e-160  # the bits cdist loses
+    assert tiny.line and mp.build_grid([0], [1], [3]).line
+    for space in (
+        mp.build_grid([0, 0], [1, 1], [2, 2]),
+        mp.FiniteMetricSpace.from_matrix([[0.0, 1.0], [1.0, 0.0]], coords=[[0.0], [1.0]]),
+        mp.product(tiny, tiny),
+    ):
+        assert not space.line
 
 
 def test_coordinate_distances_must_stay_finite_and_positive():
@@ -194,6 +247,15 @@ def test_grid_rejects_non_finite_bounds():
     for lower, upper in (([0.0], [np.inf]), ([-np.inf], [1.0]), ([np.nan], [1.0]), ([0.0], [np.nan])):
         with pytest.raises(ValueError, match="finite"):
             mp.build_grid(lower, upper, [9])
+
+
+def test_grid_refuses_an_overflowing_span_before_linspace():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"grid span 1e\+308 - \(-1e\+308\) overflows on axis 0"):
+            mp.build_grid([-1e308], [1e308], [9])
+        with pytest.raises(ValueError, match="overflows on axis 1"):
+            mp.build_grid([0.0, -1e308], [1.0, 1.7e308], [3, 3])
 
 
 def test_hausdorff_examples():

@@ -1,15 +1,22 @@
-"""The benchmark tracer's targets still name functions of the package.
+"""Checks on the source tree itself.
 
 ``perfbench/tracing.py`` wraps each ``TARGETS`` entry by name.  A class
 method that is gone is skipped, but a module-level function that is gone
 makes ``Tracer.install`` raise, so every traced run would fail.
+
+scipy is imported inside the functions that need it (off the line), so
+start-up and 1-D runs never pay for it; a module-level import must not
+come back.
 """
 
+import ast
 import importlib
 import importlib.util
 from pathlib import Path
 
-TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+ROOT = Path(__file__).resolve().parent.parent
+TRACING = ROOT / "perfbench" / "tracing.py"
+PACKAGE = ROOT / "src" / "maxplus_ifs"
 
 
 def _load_tracing():
@@ -26,3 +33,29 @@ def test_tracer_targets_resolve():
         module = importlib.import_module(f"maxplus_ifs.{mod_name}")
         owner = attr.split(".")[0]  # the class of a "Class.method" entry
         assert callable(getattr(module, owner, None)), span
+
+
+def _import_time_imports(node):
+    """Imported module names of the statements run when a module is imported."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue  # a function body runs when called
+        if isinstance(child, ast.Import):
+            yield from (alias.name for alias in child.names)
+        elif isinstance(child, ast.ImportFrom) and child.level == 0:
+            yield child.module
+        yield from _import_time_imports(child)
+
+
+def test_no_module_imports_scipy_at_import_time():
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert len(modules) > 5
+    for path in modules:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        names = [name.split(".")[0] for name in _import_time_imports(tree)]
+        assert "scipy" not in names, path.name
+    # the walk does see an import nested in a class body or an if
+    nested = ast.parse("if True:\n    class A:\n        from scipy import linalg\n")
+    assert list(_import_time_imports(nested)) == ["scipy"]
+    lazy = ast.parse("def f():\n    import scipy\n")
+    assert list(_import_time_imports(lazy)) == []
