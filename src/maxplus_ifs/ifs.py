@@ -17,7 +17,7 @@ from dataclasses import InitVar, dataclass, field
 import numpy as np
 
 from .measures import IdempotentMeasure, TestFunction, pushforward, weighted_oplus
-from .spaces import FiniteMetricSpace, _euclidean_table, product
+from .spaces import _BLOCK_ELEMS, FiniteMetricSpace, _euclidean_table, product
 
 # float round-off headroom for certificate comparisons; genuine violations
 # on a finite space are at least a fraction of the minimal distance
@@ -172,8 +172,12 @@ def snap_affine(space: FiniteMetricSpace, matrix, offset) -> ContractionMap:
         np.clip(axis_idx, 0, cells, out=axis_idx)
         target = np.ravel_multi_index(tuple(axis_idx.T), tuple(cells + 1))
     else:
-        d = _euclidean_table(images, space.coords)
-        target = np.argmin(d, axis=1)  # argmin takes the first (lowest) index on ties
+        # argmin over row blocks of the sweep budget takes the lowest index on ties
+        step = max(1, _BLOCK_ELEMS // space.n_points)
+        target = np.concatenate([
+            np.argmin(_euclidean_table(images[i : i + step], space.coords), axis=1)
+            for i in range(0, space.n_points, step)
+        ])
     snap_error = np.linalg.norm(images - space.coords[target], axis=1)
     declared = float(np.linalg.norm(a, 2))
     return ContractionMap(
@@ -287,8 +291,6 @@ def _sup_density_residual(a: IdempotentMeasure, b: IdempotentMeasure) -> float:
     fa, fb = da > -np.inf, db > -np.inf
     if np.any(fa != fb):
         return float("inf")
-    if not np.any(fa):
-        return 0.0
     return float(np.max(np.abs(da[fa] - db[fb])))
 
 

@@ -4,15 +4,17 @@ A measure is stored through its density: a table point -> [-inf, 0] whose
 maximum is exactly 0.  Integration is sup-plus: mu(f) = max_x(lambda(x) + f(x)).
 Normalization subtracts the max, which lands the top entry on an exact 0.0,
 so the invariant is checked with exact float comparison throughout.
+Density files are parsed and formatted a whole column at a time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
-from .semiring import NEG_INF, format_scalar, parse_scalar
+from .semiring import NEG_INF
 from .spaces import FiniteMetricSpace
 
 
@@ -36,10 +38,8 @@ class IdempotentMeasure:
 
     def __post_init__(self):
         arr = _as_density(self.space, self.density)
-        if arr.max() != 0.0:
+        if arr.max() != 0.0:  # NaN is refused, so no entry is above 0 either
             raise ValueError("density maximum must be exactly 0; use normalize()")
-        if np.any(arr > 0.0):
-            raise ValueError("density entries must be <= 0")
         arr.flags.writeable = False
         object.__setattr__(self, "density", arr)
 
@@ -93,10 +93,7 @@ def normalize(space: FiniteMetricSpace, raw) -> IdempotentMeasure:
     top = arr.max()
     if top == NEG_INF:
         raise ValueError("cannot normalize an all--inf density")
-    finite = arr > NEG_INF
-    shifted = np.full_like(arr, NEG_INF)
-    shifted[finite] = arr[finite] - top
-    return IdempotentMeasure(space, shifted)
+    return IdempotentMeasure(space, arr - top)  # -inf - top stays -inf
 
 
 def dirac(space: FiniteMetricSpace, point: int) -> IdempotentMeasure:
@@ -157,22 +154,54 @@ def weighted_oplus(weights, measures) -> IdempotentMeasure:
 # ---------------------------------------------------------------------------
 
 def write_density_file(path, mu: IdempotentMeasure) -> None:
+    """All point lines in one `%d %.17g ...` format call (`-inf` for bottom)."""
     space = mu.space
+    coords = () if space.coords is None else (space.coords,)
+    table = np.column_stack([np.arange(space.n_points), *coords, mu.density])
+    line = " ".join(["%d"] + ["%.17g"] * (table.shape[1] - 1)) + "\n"
+    text = (line * space.n_points) % tuple(table.ravel().tolist())
     with open(path, "w") as fh:
-        fh.write(f"space {space.n_points}\n")
-        for i in range(space.n_points):
-            parts = [str(i)]
-            if space.coords is not None:
-                parts.extend(format_scalar(c) for c in space.coords[i])
-            parts.append(format_scalar(mu.density[i]))
-            fh.write(" ".join(parts) + "\n")
+        fh.write(f"space {space.n_points}\n{text}")
+
+
+def _parse_prefix(tokens: list, dtype) -> np.ndarray:
+    """The tokens before the first that does not convert to dtype, by bisection."""
+    try:
+        return np.array(tokens, dtype=dtype)
+    except (ValueError, OverflowError):
+        half = len(tokens) // 2
+        head = _parse_prefix(tokens[:half], dtype)
+        if head.size < half or len(tokens) == 1:
+            return head
+        return np.concatenate([head, _parse_prefix(tokens[half:], dtype)])
+
+
+def _line_error(parts: list[str], width: int, n: int, above: np.ndarray) -> str:
+    """Why a point line is refused; `above` holds the valid indices before it."""
+    try:
+        idx = int(parts[0])
+    except ValueError:
+        return f"bad point index {parts[0]!r}"
+    if not 0 <= idx < n:
+        return f"point index {idx} out of range"
+    if np.any(above == idx):
+        return f"duplicate point index {idx}"
+    value = np.append(_parse_prefix(parts[1:][-1:], float), np.nan)[0]
+    if np.isnan(value) or value == np.inf:
+        return "bad density value"
+    if value > 0.0:
+        return "density entries must be <= 0"
+    if len(parts) != width:
+        return "inconsistent coordinate columns"
+    return f"bad coordinate {parts[1 + _parse_prefix(parts[1:-1], float).size]!r}"
 
 
 def read_density_file(path, space: FiniteMetricSpace | None = None) -> IdempotentMeasure:
-    """Read a density file.
+    """Read a density file; an error names the first bad point line.
 
-    With no space given, the file's coordinate columns define a Euclidean
-    space; files without coordinates then fail (the metric is not stored).
+    Blank lines are skipped; all point lines have the same columns.  With
+    no space given, the coordinate columns define a Euclidean space (the
+    metric is not stored, so a file without them needs the space).
     """
     with open(path) as fh:
         lines = fh.read().splitlines()
@@ -184,44 +213,36 @@ def read_density_file(path, space: FiniteMetricSpace | None = None) -> Idempoten
         raise ValueError(f"{path}: bad space header: {lines[0]!r}") from exc
     if space is not None and space.n_points != n:
         raise ValueError(f"{path}: file has {n} points, space has {space.n_points}")
-    body = [ln for ln in lines[1:] if ln.strip()]
-    if len(body) != n:
-        raise ValueError(f"{path}: expected {n} point lines, found {len(body)}")
-    values = np.full(n, NEG_INF)
-    coords: list[list[float]] | None = None
-    seen: set[int] = set()
-    for lineno, line in enumerate(body, start=2):
-        parts = line.split()
-        try:
-            idx = int(parts[0])
-        except ValueError as exc:
-            raise ValueError(f"{path}:{lineno}: bad point index {parts[0]!r}") from exc
-        if not 0 <= idx < n:
-            raise ValueError(f"{path}:{lineno}: point index {idx} out of range")
-        if idx in seen:
-            raise ValueError(f"{path}:{lineno}: duplicate point index {idx}")
-        seen.add(idx)
-        try:
-            values[idx] = parse_scalar(parts[-1])
-        except ValueError as exc:
-            raise ValueError(f"{path}:{lineno}: bad density value") from exc
-        cols = parts[1:-1]
-        if coords is None:
-            coords = [[0.0] * len(cols) for _ in range(n)] if cols else None
-        if cols:
-            if coords is None or len(cols) != len(coords[idx]):
-                raise ValueError(f"{path}:{lineno}: inconsistent coordinate columns")
-            coords[idx] = [float(tok) for tok in cols]
+    rows = list(map(str.split, lines[1:]))
+    counts = np.fromiter(map(len, rows), dtype=np.intp, count=len(rows))
+    body = np.flatnonzero(counts)  # point line k is rows[body[k]], file line body[k] + 2
+    if body.size != n:
+        raise ValueError(f"{path}: expected {n} point lines, found {body.size}")
+    width = max(2, int(counts[body[0]]) if n else 2)  # index, coordinates, value
+    # keep the point lines above the first with another width or a bad token
+    good = int(np.argmax(np.append(counts[body] != width, True)))
+    tokens = list(chain.from_iterable(rows))[: good * width]
+    idx = _parse_prefix(tokens[::width], np.intp)
+    del tokens[::width]
+    nums = _parse_prefix(tokens, float)
+    good = min(idx.size, nums.size // (width - 1))
+    idx, nums = idx[:good], nums[: good * (width - 1)].reshape(good, width - 1)
+    dup = np.isin(np.arange(good), np.unique(idx, return_index=True)[1], invert=True)
+    first = int(np.argmax(np.append(dup | (idx < 0) | (idx >= n) | ~(nums[:, -1] <= 0), True)))
+    if first < n:
+        why = _line_error(rows[body[first]], width, n, idx[:first])
+        raise ValueError(f"{path}:{body[first] + 2}: {why}")
+    order = np.argsort(idx)  # a permutation of the points by now
+    values, coords = nums[order, -1], (nums[order, :-1] if width > 2 else None)
+    if values.max(initial=NEG_INF) != 0.0:
+        raise ValueError(f"{path}: density maximum must be exactly 0; use normalize()")
     if space is None:
         if coords is None:
-            raise ValueError(
-                f"{path}: no coordinate columns; pass the space explicitly"
-            )
-        space = FiniteMetricSpace.from_coords(np.asarray(coords))
+            raise ValueError(f"{path}: no coordinate columns; pass the space explicitly")
+        space = FiniteMetricSpace.from_coords(coords)
     elif coords is not None and space.coords is not None:
-        got = np.asarray(coords)
-        if got.shape != space.coords.shape or not np.allclose(
-            got, space.coords, rtol=1e-12, atol=1e-12
+        if coords.shape != space.coords.shape or not np.allclose(
+            coords, space.coords, rtol=1e-12, atol=1e-12
         ):
             raise ValueError(f"{path}: coordinates disagree with the given space")
     return IdempotentMeasure(space, values)

@@ -2,7 +2,10 @@
 
 A fixed 64-bit linear congruential generator (Knuth's MMIX constants) keeps
 verify reports byte-identical across platforms and numpy versions; the
-top 53 bits of each state feed the uniform floats.
+top 53 bits of each state feed the uniform floats.  `random_measure` reads
+its draws off one block of states, s_k = A^k s + C (1 + A + ... + A^(k-1))
+mod 2^64 (Brown's jump-ahead, 1994), so it gives the numbers and the end
+state of one scalar `uniform` call per draw.
 """
 
 from __future__ import annotations
@@ -46,16 +49,26 @@ def random_measure(
 ) -> IdempotentMeasure:
     """Random density: each candidate point finite with the given probability.
 
-    Finite values are uniform in [-depth, 0]; at least one point is forced
-    finite, and normalize() pins the maximum to an exact 0.  `points`
-    restricts the candidate support (density is bottom elsewhere).
+    A candidate draws u, and if u < support_prob its value, uniform in
+    [-depth, 0]; at least one point is forced finite, and normalize() pins
+    the maximum to an exact 0.  `points` restricts the candidate support.
     """
     candidates = np.arange(space.n_points) if points is None else np.asarray(points, int)
+    if candidates.size == 0:
+        raise ValueError("random_measure needs at least one candidate point")
+    pos = np.arange(2 * candidates.size)
+    powers = np.multiply.accumulate(np.append(1, np.full(pos.size, _MULT)).astype(np.uint64))
+    states = powers[1:] * np.uint64(rng.state) + np.uint64(_INC) * np.cumsum(powers[:-1])
+    u = (states >> np.uint64(11)) * (1.0 / (1 << 53))
+    hit = u < support_prob
+    # a draw tests the next candidate unless it follows a test that hit:
+    # along a run of hits, tests alternate, restarting after each miss
+    restart = np.append(0, np.maximum.accumulate(np.where(hit, 0, pos + 1))[:-1])
+    tests = np.flatnonzero((pos - restart) % 2 == 0)[: candidates.size]
+    take = hit[tests]
     raw = np.full(space.n_points, NEG_INF)
-    for i in candidates:
-        if rng.uniform() < support_prob:
-            raw[i] = rng.uniform(-depth, 0.0)
+    raw[candidates[take]] = -depth + (0.0 + depth) * u[tests[take] + 1]  # uniform(-depth, 0.0)
+    rng.state = int(states[tests[-1] + take[-1]])
     if not np.any(raw > NEG_INF):
         raw[candidates[rng.randint(candidates.size)]] = rng.uniform(-depth, 0.0)
     return normalize(space, raw)
-

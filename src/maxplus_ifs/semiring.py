@@ -3,35 +3,22 @@
 Values live in R ∪ {-inf} with ⊕ = max and ⊙ = +.  The bottom element is
 IEEE -inf: it is exactly representable, distinguishable from every finite
 value, and max/+ against it are exact (no finite sentinel that would corrupt
-sums).  +inf and NaN are never valid semiring values; `as_scalar` rejects
-them at input boundaries and `odot` branches on bottom explicitly so a
-bottom operand can never meet +inf inside an addition.
+sums).  +inf and NaN are never valid semiring values; densities and
+density files refuse them at input boundaries, and `odot` branches on
+bottom explicitly so a bottom operand can never meet +inf inside an
+addition.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Iterable
 
 NEG_INF = float("-inf")
-
-#: Token used for the bottom element in every text format.
-BOTTOM_TOKEN = "-inf"
 
 
 def is_bottom(a: float) -> bool:
     """True for the ⊕-neutral / ⊙-absorbing element -inf."""
     return a == NEG_INF
-
-
-def as_scalar(value) -> float:
-    """Coerce to a valid semiring scalar, rejecting NaN and +inf."""
-    x = float(value)
-    if math.isnan(x):
-        raise ValueError("NaN is not a max-plus scalar")
-    if x == math.inf:
-        raise ValueError("+inf is not a max-plus scalar")
-    return x
 
 
 def oplus(a: float, b: float) -> float:
@@ -49,20 +36,3 @@ def odot(a: float, b: float) -> float:
 def big_oplus(values: Iterable[float]) -> float:
     """⊕ over a finite sequence; the empty reduction is -inf."""
     return max(values, default=NEG_INF)
-
-
-def format_scalar(a: float, digits: int = 17) -> str:
-    """Render a scalar for text files; -inf becomes the `-inf` token.
-
-    17 significant digits round-trip any double exactly.
-    """
-    if a == NEG_INF:
-        return BOTTOM_TOKEN
-    return f"{a:.{digits}g}"
-
-
-def parse_scalar(token: str) -> float:
-    """Inverse of format_scalar."""
-    if token == BOTTOM_TOKEN:
-        return NEG_INF
-    return as_scalar(token)

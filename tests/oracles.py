@@ -1,6 +1,8 @@
-"""Slow exact routes kept as test oracles for the production metric kernels."""
+"""Slow exact routes kept as test oracles for the production kernels."""
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -106,3 +108,118 @@ def coincident_pair_kdtree(coords):
 
     pairs = cKDTree(np.asarray(coords, dtype=float)).query_pairs(0.0, output_type="ndarray")
     return min(map(tuple, pairs.tolist())) if pairs.size else None
+
+
+# ---------------------------------------------------------------------------
+# density files and the seeded stream, one point at a time
+# ---------------------------------------------------------------------------
+
+def as_scalar(value) -> float:
+    """Coerce to a valid semiring scalar, rejecting NaN and +inf."""
+    x = float(value)
+    if math.isnan(x):
+        raise ValueError("NaN is not a max-plus scalar")
+    if x == math.inf:
+        raise ValueError("+inf is not a max-plus scalar")
+    return x
+
+
+def format_scalar(a: float, digits: int = 17) -> str:
+    """Render a scalar for text files; -inf becomes the `-inf` token.
+
+    17 significant digits round-trip any double exactly.
+    """
+    if a == NEG:
+        return "-inf"
+    return f"{a:.{digits}g}"
+
+
+def parse_scalar(token: str) -> float:
+    """Inverse of format_scalar; NaN and +inf are refused."""
+    return NEG if token == "-inf" else as_scalar(token)
+
+
+def write_density_file_lines(path, mu) -> None:
+    """Density file written line by line, one format_scalar per entry."""
+    space = mu.space
+    with open(path, "w") as fh:
+        fh.write(f"space {space.n_points}\n")
+        for i in range(space.n_points):
+            parts = [str(i)]
+            if space.coords is not None:
+                parts.extend(format_scalar(c) for c in space.coords[i])
+            parts.append(format_scalar(mu.density[i]))
+            fh.write(" ".join(parts) + "\n")
+
+
+def read_density_file_lines(path, space=None):
+    """Density file parsed line by line in Python.
+
+    Known gaps, closed in the production reader: a line number counts only
+    the point lines above it, not blank lines; a later line without
+    coordinate columns is placed at coordinate 0; a bare index line reads
+    as density equal to its index; a bad coordinate raises float()'s own
+    message; a density that is all below 0 or has a positive entry fails
+    without the path.
+    """
+    with open(path) as fh:
+        lines = fh.read().splitlines()
+    if not lines or not lines[0].startswith("space "):
+        raise ValueError(f"{path}: missing 'space <n>' header")
+    try:
+        n = int(lines[0].split()[1])
+    except (IndexError, ValueError) as exc:
+        raise ValueError(f"{path}: bad space header: {lines[0]!r}") from exc
+    if space is not None and space.n_points != n:
+        raise ValueError(f"{path}: file has {n} points, space has {space.n_points}")
+    body = [ln for ln in lines[1:] if ln.strip()]
+    if len(body) != n:
+        raise ValueError(f"{path}: expected {n} point lines, found {len(body)}")
+    values = np.full(n, NEG)
+    coords = None
+    seen = set()
+    for lineno, line in enumerate(body, start=2):
+        parts = line.split()
+        try:
+            idx = int(parts[0])
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: bad point index {parts[0]!r}") from exc
+        if not 0 <= idx < n:
+            raise ValueError(f"{path}:{lineno}: point index {idx} out of range")
+        if idx in seen:
+            raise ValueError(f"{path}:{lineno}: duplicate point index {idx}")
+        seen.add(idx)
+        try:
+            values[idx] = parse_scalar(parts[-1])
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: bad density value") from exc
+        cols = parts[1:-1]
+        if coords is None:
+            coords = [[0.0] * len(cols) for _ in range(n)] if cols else None
+        if cols:
+            if coords is None or len(cols) != len(coords[idx]):
+                raise ValueError(f"{path}:{lineno}: inconsistent coordinate columns")
+            coords[idx] = [float(tok) for tok in cols]
+    if space is None:
+        if coords is None:
+            raise ValueError(f"{path}: no coordinate columns; pass the space explicitly")
+        space = mp.FiniteMetricSpace.from_coords(np.asarray(coords))
+    elif coords is not None and space.coords is not None:
+        got = np.asarray(coords)
+        if got.shape != space.coords.shape or not np.allclose(
+            got, space.coords, rtol=1e-12, atol=1e-12
+        ):
+            raise ValueError(f"{path}: coordinates disagree with the given space")
+    return mp.IdempotentMeasure(space, values)
+
+
+def random_measure_scalar(space, rng, support_prob=0.7, depth=3.0, points=None):
+    """random_measure with one Lcg64.uniform call per draw."""
+    candidates = np.arange(space.n_points) if points is None else np.asarray(points, int)
+    raw = np.full(space.n_points, NEG)
+    for i in candidates:
+        if rng.uniform() < support_prob:
+            raw[i] = rng.uniform(-depth, 0.0)
+    if not np.any(raw > NEG):
+        raw[candidates[rng.randint(candidates.size)]] = rng.uniform(-depth, 0.0)
+    return mp.normalize(space, raw)

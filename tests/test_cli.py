@@ -442,6 +442,58 @@ def test_weights_renormalize_flag(tmp_path, capsys):
     assert mu.density.max() == 0.0
 
 
+GRID2D_CFG = """
+[space]
+kind = grid
+lower = 0 0
+upper = 1 1
+cells = 4 4
+
+[ifs]
+map = affine 0.5 0 0 0.5 0 0
+map = affine 0.5 0 0 0.5 0.5 0
+map = affine 0.5 0 0 0.5 0 0.5
+weights = 0 -0.3 -0.7
+
+[initial]
+kind = dirac
+index = 0
+
+[run]
+out = {out}
+"""
+GOLDEN_DIR = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize(
+    "name, template", [("solve_cantor27", CANTOR_CFG), ("solve_grid2d", GRID2D_CFG)]
+)
+def test_solve_density_file_matches_its_golden(tmp_path, capsys, name, template):
+    # recorded from the line-by-line writer: 17 significant digits, `-inf`,
+    # one `index coordinates value` line per point
+    out = tmp_path / f"{name}.density"
+    cfg = _write(tmp_path, f"{name}.cfg", template.format(out=out))
+    assert main(["solve", str(cfg)]) == 0
+    assert "exact fixed point: yes" in capsys.readouterr().out
+    assert out.read_bytes() == (GOLDEN_DIR / f"{name}.density").read_bytes()
+
+
+def test_a_density_file_error_names_the_file(tmp_path, capsys):
+    # a positive entry used to fail with no path: `density maximum must be
+    # exactly 0; use normalize()`
+    f = tmp_path / "pos.density"
+    f.write_text("space 2\n0 0.0 0\n1 1.0 0.5\n")
+    assert main(["metric", str(f), str(f), "d1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {f}:3: density entries must be <= 0\n"
+    f.write_text("space 2\n0 0.0 -1\n1 1.0 -0.5\n")
+    assert main(["render", str(f), str(tmp_path / "x.pgm"), "--floor", "-1"]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {f}: density maximum must be exactly 0; use normalize()\n"
+    )
+
+
 def test_render_dirac_and_uniform(tmp_path):
     g = mp.build_grid([0], [1], [3])
     f = tmp_path / "d.density"

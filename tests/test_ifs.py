@@ -220,6 +220,41 @@ def test_all_pairs_sweep_memory_is_bounded():
     assert m.discrete_lip == 1.4142135623731014  # as with 512-row blocks
 
 
+def test_off_grid_snap_memory_is_bounded():
+    # the images x points table of 4000 random 2-D points took 134 MB at once
+    space = mp.FiniteMetricSpace.from_coords(np.random.default_rng(5).uniform(0, 1, (4000, 2)))
+    tracemalloc.start()
+    try:
+        m = mp.snap_affine(space, [[0.5, 0.1], [0.0, 0.5]], [0.1, 0.2])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 10e6
+    images = space.coords @ np.array([[0.5, 0.1], [0.0, 0.5]]).T + [0.1, 0.2]
+    np.testing.assert_array_equal(m.target, np.argmin(cdist(images, space.coords), axis=1))
+
+
+@pytest.mark.parametrize("block", [1, 7, 50, 1 << 18])
+def test_off_grid_snap_blocks_equal_the_full_table(monkeypatch, block):
+    # lattices given as point sets (not grids) put images exactly halfway
+    # between points: ties must still go to the lowest index in every block
+    monkeypatch.setattr(mp.ifs, "_BLOCK_ELEMS", block)
+    rng = np.random.default_rng(11)
+    lattice = mp.build_grid([0, 0], [1, 1], [8, 6]).coords
+    cases = [
+        (mp.FiniteMetricSpace.from_coords(lattice), np.diag([0.5, 0.5]), [0.0625, 0.0]),
+        (mp.FiniteMetricSpace.from_coords(rng.uniform(0, 1, (300, 3))), np.eye(3) / 3, [0.3] * 3),
+        (mp.FiniteMetricSpace.from_coords(rng.uniform(0, 1, (97, 1))), [[0.5]], [0.25]),
+    ]
+    for space, a, b in cases:
+        images = space.coords @ np.asarray(a).T + b
+        full = np.argmin(cdist(images, space.coords), axis=1)
+        np.testing.assert_array_equal(mp.snap_affine(space, a, b).target, full)
+    space, a, b = cases[0]
+    gaps = np.sort(cdist(space.coords @ a.T + b, space.coords), axis=1)
+    assert np.any(gaps[:, 0] == gaps[:, 1])  # the lattice case does have ties
+
+
 def test_discrete_lip_propagates_nan():
     # unvalidated infinite distances give inf / inf; never a silent 0
     inf = float("inf")

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -221,3 +222,85 @@ def test_density_file_space_consistency(tmp_path):
         mp.read_density_file(p, b)
     # same geometry is accepted
     assert mp.read_density_file(p, a) == mp.dirac(a, 0)
+
+
+def test_blank_lines_keep_the_file_line_number(tmp_path):
+    # the per-line parser counted point lines only and blamed line 3
+    p = tmp_path / "blank.density"
+    p.write_text("space 2\n\n\n0 0.0 0\n\n0 1.0 -1\n")
+    with pytest.raises(ValueError, match=r"blank\.density:6: duplicate point index 0$"):
+        mp.read_density_file(p)
+
+
+def test_a_line_without_its_coordinate_column_is_refused(tmp_path):
+    # point 1 used to be placed at coordinate 0.0
+    p = tmp_path / "short.density"
+    p.write_text("space 3\n0 5.0 0\n1 -1\n2 2.0 -2\n")
+    with pytest.raises(ValueError, match=r"short\.density:3: inconsistent coordinate columns$"):
+        mp.read_density_file(p)
+    # and a first line without coordinates is no exception
+    p.write_text("space 2\n0 0\n1 1.0 -1\n")
+    with pytest.raises(ValueError, match=r"short\.density:3: inconsistent coordinate columns$"):
+        mp.read_density_file(p)
+
+
+def test_a_bare_index_line_is_refused(tmp_path):
+    # the index token doubled as the value: `0` read as density 0
+    space = mp.build_grid([0.0], [1.0], [1])
+    p = tmp_path / "bare.density"
+    p.write_text("space 2\n0\n1 -1\n")
+    with pytest.raises(ValueError, match=r"bare\.density:2: bad density value$"):
+        mp.read_density_file(p, space)
+    p.write_text("space 2\n0 0\n1\n")
+    with pytest.raises(ValueError, match=r"bare\.density:3: bad density value$"):
+        mp.read_density_file(p, space)
+
+
+def test_density_errors_name_the_file_and_line(tmp_path):
+    p = tmp_path / "top.density"
+    p.write_text("space 3\n0 0.0 -1\n1 0.5 0.25\n2 1.0 0.5\n")
+    with pytest.raises(ValueError, match=r"top\.density:3: density entries must be <= 0$"):
+        mp.read_density_file(p)
+    p.write_text("space 2\n0 0.0 -1\n1 1.0 -inf\n")
+    with pytest.raises(
+        ValueError, match=r"top\.density: density maximum must be exactly 0; use normalize\(\)$"
+    ):
+        mp.read_density_file(p)
+    p.write_text("space 2\n0 0.0 0\n1 1.x -1\n")
+    with pytest.raises(ValueError, match=r"top\.density:3: bad coordinate '1\.x'$"):
+        mp.read_density_file(p)
+    p.write_text("space 2\n0 0.0 0\n99999999999999999999999 1.0 -1\n")
+    with pytest.raises(ValueError, match=r":3: point index 99999999999999999999999 out of range$"):
+        mp.read_density_file(p)
+
+
+def test_first_bad_line_wins_whatever_its_kind(tmp_path):
+    # each column is checked whole; the message is the first bad line's
+    p = tmp_path / "two.density"
+    body = ["0 0.0 0", "1 0.1 -1", "2 0.2 -2", "3 0.3 -3"]
+    cases = {
+        (1, "1 0.1 nan"): "bad density value",
+        (2, "x 0.2 -2"): "bad point index 'x'",
+        (3, "3 0.3 0.3 -3"): "inconsistent coordinate columns",
+        (2, "1 0.2 -2"): "duplicate point index 1",
+    }
+    for (k, line), message in cases.items():
+        for later in ("9 0.3 -3", "3 0.3 x", "3 0.3", "3 0.x -3"):
+            lines = body[:k] + [line] + body[k + 1 :]
+            if k < 3:
+                lines[3] = later
+            p.write_text("space 4\n" + "\n".join(lines) + "\n")
+            with pytest.raises(ValueError, match=rf"two\.density:{k + 2}: {re.escape(message)}$"):
+                mp.read_density_file(p)
+
+
+def test_writer_output_is_pinned_to_seventeen_digits(tmp_path):
+    g = mp.FiniteMetricSpace.from_coords([[0.1, -0.0], [1.0 / 3.0, 1e-300]])
+    p = tmp_path / "w.density"
+    mp.write_density_file(p, mp.IdempotentMeasure(g, [-0.0, -5e-324]))
+    assert p.read_text() == (
+        "space 2\n0 0.10000000000000001 -0 -0\n1 0.33333333333333331 1e-300 "
+        "-4.9406564584124654e-324\n"
+    )
+    mp.write_density_file(p, mp.IdempotentMeasure(g, [0.0, NEG]))
+    assert p.read_text().splitlines()[2].endswith(" -inf")

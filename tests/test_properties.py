@@ -1,0 +1,229 @@
+"""Property tests: the array code of the seeded stream and the density files
+against the one-point-at-a-time routes kept in `oracles.py`.
+
+Hypothesis runs derandomized with a bounded number of examples, so every
+run checks the same cases.
+"""
+
+import re
+
+import numpy as np
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
+
+import maxplus_ifs as mp
+from conftest import random_matrix_space
+from oracles import random_measure_scalar, read_density_file_lines, write_density_file_lines
+
+NEG = float("-inf")
+PROPERTY = settings(
+    derandomize=True,
+    max_examples=150,
+    deadline=None,
+    database=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow],
+)
+
+
+def _bits(a) -> bytes:
+    return np.ascontiguousarray(a, dtype=float).tobytes()
+
+
+# --- the seeded stream --------------------------------------------------------
+
+@st.composite
+def stream_cases(draw):
+    n = draw(st.integers(1, 40))
+    kind = draw(st.sampled_from(["all", "subset", "single", "repeats"]))
+    if kind == "all":
+        points = None
+    elif kind == "single":
+        points = [draw(st.integers(0, n - 1))]
+    elif kind == "subset":
+        points = sorted(draw(st.sets(st.integers(0, n - 1), min_size=1)))
+    else:  # any order, repeated indices
+        points = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=2 * n))
+    prob = draw(st.one_of(st.sampled_from([0.0, 1.0, 0.002, 0.5, 0.7]), st.floats(0.0, 1.0)))
+    depth = draw(st.sampled_from([3.0, 1.0, 0.25, 1e-3, 40.0, 2.5e7]))
+    seed = draw(st.integers(0, 2**64 - 1))
+    return n, points, prob, depth, seed, draw(st.integers(1, 4))
+
+
+@PROPERTY
+@given(stream_cases())
+def test_random_measure_equals_the_scalar_stream(case):
+    n, points, prob, depth, seed, calls = case
+    space = mp.FiniteMetricSpace.from_coords(np.arange(float(n)))
+    fast, slow = mp.Lcg64(seed), mp.Lcg64(seed)
+    for _ in range(calls):
+        got = mp.random_measure(space, fast, prob, depth, points=points)
+        want = random_measure_scalar(space, slow, prob, depth, points=points)
+        assert _bits(got.density) == _bits(want.density)
+        assert fast.state == slow.state
+
+
+# --- writer and reader round trip ---------------------------------------------------
+
+SPECIAL = [NEG, -0.0, -5e-324, -2.2250738585072014e-308, -1.7976931348623157e308, -1e-300]
+values = st.one_of(
+    st.sampled_from(SPECIAL),
+    st.floats(max_value=0.0, allow_nan=False, allow_infinity=False),
+    st.floats(-10.0, 0.0),
+)
+coordinates = st.one_of(
+    st.floats(-1e100, 1e100, allow_nan=False),
+    st.sampled_from([0.0, -0.0, 5e-324, 1.0 / 3.0, 0.1, -1e-300]),
+)
+
+
+@st.composite
+def measures(draw):
+    n = draw(st.integers(1, 12))
+    if draw(st.booleans()):
+        space = random_matrix_space(np.random.default_rng(draw(st.integers(0, 999))), n)
+    else:
+        dim = draw(st.integers(1, 3))
+        rows = draw(st.lists(st.tuples(*[coordinates] * dim), min_size=n, max_size=n))
+        try:
+            space = mp.FiniteMetricSpace.from_coords(np.array(rows, dtype=float))
+        except ValueError:  # coincident points or an overflowing span
+            assume(False)
+    dens = np.array(draw(st.lists(values, min_size=n, max_size=n)))
+    dens[draw(st.integers(0, n - 1))] = draw(st.sampled_from([0.0, -0.0]))
+    return mp.IdempotentMeasure(space, dens)
+
+
+@PROPERTY
+@given(measures())
+def test_written_file_reads_back_bit_for_bit(tmp_path, mu):
+    path, old = tmp_path / "mu.density", tmp_path / "old.density"
+    mp.write_density_file(path, mu)
+    write_density_file_lines(old, mu)
+    assert path.read_bytes() == old.read_bytes()
+    back = mp.read_density_file(path, None if mu.space.euclidean else mu.space)
+    assert _bits(back.density) == _bits(mu.density)
+    if mu.space.euclidean:
+        assert _bits(back.space.coords) == _bits(mu.space.coords)
+
+
+# --- the reader against the per-line parser ------------------------------------
+
+def _spell_value(draw, v):
+    v = float(v)
+    if v == NEG:
+        return draw(st.sampled_from(["-inf", "-Infinity", "-INF", "-1e999"]))
+    return draw(st.sampled_from([repr(v), "%.17g" % v, "%.20e" % v]))
+
+
+def _spell_index(draw, i):
+    return draw(st.sampled_from([str(i), "+%d" % i, "%03d" % i]))
+
+
+@st.composite
+def density_files(draw):
+    """Lines of a valid density file in varied spelling, and its point count."""
+    n = draw(st.integers(1, 9))
+    dim = draw(st.integers(0, 3))
+    order = draw(st.permutations(range(n)))
+    coords = np.arange(n * max(dim, 1), dtype=float).reshape(n, -1) / 7.0
+    dens = np.array(draw(st.lists(values, min_size=n, max_size=n)))
+    dens[draw(st.integers(0, n - 1))] = 0.0
+    lines = [draw(st.sampled_from(["space %d" % n, "space  %d " % n]))]
+    for i in order:
+        toks = [_spell_index(draw, i)]
+        toks += [repr(float(c)) for c in coords[i][:dim]]
+        toks.append(_spell_value(draw, dens[i]))
+        sep = draw(st.sampled_from([" ", "  ", "\t"]))
+        lines.append(draw(st.sampled_from(["", " "])) + sep.join(toks))
+    return lines, n, dim
+
+
+def _with_blank_lines(draw, lines):
+    out = [lines[0]]
+    for line in lines[1:]:
+        out += [""] * draw(st.integers(0, 2)) + [line]
+    return out
+
+
+def _read(reader, path, space):
+    try:
+        mu = reader(path, space)
+    except ValueError as exc:
+        return str(exc)
+    return _bits(mu.density), (None if mu.space.coords is None else _bits(mu.space.coords))
+
+
+def _space_for(n, dim):
+    return None if dim else mp.FiniteMetricSpace.from_coords(np.arange(float(n)))
+
+
+@PROPERTY
+@given(density_files(), st.data())
+def test_reader_equals_the_line_parser_on_valid_files(tmp_path, case, data):
+    lines, n, dim = case
+    if data.draw(st.booleans()):
+        lines = _with_blank_lines(data.draw, lines)
+    path = tmp_path / "ok.density"
+    path.write_text("\n".join(lines) + data.draw(st.sampled_from(["", "\n", "\n\n"])))
+    got = _read(mp.read_density_file, path, _space_for(n, dim))
+    assert not isinstance(got, str), got
+    assert got == _read(read_density_file_lines, path, _space_for(n, dim))
+
+
+# Defects the per-line parser shares with the production reader.  Lines that
+# drop every coordinate, bare index lines, bad coordinate tokens and positive
+# densities are left out: the oracle misreads or words them differently
+# (regressions in test_measures.py).
+LINE_MUTATIONS = (
+    "bad index", "out of range", "duplicate", "bad value", "extra column",
+    "drop one coordinate", "nan coordinate",
+)
+FILE_MUTATIONS = ("missing line", "extra line", "header")
+
+
+def _mutate(draw, lines, n, dim):
+    kind = draw(st.sampled_from(LINE_MUTATIONS * 4 + FILE_MUTATIONS))
+    k = draw(st.integers(1, len(lines) - 1))
+    toks = lines[k].split()
+    if kind == "bad index":
+        toks[0] = draw(st.sampled_from(["x", "1.5", "1e2", "nan", "0x1", "--1"]))
+    elif kind == "out of range":
+        toks[0] = draw(st.sampled_from([str(n), "-1", str(n + 7), "9" * 30]))
+    elif kind == "duplicate":
+        others = [j for j in range(1, len(lines)) if j != k and lines[j].split()]
+        toks[0] = lines[draw(st.sampled_from(others))].split()[0] if others else toks[0]
+    elif kind == "bad value":
+        toks[-1] = draw(st.sampled_from(["nan", "inf", "+inf", "1e999", "x", "-", "--1"]))
+    elif kind == "extra column" and dim >= 1:  # before the value, which stays last
+        toks.insert(draw(st.integers(1, len(toks) - 1)), "0.5")
+    elif kind == "drop one coordinate" and len(toks) >= 4:  # one coordinate stays
+        del toks[draw(st.integers(1, len(toks) - 2))]
+    elif kind == "nan coordinate" and len(toks) >= 3:
+        toks[draw(st.integers(1, len(toks) - 2))] = "nan"
+    elif kind == "missing line":
+        return lines[:k] + lines[k + 1 :]
+    elif kind == "extra line":
+        return lines[:k] + [lines[k]] + lines[k:]
+    elif kind == "header":
+        return [draw(st.sampled_from(["space", "space x", "spaces 3", "#", ""]))] + lines[1:]
+    return lines[:k] + [" ".join(toks)] + lines[k + 1 :]
+
+
+@settings(PROPERTY, max_examples=300)
+@given(density_files(), st.data())
+def test_reader_gives_the_line_parser_message_on_malformed_files(tmp_path, case, data):
+    lines, n, dim = case
+    for _ in range(data.draw(st.integers(1, 3))):
+        lines = _mutate(data.draw, lines, n, dim)
+    blank = data.draw(st.booleans())
+    if blank:
+        lines = _with_blank_lines(data.draw, lines)
+    path = tmp_path / "bad.density"
+    path.write_text("\n".join(lines) + "\n")
+    got = _read(mp.read_density_file, path, _space_for(n, dim))
+    want = _read(read_density_file_lines, path, _space_for(n, dim))
+    if blank and isinstance(want, str) and isinstance(got, str):
+        # the per-line parser counts point lines, not blank ones
+        got, want = (re.sub(r"^(.*?):\d+: ", r"\1: ", m) for m in (got, want))
+    assert got == want
+

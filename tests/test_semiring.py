@@ -1,16 +1,8 @@
 import numpy as np
 import pytest
 
-from maxplus_ifs.semiring import (
-    NEG_INF,
-    as_scalar,
-    big_oplus,
-    format_scalar,
-    is_bottom,
-    odot,
-    oplus,
-    parse_scalar,
-)
+from maxplus_ifs.semiring import NEG_INF, big_oplus, is_bottom, odot, oplus
+from oracles import as_scalar, format_scalar, parse_scalar
 
 
 def test_oplus_examples():
