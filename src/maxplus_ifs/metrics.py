@@ -2,16 +2,18 @@
 
 * the coupling (bottleneck) metric d1: the least threshold at which the
   pointwise-maximal coupling meets both marginals, in closed form as the
-  directed level-set value: nearest neighbours over level-ordered prefixes
-  split into dyadic runs of blocks, by one sort and `searchsorted` per run
-  on the line, by k-d trees on other Euclidean spaces (both O(n log^2 n))
-  and by row chunks of the support distance table elsewhere (O(|s1| |s2|)
-  time, O(256 |s|) memory);
+  directed level-set value, for a batch of pairs on one space: on the
+  line by binary lifting over range-maximum tables of the target levels
+  (O(m log m) per pair on the m points of the batch's supports), else by
+  nearest neighbours over level-ordered prefixes split into dyadic runs,
+  by k-d trees on Euclidean spaces (O(n log^2 n)) and by row chunks of the
+  support distance table otherwise (O(|s1| |s2|) time, O(256 |s|) memory);
 * the Lipschitz-dual pseudometrics d_a = sup {|mu(f) - nu(f)| : Lip f <= a},
   in closed form through cone test functions; one kernel returns d_a for
   an array of levels, by sorted cone envelopes on 1-D Euclidean spaces
   (O(levels * n) after one sort) and otherwise by blocks of the support
-  distance table holding all levels (O(levels * |s1| |s2|), bounded memory);
+  distance table holding all levels, each block read by both directions
+  (O(levels * |s1| |s2|), bounded memory);
 * two-sided weighted and harmonic series of the d_a, truncated in closed
   form with certified tails, one kernel call per series.
 
@@ -32,7 +34,10 @@ import numpy as np
 
 from .measures import IdempotentMeasure, TestFunction, pushforward
 from .semiring import NEG_INF
+from .spaces import _BLOCK_ELEMS as _TABLE_ELEMS
 from .spaces import ProductSpace, _euclidean_table
+
+Pair = tuple[IdempotentMeasure, IdempotentMeasure]
 
 _CHUNK_ROWS = 256  # rows per distance block of d1 and its feasibility test
 _BLOCK_ELEMS = 1 << 20  # level x row x column elements per dual-metric block
@@ -119,19 +124,11 @@ def coupling_feasible(mu1: IdempotentMeasure, mu2: IdempotentMeasure, t: float) 
 def _nearest(space, rows, cols, width=None) -> np.ndarray:
     """Per rows[i], the least distance to cols[:width[i]] (all of cols by default).
 
-    The one space-dependent step of d1.  For all of cols: on the line, cols
-    sorted once and each row's two sorted neighbours found by
-    `searchsorted` (rounding is monotone, so the nearer one is the least
-    |x - y| exactly); a k-d tree over cols on other Euclidean spaces.  Row
-    chunks of the distance table elsewhere and for the masked widths of a
-    partial block, through the spaces' Euclidean table on coordinates.
+    The one space-dependent step of d1 off the line: a k-d tree over cols
+    on Euclidean spaces, row chunks of the distance table elsewhere and for
+    the masked widths of a partial block, through the spaces' Euclidean
+    table on coordinates.
     """
-    if space.line and width is None:
-        y = np.sort(space.coords[cols, 0])
-        x = space.coords[rows, 0]
-        k = np.searchsorted(y, x)
-        below = np.abs(x - y[np.maximum(k - 1, 0)])
-        return np.minimum(below, np.abs(y[np.minimum(k, y.size - 1)] - x))
     if space.euclidean and width is None:
         from scipy.spatial import cKDTree
 
@@ -179,23 +176,93 @@ def _directed_d1(space, s_from, l_from, s_to, l_to) -> float:
     return float(best.max())
 
 
-def coupling_distance(mu1: IdempotentMeasure, mu2: IdempotentMeasure) -> float:
-    """Bottleneck coupling distance between two measures on one space.
+def _line_nearest(x, table, rows, pos, level) -> np.ndarray:
+    """Per source i, min |x[pos[i]] - x[j]| over j with table[0, rows[i], j] >= level[i].
+
+    x is sorted; table[0] holds target levels (-inf off a support), and
+    table[k] is overwritten with the maxima over windows of 2^k positions.
+    Each source lifts left and right past the windows below its level,
+    largest first (Bender and Farach-Colton, 2000); rounding is monotone, so
+    the nearer of its two nearest targets gives the least |x - y| exactly.
+    """
+    m = x.size
+    for k in range(1, table.shape[0]):
+        w = 1 << (k - 1)
+        table[k] = table[k - 1]
+        np.maximum(table[k, :, :-w], table[k - 1, :, w:], out=table[k, :, :-w])
+    flat = table.reshape(table.shape[0], -1)
+    base = rows * m
+    lo, hi = pos + 1, pos.copy()  # qualifying targets: below lo, at or above hi
+    for k in reversed(range(flat.shape[0])):
+        w = 1 << k
+        lo -= w * ((lo >= w) & (flat[k, base + np.maximum(lo - w, 0)] < level))
+        hi += w * ((hi < m) & (flat[k, base + np.minimum(hi, m - 1)] < level))
+    xs = x[pos]
+    left = np.where(lo > 0, xs - x[np.maximum(lo - 1, 0)], np.inf)
+    return np.minimum(left, np.where(hi < m, x[np.minimum(hi, m - 1)] - xs, np.inf))
+
+
+def _line_d1(space, pairs) -> np.ndarray:
+    """d1 of each pair on the line, over the union of the supports sorted once.
+
+    A pair is two table rows, mu1 and mu2, and each row's support is
+    searched against the other row.  Chunks of pairs fill one buffer of at
+    most 2^18 table entries (the spaces' row-block budget).
+    """
+    finite = np.zeros(space.n_points, dtype=bool)
+    for pair in pairs:
+        for mu in pair:
+            finite |= mu.density > NEG_INF
+    u = np.flatnonzero(finite)
+    u = u[np.argsort(space.coords[u, 0], kind="stable")]
+    x = space.coords[u, 0]
+    depth = u.size.bit_length()
+    step = min(len(pairs), max(1, _TABLE_ELEMS // (2 * depth * u.size)))
+    buf = np.empty(depth * 2 * step * u.size)
+    out = []
+    for lo in range(0, len(pairs), step):
+        chunk = [mu for pair in pairs[lo : lo + step] for mu in pair]
+        table = buf[: depth * len(chunk) * u.size].reshape(depth, len(chunk), u.size)
+        for row, mu in zip(table[0], chunk):
+            mu.density.take(u, out=row)
+        rows, pos = np.nonzero(table[0] > NEG_INF)
+        near = _line_nearest(x, table, rows ^ 1, pos, table[0, rows, pos])
+        starts = np.flatnonzero(np.diff(rows, prepend=-1))  # every row has support
+        out.append(np.maximum.reduceat(near, starts).reshape(-1, 2).max(axis=1))
+    return np.concatenate(out)
+
+
+def coupling_distances(pairs: Sequence[Pair]) -> list[float]:
+    """Bottleneck coupling distance d1 of each pair; all measures on one space.
 
     By coupling_feasible, the least threshold whose maximal coupling meets
     the marginals is the directed level-set value max(max_x min {d(x, y) :
     lambda2(y) >= lambda1(x)}, and the mirror term); it is a realized
     support-pair distance, so also the largest distance in the support of
-    the optimal maximal coupling.  Each term is a nearest-neighbour search
-    over level-ordered prefixes (_directed_d1): O(n log^2 n) on Euclidean
-    spaces, at most one pass over the support table elsewhere, memory
+    the optimal maximal coupling.  On the line the batch is one exact kernel
+    (_line_d1).  Elsewhere each term is a nearest-neighbour search over
+    level-ordered prefixes (_directed_d1): O(n log^2 n) on Euclidean spaces,
+    at most one pass over the support table elsewhere, memory
     O(chunk * |support|).
     """
-    _check_same_space(mu1, mu2)
-    s1, s2, l1, l2 = _supports(mu1, mu2)
-    return max(
-        _directed_d1(mu1.space, s1, l1, s2, l2), _directed_d1(mu1.space, s2, l2, s1, l1)
-    )
+    if not pairs:
+        return []
+    space = pairs[0][0].space
+    for mu1, mu2 in pairs:
+        if mu1.space is not space or mu2.space is not space:
+            raise ValueError("measures live on different spaces")
+    if space.line:
+        return _line_d1(space, pairs).tolist()
+    out = []
+    for mu1, mu2 in pairs:
+        s1, s2, l1, l2 = _supports(mu1, mu2)
+        out.append(max(_directed_d1(space, s1, l1, s2, l2), _directed_d1(space, s2, l2, s1, l1)))
+    return out
+
+
+def coupling_distance(mu1: IdempotentMeasure, mu2: IdempotentMeasure) -> float:
+    """Bottleneck coupling distance between two measures: a batch of one."""
+    return coupling_distances([(mu1, mu2)])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -223,31 +290,42 @@ def _envelope_rows(space, lam_from, lam_to, a):
     return u[np.argmax(lam_from[u] - inner, axis=1)]
 
 
-def _directed_deltas(space, lam_from, lam_to, levels) -> np.ndarray:
-    """max_x [lam_from(x) - max_y (lam_to(y) - a d(x, y))] for every level a.
+def _directed_deltas(space, lam1, lam2, levels) -> tuple[np.ndarray, np.ndarray]:
+    """(delta12, delta21) at every level a, delta12 = max_x [lam1(x) - max_y (lam2(y) - a d)].
 
-    Rows are evaluated by the dense formula's own arithmetic, in blocks of
-    the support distance table holding a chunk of levels.  Off the line all
-    rows are, so values are bit-identical to it; on 1-D Euclidean spaces
-    only the row the envelope ranks first, so a value is never above the
-    dense one and below it only where rows tie within the rounding of a * x.
+    delta21 is the mirror term, and d = d(x, y).  Rows are evaluated by the
+    dense formula's own arithmetic, in blocks of the support distance table
+    holding a chunk of levels.  Off the line each block d(rows of s1, s2)
+    is built once for both directions: delta12 reads its rows, delta21
+    keeps the running column maximum max_x (lam1(x) - a d(x, y)) across the
+    row blocks.  Every row is evaluated, so values are bit-identical to the
+    dense formula.  On 1-D Euclidean spaces each direction evaluates only
+    the row its envelope ranks first, so a value is never above the dense
+    one and below it only where rows tie within the rounding of a * x.
     """
-    s_from = np.flatnonzero(lam_from > NEG_INF)
-    s_to = np.flatnonzero(lam_to > NEG_INF)
-    out = np.full(levels.size, NEG_INF)
-    step = max(1, _BLOCK_ELEMS // (s_from.size + s_to.size))
+    s1 = np.flatnonzero(lam1 > NEG_INF)
+    s2 = np.flatnonzero(lam2 > NEG_INF)
+    d12 = np.full(levels.size, NEG_INF)
+    d21 = np.full(levels.size, NEG_INF)
+    step = max(1, _BLOCK_ELEMS // (s1.size + s2.size))
     for lo in range(0, levels.size, step):
         a = levels[lo : lo + step, None, None]
         if space.line:
-            blocks = [_envelope_rows(space, lam_from, lam_to, a[:, :, 0])[:, None]]
-        else:
-            r = max(1, _BLOCK_ELEMS // (a.size * s_to.size))
-            blocks = [s_from[None, i : i + r] for i in range(0, s_from.size, r)]
-        for rows in blocks:
-            d = space.distance_submatrix(rows.ravel(), s_to).reshape(rows.shape + (s_to.size,))
-            vals = np.max(lam_from[rows] - np.max(lam_to[s_to] - a * d, axis=2), axis=1)
-            out[lo : lo + step] = np.maximum(out[lo : lo + step], vals)
-    return out
+            for out, lf, lt, s_to in ((d12, lam1, lam2, s2), (d21, lam2, lam1, s1)):
+                rows = _envelope_rows(space, lf, lt, a[:, :, 0])
+                d = space.distance_submatrix(rows, s_to)[:, None, :]
+                out[lo : lo + step] = lf[rows] - np.max(lt[s_to] - a * d, axis=2)[:, 0]
+            continue
+        r = max(1, _BLOCK_ELEMS // (a.size * s2.size))
+        cols = np.full((a.shape[0], s2.size), NEG_INF)
+        for i in range(0, s1.size, r):
+            rows = s1[i : i + r]
+            ad = a * space.distance_submatrix(rows, s2)
+            vals = np.max(lam1[rows] - np.max(lam2[s2] - ad, axis=2), axis=1)
+            d12[lo : lo + step] = np.maximum(d12[lo : lo + step], vals)
+            np.maximum(cols, np.max(lam1[rows, None] - ad, axis=1), out=cols)
+        d21[lo : lo + step] = np.max(lam2[s2] - cols, axis=1)
+    return d12, d21
 
 
 def _dual_distances(mu1, mu2, levels) -> np.ndarray:
@@ -257,8 +335,7 @@ def _dual_distances(mu1, mu2, levels) -> np.ndarray:
     a d(x, y))] is a distance transform of lambda2 with cone slope a.
     """
     levels = np.asarray(levels, dtype=float)
-    d12 = _directed_deltas(mu1.space, mu1.density, mu2.density, levels)
-    d21 = _directed_deltas(mu1.space, mu2.density, mu1.density, levels)
+    d12, d21 = _directed_deltas(mu1.space, mu1.density, mu2.density, levels)
     return np.maximum(np.maximum(d12, d21), 0.0)
 
 
@@ -487,14 +564,19 @@ class ContractionReport:
 
 
 def empirical_contraction(
-    operator: Callable[[IdempotentMeasure], IdempotentMeasure],
-    metric: Callable[[IdempotentMeasure, IdempotentMeasure], SupportsFloat],
-    pairs: Sequence[tuple[IdempotentMeasure, IdempotentMeasure]],
+    metric: Callable[[list[Pair]], Sequence[SupportsFloat]],
+    pairs: Sequence[Pair],
+    images: Sequence[Pair],
     bound: Callable[[SupportsFloat], float],
 ) -> ContractionReport:
-    """Measured contraction of operator in metric over the pairs.
+    """Measured contraction of an operator over the pairs, given their images.
 
-    Each pair at nonzero distance m = metric(mu1, mu2) is used: its ratio
+    images[k] is (Op mu1, Op mu2) for pairs[k] = (mu1, mu2), taken once by
+    the caller so several checks can share them.  metric maps a list of
+    pairs to their distances and is called once, on the pairs followed by
+    the images, so a batched metric such as coupling_distances evaluates a
+    check in one call (the images of skipped pairs are measured, unused).
+    Each pair at nonzero distance m is used: its ratio
     is metric(Op mu1, Op mu2) / m and its excess is that numerator minus
     bound(m).  bound receives the metric's own return value, so a series
     check can bound factor * (value + tail_bound).  Pairs at distance 0 are
@@ -502,14 +584,16 @@ def empirical_contraction(
     """
     if not pairs:
         raise ValueError("need at least one measure pair")
+    if len(images) != len(pairs):
+        raise ValueError("need one image pair per measure pair")
+    values = metric([*pairs, *images])
     report = ContractionReport(0.0, -math.inf, None, 0, 0)
-    for k, (mu1, mu2) in enumerate(pairs):
-        den = metric(mu1, mu2)
+    for k, (den, num) in enumerate(zip(values[: len(pairs)], values[len(pairs) :])):
         if float(den) == 0.0:
             report.skipped += 1
             continue
         report.used += 1
-        num = float(metric(operator(mu1), operator(mu2)))
+        num = float(num)
         excess = num - bound(den)
         if excess > report.max_excess:
             report.max_excess, report.worst = excess, k

@@ -51,11 +51,24 @@ def random_measure(
 
     A candidate draws u, and if u < support_prob its value, uniform in
     [-depth, 0]; at least one point is forced finite, and normalize() pins
-    the maximum to an exact 0.  `points` restricts the candidate support.
+    the maximum to an exact 0.  `points` restricts the candidate support to
+    those point indices; an index that is not an integer in [0, n) is refused.
     """
-    candidates = np.arange(space.n_points) if points is None else np.asarray(points, int)
+    candidates = np.arange(space.n_points) if points is None else np.asarray(points)
     if candidates.size == 0:
         raise ValueError("random_measure needs at least one candidate point")
+    if candidates.dtype.kind not in "iu":
+        candidates = np.asarray(points, dtype=object)  # each entry keeps its own type
+        for p in candidates.ravel():
+            if isinstance(p, bool) or not isinstance(p, (int, np.integer)):
+                raise ValueError(f"random_measure: point index {p!r} is not an integer")
+    outside = np.asarray((candidates < 0) | (candidates >= space.n_points), dtype=bool)
+    if outside.any():
+        raise ValueError(
+            f"random_measure: point index {candidates[outside][0]} is out of range "
+            f"for a space of {space.n_points} points"
+        )
+    candidates = candidates.astype(np.intp, copy=False)
     pos = np.arange(2 * candidates.size)
     powers = np.multiply.accumulate(np.append(1, np.full(pos.size, _MULT)).astype(np.uint64))
     states = powers[1:] * np.uint64(rng.state) + np.uint64(_INC) * np.cumsum(powers[:-1])

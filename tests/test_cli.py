@@ -304,6 +304,19 @@ def test_verify_failure_names_the_worst_seeded_pair(tmp_path, capsys, monkeypatc
     )
 
 
+def test_verify_takes_each_markov_step_once(tmp_path, capsys, monkeypatch):
+    # the images of the sampled measures are computed once and shared by the
+    # d1 and dtilde checks: 2 Markov steps per pair, not 4
+    cfg = _write(tmp_path, "cantor.cfg", CANTOR_CFG.format(out=tmp_path / "c.density"))
+    steps = []
+    markov = mp.markov
+    monkeypatch.setattr("maxplus_ifs.cli.markov", lambda ifs, mu: steps.append(mu) or markov(ifs, mu))
+    assert main(["verify", str(cfg)]) == 0
+    text = capsys.readouterr().out
+    assert "check d1:" in text and "check dtilde(alpha=" in text and "(40 usable pairs)" in text
+    assert len(steps) == 2 * 40
+
+
 def test_verify_witnessed_ladder(tmp_path, capsys):
     # explicit geometric space; pull-down maps carry rational witnesses
     coords = (3.0 ** np.arange(6) - 1.0) / 2.0

@@ -5,7 +5,7 @@ import pytest
 from scipy.spatial.distance import cdist
 
 import maxplus_ifs as mp
-from maxplus_ifs.metrics import SeriesParams, _directed_deltas, _dual_distances, _nearest
+from maxplus_ifs.metrics import SeriesParams, _directed_deltas, _dual_distances, _line_nearest
 from conftest import (
     NEG,
     cantor_ifs,
@@ -200,22 +200,66 @@ def test_coupling_distance_equals_threshold_search(kind):
         assert s.n_points < 1000 or largest > 3 * 256
 
 
+def _line_kernel(space, rows, cols, width):
+    """_line_nearest with target cols[j] at level -j and source rows[i] at level 1 - width[i].
+
+    Source i qualifies exactly the targets cols[:width[i]]; each source has
+    its own table row.
+    """
+    u = np.union1d(rows, cols)
+    u = u[np.argsort(space.coords[u, 0])]
+    at = np.empty(space.n_points, dtype=int)
+    at[u] = np.arange(u.size)
+    table = np.full((u.size.bit_length(), rows.size, u.size), NEG)
+    table[0][:, at[cols]] = -np.arange(cols.size, dtype=float)
+    return _line_nearest(space.coords[u, 0], table, np.arange(rows.size), at[rows], 1.0 - width)
+
+
 def test_line_nearest_neighbours_equal_the_distance_table_minimum():
-    # sorted neighbours by searchsorted give the least |x - y| bit for bit,
-    # with rows inside and outside cols, at the ends and on tied gaps
+    # the range-maximum lift of the line d1 kernel gives each source the
+    # least distance to the targets at or above its level: bit for bit the
+    # masked distance table minimum, with rows inside and outside cols, at
+    # the ends, on tied gaps, and inf where no target qualifies (width 0)
     rng = np.random.default_rng(22)
     spaces = [mp.build_grid([0.0], [1.0], [300]), mp.build_grid([-3.0], [5.0], [7])]
     for scale in (1e-155, 1e-3, 1.0, 1e150):
         spaces.append(mp.FiniteMetricSpace.from_coords(rng.uniform(-scale, scale, 400)))
+    n_none = 0
     for s in spaces:
         for _ in range(20):
             cols = rng.choice(s.n_points, int(rng.integers(1, s.n_points)), replace=False)
             rows = rng.integers(0, s.n_points, int(rng.integers(1, 60)))
-            want = s.distance_submatrix(rows, cols).min(axis=1)
-            assert np.array_equal(_nearest(s, rows, cols), want)
-            width = rng.integers(1, cols.size + 1, rows.size)
-            masked = np.where(np.arange(cols.size) < width[:, None], s.distance_submatrix(rows, cols), np.inf)
-            assert np.array_equal(_nearest(s, rows, cols, width), masked.min(axis=1))
+            table = s.distance_submatrix(rows, cols)
+            for width in (np.full(rows.size, cols.size), rng.integers(0, cols.size + 1, rows.size)):
+                masked = np.where(np.arange(cols.size) < width[:, None], table, np.inf)
+                assert np.array_equal(_line_kernel(s, rows, cols, width), masked.min(axis=1))
+                n_none += np.sum(width == 0)
+    assert n_none > 0
+
+
+def test_line_d1_chunks_stay_inside_the_table_budget(monkeypatch):
+    # one chunk's table holds at most 2^18 entries: three pairs of ~4600-point
+    # supports on the 6562-point line run one pair per chunk, and other
+    # budgets, down to one pair per chunk, give the same values
+    import tracemalloc
+
+    rng = np.random.default_rng(29)
+    line = mp.build_grid([0.0], [1.0], [6561])
+
+    def measure():
+        levels = -rng.integers(0, 8, line.n_points).astype(float)
+        return mp.normalize(line, np.where(rng.random(line.n_points) < 0.7, levels, NEG))
+
+    pairs = [(measure(), measure()) for _ in range(3)]
+    tracemalloc.start()
+    got = mp.coupling_distances(pairs)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak < 3 << 20  # a 2 MB table plus the lifting arrays
+    assert got == [mp.coupling_distance(m1, m2) for m1, m2 in pairs]
+    for budget in (1, 40_000, 1 << 22):
+        monkeypatch.setattr(mp.metrics, "_TABLE_ELEMS", budget)
+        assert mp.coupling_distances(pairs) == got
 
 
 def test_coordinate_paths_make_no_distance_table_calls(monkeypatch):
@@ -453,12 +497,9 @@ def test_lipschitz_delta_matches_brute_max():
         l2[j] - max(l1[i] - a * d[i, j] for i in range(s1.size))
         for j in range(s2.size)
     )
-    assert _directed_deltas(s, m1.density, m2.density, np.array([a]))[0] == pytest.approx(
-        want, abs=1e-15
-    )
-    assert _directed_deltas(s, m2.density, m1.density, np.array([a]))[0] == pytest.approx(
-        want_rev, abs=1e-15
-    )
+    d12, d21 = _directed_deltas(s, m1.density, m2.density, np.array([a]))
+    assert d12[0] == pytest.approx(want, abs=1e-15)
+    assert d21[0] == pytest.approx(want_rev, abs=1e-15)
 
 
 # --- dual kernel against the per-level dense oracle -------------------------------
@@ -508,10 +549,7 @@ def test_line_kernel_matches_dense_oracle_within_stated_ulps():
     rng = np.random.default_rng(22)
     n_levels = n_exact = 0
     for x, m1, m2 in _line_cases(rng):
-        got = [
-            _directed_deltas(m1.space, lf.density, lt.density, EXTREME_LEVELS)
-            for lf, lt in ((m1, m2), (m2, m1))
-        ]
+        got = _directed_deltas(m1.space, m1.density, m2.density, EXTREME_LEVELS)
         both = np.union1d(m1.support(), m2.support())
         span = float(np.ptp(x[both]))
         lam = np.abs(np.concatenate([m1.density[m1.support()], m2.density[m2.support()]]))
@@ -532,12 +570,53 @@ def test_block_kernel_is_bit_identical_to_dense_oracle():
         for _ in range(3):
             m1 = np_random_measure(s, rng, p_finite=0.8)
             m2 = np_random_measure(s, rng, p_finite=0.8)
-            d12 = _directed_deltas(s, m1.density, m2.density, levels)
-            d21 = _directed_deltas(s, m2.density, m1.density, levels)
+            d12, d21 = _directed_deltas(s, m1.density, m2.density, levels)
             for k, a in enumerate(levels):
                 assert (d12[k], d21[k]) == dense_deltas(m1, m2, a)
             # the largest case spans several row blocks
             assert levels.size * m1.support().size * m2.support().size > (1 << 20) or n < 400
+
+
+def test_dual_kernel_makes_one_distance_pass_per_level_block(monkeypatch):
+    # off the line each block d(rows of s1, s2) serves both directions: per
+    # block of levels the calls cover s1 once, always against all of s2
+    rng = np.random.default_rng(27)
+    levels = np.concatenate([EXTREME_LEVELS, rng.uniform(0.1, 10.0, 20)])
+    calls = []
+    method = mp.FiniteMetricSpace.distance_submatrix
+
+    def counted(self, rows, cols):
+        calls.append((np.asarray(rows), np.asarray(cols)))
+        return method(self, rows, cols)
+
+    monkeypatch.setattr(mp.FiniteMetricSpace, "distance_submatrix", counted)
+    for s in (random_euclidean_space(rng, 60), random_matrix_space(rng, 40)):
+        m1 = np_random_measure(s, rng, p_finite=0.8)
+        m2 = np_random_measure(s, rng, p_finite=0.8)
+        s1, s2 = m1.support(), m2.support()
+        for block in (1 << 20, 1000, 64):
+            monkeypatch.setattr(mp.metrics, "_BLOCK_ELEMS", block)
+            calls.clear()
+            d12, d21 = _directed_deltas(s, m1.density, m2.density, levels)
+            n_level_blocks = -(-levels.size // max(1, block // (s1.size + s2.size)))
+            assert all(np.array_equal(cols, s2) for _, cols in calls)
+            assert np.array_equal(np.concatenate([rows for rows, _ in calls]), np.tile(s1, n_level_blocks))
+            assert len(calls) >= n_level_blocks and (block < 1 << 20 or len(calls) == 1)
+            monkeypatch.setattr(mp.metrics, "_BLOCK_ELEMS", 1 << 20)
+            for k, a in enumerate(levels):
+                assert (d12[k], d21[k]) == dense_deltas(m1, m2, a)
+
+
+def test_batched_d1_off_the_line_equals_each_pair_and_checks_its_space():
+    rng = np.random.default_rng(28)
+    plane, other = random_euclidean_space(rng, 30), random_matrix_space(rng, 8)
+    pairs = [(np_random_measure(plane, rng), np_random_measure(plane, rng)) for _ in range(5)]
+    assert mp.coupling_distances(pairs) == [threshold_d1(m1, m2) for m1, m2 in pairs]
+    assert mp.coupling_distances([]) == []
+    stranger = np_random_measure(other, rng)
+    for bad in ([(pairs[0][0], stranger)], [pairs[0], (stranger, stranger)]):
+        with pytest.raises(ValueError, match="different spaces"):
+            mp.coupling_distances(bad)
 
 
 def test_kernel_blocking_does_not_change_values(monkeypatch):
@@ -626,33 +705,27 @@ def test_empirical_contraction_identity_and_constant():
         (np_random_measure(s, rng), np_random_measure(s, rng)) for _ in range(10)
     ]
     dens = [mp.coupling_distance(m1, m2) for m1, m2 in pairs]
-    report = mp.empirical_contraction(lambda m: m, mp.coupling_distance, pairs, lambda t: t)
+    report = mp.empirical_contraction(mp.coupling_distances, pairs, pairs, lambda t: t)
     assert report.max_ratio == pytest.approx(1.0)
     assert report.max_excess == 0.0 and report.worst == 0 and report.passed
     # a bound below the identity's ratio fails at the pair of largest distance
-    report = mp.empirical_contraction(
-        lambda m: m, mp.coupling_distance, pairs, lambda t: 0.5 * t
-    )
+    report = mp.empirical_contraction(mp.coupling_distances, pairs, pairs, lambda t: 0.5 * t)
     assert report.worst == int(np.argmax(dens)) and not report.passed
     assert report.max_excess == 0.5 * max(dens)
     const = mp.dirac(s, 0)
     report = mp.empirical_contraction(
-        lambda m: const, mp.coupling_distance, pairs, lambda t: t
+        mp.coupling_distances, pairs, [(const, const)] * len(pairs), lambda t: t
     )
     assert report.max_ratio == 0.0
     assert report.worst == int(np.argmin(dens)) and report.max_excess == -min(dens)
     # a series metric hands its SeriesValue to the bound, which reads the tail
     params = SeriesParams(alpha=1 / 3, q=0.5, tol=1e-6)
     vals = [mp.series_distance(m1, m2, params) for m1, m2 in pairs]
-    series = lambda m1, m2: mp.series_distance(m1, m2, params)  # noqa: E731
-    report = mp.empirical_contraction(
-        lambda m: m, series, pairs, lambda v: v.value + v.tail_bound
-    )
+    series = lambda batch: [mp.series_distance(m1, m2, params) for m1, m2 in batch]  # noqa: E731
+    report = mp.empirical_contraction(series, pairs, pairs, lambda v: v.value + v.tail_bound)
     assert report.passed and report.used == 10
     assert report.max_excess == pytest.approx(-vals[0].tail_bound, rel=1e-6)
-    report = mp.empirical_contraction(
-        lambda m: m, series, pairs, lambda v: 0.5 * (v.value + v.tail_bound)
-    )
+    report = mp.empirical_contraction(series, pairs, pairs, lambda v: 0.5 * (v.value + v.tail_bound))
     assert report.worst == int(np.argmax([v.value for v in vals])) and not report.passed
 
 
@@ -661,13 +734,14 @@ def test_empirical_contraction_skips_degenerate_pairs():
     s = random_matrix_space(rng, 4)
     m = np_random_measure(s, rng)
     other = np_random_measure(s, rng)
-    report = mp.empirical_contraction(
-        lambda x: x, mp.coupling_distance, [(m, m), (m, other)], lambda t: t
-    )
+    pairs = [(m, m), (m, other)]
+    report = mp.empirical_contraction(mp.coupling_distances, pairs, pairs, lambda t: t)
     assert report.skipped == 1 and report.used == 1 and report.worst == 1
     # every pair at distance 0: an empty report, which does not pass
-    report = mp.empirical_contraction(lambda x: x, mp.coupling_distance, [(m, m)], lambda t: t)
+    report = mp.empirical_contraction(mp.coupling_distances, [(m, m)], [(m, m)], lambda t: t)
     assert report.used == 0 and not report.passed
     assert (report.max_ratio, report.max_excess, report.worst) == (0.0, -np.inf, None)
     with pytest.raises(ValueError):
-        mp.empirical_contraction(lambda x: x, mp.coupling_distance, [], lambda t: t)
+        mp.empirical_contraction(mp.coupling_distances, [], [], lambda t: t)
+    with pytest.raises(ValueError, match="one image pair per measure pair"):
+        mp.empirical_contraction(mp.coupling_distances, pairs, pairs[:1], lambda t: t)

@@ -1,5 +1,5 @@
-"""Property tests: the array code of the seeded stream and the density files
-against the one-point-at-a-time routes kept in `oracles.py`.
+"""Property tests: the array code of the seeded stream, the density files and
+the line d1 kernel against the slower routes kept in `oracles.py`.
 
 Hypothesis runs derandomized with a bounded number of examples, so every
 run checks the same cases.
@@ -13,7 +13,12 @@ from hypothesis import strategies as st
 
 import maxplus_ifs as mp
 from conftest import random_matrix_space
-from oracles import random_measure_scalar, read_density_file_lines, write_density_file_lines
+from oracles import (
+    random_measure_scalar,
+    read_density_file_lines,
+    threshold_d1,
+    write_density_file_lines,
+)
 
 NEG = float("-inf")
 PROPERTY = settings(
@@ -227,3 +232,56 @@ def test_reader_gives_the_line_parser_message_on_malformed_files(tmp_path, case,
         got, want = (re.sub(r"^(.*?):\d+: ", r"\1: ", m) for m in (got, want))
     assert got == want
 
+
+
+# --- the batched line d1 kernel -----------------------------------------------
+
+@st.composite
+def line_batches(draw):
+    """An unsorted 1-D space and a batch of measure pairs on it.
+
+    Coordinates are distinct integers times a scale (down to gaps of
+    1e-160, above the 1.6e-162 coincidence limit) or free floats; levels
+    are tied integers or continuous; a measure may be a single point.
+    """
+    n = draw(st.integers(1, 20))
+    if draw(st.booleans()):
+        ints = draw(st.lists(st.integers(-500, 500), min_size=n, max_size=n, unique=True))
+        scale = draw(st.sampled_from([1e-160, 3e-159, 3.0**-20, 1.0, 1e3]))
+        x = np.array(ints, dtype=float) * scale
+    else:
+        x = np.array(draw(st.lists(st.floats(-10.0, 10.0), min_size=n, max_size=n, unique=True)))
+    try:
+        space = mp.FiniteMetricSpace.from_coords(x)
+    except ValueError:  # points closer than the coincidence limit
+        assume(False)
+    tied = draw(st.booleans())
+
+    def measure():
+        if draw(st.integers(0, 4)) == 0:
+            return mp.dirac(space, draw(st.integers(0, n - 1)))
+        finite = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+        if tied:
+            vals = [-float(v) for v in draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))]
+        else:
+            vals = draw(st.lists(st.floats(-3.0, 0.0), min_size=n, max_size=n))
+        raw = np.where(finite, vals, NEG)
+        raw[draw(st.integers(0, n - 1))] = 0.0
+        return mp.normalize(space, raw)
+
+    return space, [(measure(), measure()) for _ in range(draw(st.integers(1, 6)))]
+
+
+@settings(PROPERTY, max_examples=200)
+@given(line_batches())
+def test_batched_line_d1_equals_the_threshold_search_and_each_pair_alone(case):
+    space, pairs = case
+    got = mp.coupling_distances(pairs)
+    x = space.coords[:, 0]
+    exact = mp.FiniteMetricSpace(matrix=np.abs(x[:, None] - x[None, :]), validate=False)
+    for (m1, m2), d in zip(pairs, got):
+        assert d == mp.coupling_distances([(m1, m2)])[0] == mp.coupling_distance(m1, m2)
+        assert d == threshold_d1(m1, m2)
+        # the same distances as a matrix go through the off-line route
+        c1, c2 = (mp.IdempotentMeasure(exact, m.density) for m in (m1, m2))
+        assert d == mp.coupling_distance(c1, c2)

@@ -39,3 +39,23 @@ def test_random_measure_needs_a_candidate():
     # an empty candidate list used to divide by zero inside randint
     with pytest.raises(ValueError, match="at least one candidate"):
         mp.random_measure(mp.build_grid([0.0], [1.0], [3]), mp.Lcg64(0), points=np.array([], int))
+
+
+@pytest.mark.parametrize(
+    "points, message",
+    [
+        ([-1], "point index -1 is out of range"),  # used to select the last point
+        ([4], "point index 4 is out of range"),  # used to raise a bare IndexError
+        ([0, 2, 7], "point index 7 is out of range"),
+        ([1.5], "point index 1.5 is not an integer"),  # used to be truncated to 1
+        ([0, 2.0], "point index 2.0 is not an integer"),
+        ([True], "point index True is not an integer"),
+    ],
+)
+def test_random_measure_refuses_bad_point_indices(points, message):
+    space = mp.build_grid([0.0], [1.0], [3])  # 4 points
+    rng = mp.Lcg64(0)
+    with pytest.raises(ValueError, match=message):
+        mp.random_measure(space, rng, points=points)
+    assert rng.state == mp.Lcg64(0).state  # refused before any draw
+    assert mp.random_measure(space, rng, points=[0, 3, np.int64(3)]).support().tolist() in ([0], [3], [0, 3])
