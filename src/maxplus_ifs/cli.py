@@ -241,22 +241,19 @@ def cmd_verify(args) -> int:
 # render
 # ---------------------------------------------------------------------------
 
-def _grid_layout(coords: np.ndarray):
-    """Map coordinate rows onto a dense 1-D or 2-D lattice, row-major."""
-    dim = coords.shape[1]
+def _grid_layout(space):
+    """Map a space's points onto a dense 1-D or 2-D lattice, row-major."""
+    n, dim = space.coords.shape
     if dim > 2:
         raise ConfigError(f"render supports 1-D and 2-D spaces, got {dim}-D")
     if dim == 1:
-        order = np.argsort(coords[:, 0], kind="stable")
-        return (1, coords.shape[0]), order[None, :]
-    ax0 = np.unique(coords[:, 0])
-    ax1 = np.unique(coords[:, 1])
-    if ax0.size * ax1.size != coords.shape[0]:
+        return (1, n), space.order[None, :]
+    ax0, i0 = np.unique(space.coords[:, 0], return_inverse=True)
+    ax1, i1 = np.unique(space.coords[:, 1], return_inverse=True)
+    if ax0.size * ax1.size != n:
         raise ConfigError("points do not form a full rectangular grid")
-    i0 = np.searchsorted(ax0, coords[:, 0])
-    i1 = np.searchsorted(ax1, coords[:, 1])
     layout = np.full((ax0.size, ax1.size), -1, dtype=int)
-    layout[i0, i1] = np.arange(coords.shape[0])  # distinct points fill every cell
+    layout[i0, i1] = np.arange(n)  # distinct points fill every cell
     return (ax0.size, ax1.size), layout
 
 
@@ -265,8 +262,7 @@ def cmd_render(args) -> int:
         raise ConfigError("--floor must be finite and negative (densities live in [-inf, 0])")
     with reported():
         mu = read_density_file(args.density_file)
-    coords = mu.space.coords
-    shape, layout = _grid_layout(coords)
+    shape, layout = _grid_layout(mu.space)
     vals = mu.density[layout]
     scaled = np.where(
         (vals == NEG_INF) | (vals <= args.floor),

@@ -22,6 +22,7 @@ from .spaces import _BLOCK_ELEMS, FiniteMetricSpace, _euclidean_table, product
 # float round-off headroom for certificate comparisons; genuine violations
 # on a finite space are at least a fraction of the minimal distance
 _CERT_SLACK = 1e-12
+_SNAP_TOL = 1e-9  # snap error, relative to max(1, diameter), that counts as exact
 
 
 class CertificateError(ValueError):
@@ -65,10 +66,10 @@ class ContractionMap:
 
     `discrete_lip` is max over pairs of dist(f(i), f(j)) / dist(i, j),
     computed here unless a trusted value is supplied: on 1-D Euclidean
-    spaces from neighbouring pairs after one sort (O(n log n); the triangle
+    spaces from neighbours in the space's point order (O(n); the triangle
     inequality makes it the all-pairs maximum), elsewhere from all pairs
     in one sweep over the space's row blocks (O(n^2)).  Witness
-    certificates are always checked on all pairs, in the same sweep: a
+    certificates are always checked on all pairs, in a second sweep: a
     concave witness does not add up along neighbours.
     `declared_lip` is an externally known constant (e.g. of the continuous
     map a snapped table approximates); it is reported, never used as a
@@ -103,8 +104,7 @@ class ContractionMap:
         if space.line:
             # on the line the steepest pair is a neighbouring one: a pair's
             # image distance is at most the sum over the neighbours between
-            x = space.coords[:, 0]
-            order = np.argsort(x, kind="stable")
+            x, order = space.coords[:, 0], space.order
             return float(np.max(np.abs(np.diff(x[self.target[order]])) / np.diff(x[order])))
         blocks = []
         for rows, d_in in space._row_blocks():
@@ -236,7 +236,7 @@ class MaxPlusIFS:
         out = vals.max(axis=0)
         return float(out[0]) if np.ndim(t) == 0 else out
 
-    def exactly_mapped_points(self, rel_tol: float = 1e-9) -> np.ndarray:
+    def exactly_mapped_points(self) -> np.ndarray:
         """Points whose snapped images carry no snapping error, for every map.
 
         Only meaningful for snapped maps; table-built maps count as exact
@@ -246,7 +246,7 @@ class MaxPlusIFS:
         mask = np.ones(self.space.n_points, dtype=bool)
         for m in self.maps:
             if m.snap_error is not None:
-                mask &= m.snap_error <= rel_tol * scale
+                mask &= m.snap_error <= _SNAP_TOL * scale
         return np.flatnonzero(mask)
 
 

@@ -10,8 +10,8 @@
   support distance table otherwise (O(|s1| |s2|) time, O(256 |s|) memory);
 * the Lipschitz-dual pseudometrics d_a = sup {|mu(f) - nu(f)| : Lip f <= a},
   in closed form through cone test functions; one kernel returns d_a for
-  an array of levels, by sorted cone envelopes on 1-D Euclidean spaces
-  (O(levels * n) after one sort) and otherwise by blocks of the support
+  an array of levels, by cone envelopes in the point order of 1-D
+  Euclidean spaces (O(levels * n)) and otherwise by blocks of the support
   distance table holding all levels, each block read by both directions
   (O(levels * |s1| |s2|), bounded memory);
 * two-sided weighted and harmonic series of the d_a, truncated in closed
@@ -40,7 +40,9 @@ from .spaces import ProductSpace, _euclidean_table
 Pair = tuple[IdempotentMeasure, IdempotentMeasure]
 
 _CHUNK_ROWS = 256  # rows per distance block of d1 and its feasibility test
-_BLOCK_ELEMS = 1 << 20  # level x row x column elements per dual-metric block
+# level x row x column elements per dual-kernel block, apart from the 2^18 table
+# budget: at 2^18 a series on two 6561-point 2-D files took 4.1 s, not 3.3-3.6 s
+_DUAL_ELEMS = 1 << 20
 _MAX_TERMS = 1_000_000  # series terms per side; more is refused
 
 
@@ -69,8 +71,10 @@ class Coupling:
         sup = self.measure.support()
         ps = self.measure.space
         il, ir = np.divmod(sup, ps.right.n_points)
-        d = ps.left.distance_submatrix(il, ir)
-        return float(np.max(np.diagonal(d))) if d.size else 0.0
+        # the diagonal of d(il, ir), read in blocks of 512 pairs
+        blocks = [slice(k, k + 512) for k in range(0, sup.size, 512)]
+        diag = [np.diagonal(ps.left.distance_submatrix(il[b], ir[b])).max() for b in blocks]
+        return float(max(diag)) if diag else 0.0
 
 
 def _check_same_space(mu1: IdempotentMeasure, mu2: IdempotentMeasure) -> None:
@@ -203,7 +207,7 @@ def _line_nearest(x, table, rows, pos, level) -> np.ndarray:
 
 
 def _line_d1(space, pairs) -> np.ndarray:
-    """d1 of each pair on the line, over the union of the supports sorted once.
+    """d1 of each pair on the line, over the union of the supports in point order.
 
     A pair is two table rows, mu1 and mu2, and each row's support is
     searched against the other row.  Chunks of pairs fill one buffer of at
@@ -213,8 +217,7 @@ def _line_d1(space, pairs) -> np.ndarray:
     for pair in pairs:
         for mu in pair:
             finite |= mu.density > NEG_INF
-    u = np.flatnonzero(finite)
-    u = u[np.argsort(space.coords[u, 0], kind="stable")]
+    u = space.order[finite[space.order]]
     x = space.coords[u, 0]
     depth = u.size.bit_length()
     step = min(len(pairs), max(1, _TABLE_ELEMS // (2 * depth * u.size)))
@@ -269,19 +272,15 @@ def coupling_distance(mu1: IdempotentMeasure, mu2: IdempotentMeasure) -> float:
 # Lipschitz-dual pseudometrics
 # ---------------------------------------------------------------------------
 
-def _envelope_rows(space, lam_from, lam_to, a):
-    """Per level a[k], the support row of lam_from ranked first by cone envelopes.
+def _envelope_rows(lam_from, lam_to, u, ax):
+    """Per level row of ax, the point of u ranked first by cone envelopes.
 
-    1-D Euclidean spaces only.  Over the merged supports sorted by
-    coordinate, max_y (lam_to(y) - a |x - y|) is the larger of the forward
-    pass maximum.accumulate(g + a x) - a x, its mirror, and the y = x term,
-    which enters exactly; O(levels * n) after one sort.
+    1-D Euclidean spaces only: u is the merged supports in point order and
+    ax[k] = a[k] * (x - x[0]).  max_y (lam_to(y) - a |x - y|) is the larger
+    of the forward pass maximum.accumulate(g + a x) - a x, its mirror, and
+    the y = x term, which enters exactly; O(levels * n).
     """
-    u = np.flatnonzero((lam_from > NEG_INF) | (lam_to > NEG_INF))
-    x = space.coords[u, 0]
-    order = np.argsort(x, kind="stable")
-    u, x = u[order], x[order] - x[order[0]]
-    g, ax = lam_to[u], a * x
+    g = lam_to[u]
     inner = np.broadcast_to(g, ax.shape).copy()
     fwd = np.maximum.accumulate(g[:-1] + ax[:, :-1], axis=1) - ax[:, 1:]
     bwd = np.maximum.accumulate((g - ax)[:, :0:-1], axis=1)[:, ::-1] + ax[:, :-1]
@@ -299,24 +298,28 @@ def _directed_deltas(space, lam1, lam2, levels) -> tuple[np.ndarray, np.ndarray]
     is built once for both directions: delta12 reads its rows, delta21
     keeps the running column maximum max_x (lam1(x) - a d(x, y)) across the
     row blocks.  Every row is evaluated, so values are bit-identical to the
-    dense formula.  On 1-D Euclidean spaces each direction evaluates only
-    the row its envelope ranks first, so a value is never above the dense
-    one and below it only where rows tie within the rounding of a * x.
+    dense formula.  On the line both directions share one frame and each
+    evaluates only the row its envelope ranks first: a value is never above
+    the dense one, below it only where rows tie within the rounding of a x.
     """
-    s1 = np.flatnonzero(lam1 > NEG_INF)
-    s2 = np.flatnonzero(lam2 > NEG_INF)
+    f1, f2 = lam1 > NEG_INF, lam2 > NEG_INF
+    s1, s2 = np.flatnonzero(f1), np.flatnonzero(f2)
     d12 = np.full(levels.size, NEG_INF)
     d21 = np.full(levels.size, NEG_INF)
-    step = max(1, _BLOCK_ELEMS // (s1.size + s2.size))
+    step = max(1, _DUAL_ELEMS // (s1.size + s2.size))
+    if space.line:
+        u = space.order[(f1 | f2)[space.order]]
+        x = space.coords[u, 0] - space.coords[u[0], 0]
     for lo in range(0, levels.size, step):
         a = levels[lo : lo + step, None, None]
         if space.line:
+            ax = a[:, :, 0] * x
             for out, lf, lt, s_to in ((d12, lam1, lam2, s2), (d21, lam2, lam1, s1)):
-                rows = _envelope_rows(space, lf, lt, a[:, :, 0])
+                rows = _envelope_rows(lf, lt, u, ax)
                 d = space.distance_submatrix(rows, s_to)[:, None, :]
                 out[lo : lo + step] = lf[rows] - np.max(lt[s_to] - a * d, axis=2)[:, 0]
             continue
-        r = max(1, _BLOCK_ELEMS // (a.size * s2.size))
+        r = max(1, _DUAL_ELEMS // (a.size * s2.size))
         cols = np.full((a.shape[0], s2.size), NEG_INF)
         for i in range(0, s1.size, r):
             rows = s1[i : i + r]

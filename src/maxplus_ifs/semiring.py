@@ -16,11 +16,6 @@ from typing import Iterable
 NEG_INF = float("-inf")
 
 
-def is_bottom(a: float) -> bool:
-    """True for the ⊕-neutral / ⊙-absorbing element -inf."""
-    return a == NEG_INF
-
-
 def oplus(a: float, b: float) -> float:
     """Semiring addition a ⊕ b = max(a, b); -inf is neutral."""
     return a if a >= b else b

@@ -13,10 +13,10 @@ A space implements one distance routine, `distance_submatrix(rows, cols)`;
 (Lipschitz constants, contraction certificates, the diameter) sweep its
 row blocks of at most 2^18 distances against all points.
 
-On the line (1-D Euclidean coordinates) distances are the exact |x - y|
-and coincident points are found after one sort, both in numpy; scipy
-(`cdist`, the k-d tree) is imported only when a space has two or more
-coordinate axes.
+On the line (1-D Euclidean coordinates) distances are the exact |x - y|,
+and the space sorts its points once, into the read-only `order` that the
+coincidence check and every 1-D route of `ifs`, `metrics` and `cli` read;
+scipy (`cdist`, the k-d tree) is imported only off the line.
 """
 
 from __future__ import annotations
@@ -44,6 +44,7 @@ class FiniteMetricSpace:
         self._matrix = None  # the explicit metric
         self._dense = None  # the full distance table, once distance_matrix() built it
         self.coords = None
+        self.order = None  # on the line: the stable argsort of the coordinate, read-only
         # the metric is the Euclidean distance of coords (not an explicit matrix)
         self.euclidean = matrix is None and n_points is None
         self.grid_lower = None
@@ -57,10 +58,13 @@ class FiniteMetricSpace:
                 raise ValueError("coords must be a nonempty (n, dim) array")
             if not np.all(np.isfinite(coords)):
                 raise ValueError("coordinates must be finite")
-            if self.euclidean and validate:
-                _validate_coords(coords)
             self.coords = coords
             self.coords.flags.writeable = False
+            if self.line:
+                self.order = np.argsort(coords[:, 0], kind="stable")
+                self.order.flags.writeable = False
+            if self.euclidean and validate:
+                _validate_coords(coords, self.order)
         if matrix is not None:
             matrix = np.asarray(matrix, dtype=float)
             if validate:
@@ -158,17 +162,16 @@ def _euclidean_table(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return cdist(a, b)
 
 
-def _coincident_pair(coords: np.ndarray) -> tuple[int, int] | None:
+def _coincident_pair(coords: np.ndarray, order) -> tuple[int, int] | None:
     """Least pair i < j whose computed squared distance is 0, or None.
 
-    On the line: after one stable sort a point has a twin iff a sorted
-    neighbour is one (rounding is monotone), so i is the least index next
-    to a zero gap and j its least other twin (every twin of i exceeds it),
-    as a radius-0 pair query reports.  Elsewhere that query, on a k-d tree.
+    On the line a point has a twin iff a neighbour in the point order is
+    one (rounding is monotone), so i is the least index next to a zero gap
+    and j its least other twin (every twin of i exceeds it), as a radius-0
+    pair query reports.  Off the line (order None) that query, by k-d tree.
     """
-    if coords.shape[1] == 1:
+    if order is not None:
         x = coords[:, 0]
-        order = np.argsort(x, kind="stable")
         gap = np.diff(x[order])
         zero = gap * gap == 0.0
         if not zero.any():
@@ -182,7 +185,7 @@ def _coincident_pair(coords: np.ndarray) -> tuple[int, int] | None:
     return min(map(tuple, pairs.tolist())) if pairs.size else None
 
 
-def _validate_coords(coords: np.ndarray) -> None:
+def _validate_coords(coords: np.ndarray, order) -> None:
     """Euclidean distances must be finite, and positive between distinct points.
 
     The squared span bounds every squared distance, so a finite one rules
@@ -196,7 +199,7 @@ def _validate_coords(coords: np.ndarray) -> None:
     shown = " x ".join(f"{s:.6g}" for s in span)
     if overflows:
         raise ValueError(f"coordinate span {shown} overflows when squared; rescale the points")
-    pair = _coincident_pair(coords)
+    pair = _coincident_pair(coords, order)
     if pair is not None:
         i, j = pair
         raise ValueError(
@@ -327,5 +330,10 @@ def hausdorff(set_a, set_b, space: FiniteMetricSpace) -> float:
     b = np.fromiter(set_b, dtype=int)
     if a.size == 0 or b.size == 0:
         raise ValueError("hausdorff distance needs nonempty sets")
-    d = space.distance_submatrix(a, b)
-    return float(max(d.min(axis=1).max(), d.min(axis=0).max()))
+    step = max(1, _BLOCK_ELEMS // b.size)  # row blocks of the sweep budget
+    row_min, col_min = [], np.full(b.size, np.inf)
+    for i in range(0, a.size, step):
+        d = space.distance_submatrix(a[i : i + step], b)
+        row_min.append(d.min(axis=1))
+        np.minimum(col_min, d.min(axis=0), out=col_min)
+    return float(max(np.concatenate(row_min).max(), col_min.max()))

@@ -399,6 +399,41 @@ def test_verify_certificate_failure_exit_code(tmp_path, capsys):
     assert main(["verify", str(cfg)]) == 3
 
 
+def test_verify_without_a_contraction_factor_exits_3(tmp_path, capsys):
+    # table maps carry no witness and no declared factor; an affine map of
+    # factor 1 declares one, but not below 1
+    for maps in ("map = table 0 0\nmap = table 1 1", "map = affine 1 0\nmap = affine 1 0"):
+        cfg = _write(tmp_path, "flat.cfg", TWO_POINT_CFG.format(out="unused").replace(
+            "map = table 0 0\nmap = table 1 1", maps
+        ))
+        assert main(["verify", str(cfg)]) == 3
+        out = capsys.readouterr().out.splitlines()
+        assert out[-1] == "error: maps carry neither witnesses nor contractive declared factors"
+
+
+def test_verify_with_one_exactly_mapped_point_exits_3(tmp_path, capsys):
+    # x -> x/2 + 1/4 on the grid 0, 1/2, 1 lands on a grid point only from 1/2
+    text = TWO_POINT_CFG.format(out="unused").replace("cells = 1", "cells = 2").replace(
+        "map = table 0 0\nmap = table 1 1\nweights = 0 -1", "map = affine 0.5 0.25\nweights = 0"
+    )
+    cfg = _write(tmp_path, "half.cfg", text)
+    assert main(["verify", str(cfg)]) == 3
+    out = capsys.readouterr().out.splitlines()
+    assert out[-1] == "error: fewer than 2 exactly-mapped points to sample from"
+
+
+def test_verify_skips_the_series_check_when_alpha_is_below_the_map_factor(tmp_path, capsys):
+    text = CANTOR_CFG.format(out="unused").replace("alpha = 0.3333333333333333", "alpha = 0.25")
+    cfg = _write(tmp_path, "cantor.cfg", text)
+    assert main(["verify", str(cfg)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[-2] == (
+        "check dtilde: skipped (needs map factor <= alpha < q; "
+        "factor 0.333333333333, alpha 0.25, q 0.5)"
+    )
+    assert out[-3].startswith("check d1:") and out[-1] == "verify: PASS"
+
+
 WITNESSED_PLANE_CFG = """
 [space]
 kind = grid

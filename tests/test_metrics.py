@@ -61,6 +61,29 @@ def test_feasibility_monotone_in_threshold():
         assert all(b or not a for a, b in zip(flags, flags[1:]))
 
 
+def test_max_support_distance_reads_the_diagonal_in_blocks():
+    # full support on a product of two 60-point spaces: a 3600 x 3600 table
+    # (104 MB) only for its diagonal; blocks of 512 pairs give the same value,
+    # also when the one far pair of a support lies in the last block
+    import tracemalloc
+
+    rng = np.random.default_rng(35)
+    for s in (random_euclidean_space(rng, 60), mp.build_grid([0.0], [1.0], [59])):
+        ps = mp.product(s, s)
+        il, ir = np.divmod(np.arange(ps.n_points), s.n_points)
+        late = np.where(np.abs(il - ir) <= 5, 0.0, NEG)  # 630 pairs near the diagonal
+        late[ps.pair_index(59, 0)] = -1.0
+        for eta in (mp.uniform(ps), mp.IdempotentMeasure(ps, late)):
+            coup = mp.Coupling(eta, mp.uniform(s), mp.uniform(s))
+            tracemalloc.start()
+            got = coup.max_support_distance()
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+            il, ir = np.divmod(eta.support(), s.n_points)
+            assert got == max(s.dist(i, j) for i, j in zip(il, ir)) > 0.0
+            assert peak < 5 << 20
+
+
 def test_coupling_class_checks_marginals():
     two = mp.build_grid([0], [1], [1])
     m1 = mp.IdempotentMeasure(two, [0.0, -1.0])
@@ -260,6 +283,25 @@ def test_line_d1_chunks_stay_inside_the_table_budget(monkeypatch):
     for budget in (1, 40_000, 1 << 22):
         monkeypatch.setattr(mp.metrics, "_TABLE_ELEMS", budget)
         assert mp.coupling_distances(pairs) == got
+
+
+def test_line_routes_read_the_space_order_and_never_sort(monkeypatch):
+    # the point order of a line is computed once, when the space is built;
+    # d1, d_a, both series and a map's discrete Lipschitz constant read it
+    rng = np.random.default_rng(36)
+    line = mp.FiniteMetricSpace.from_coords(rng.permutation(rng.uniform(-1.0, 1.0, 200)))
+    pairs = [(np_random_measure(line, rng), np_random_measure(line, rng)) for _ in range(3)]
+    target = rng.integers(0, line.n_points, line.n_points)
+    calls = []
+    argsort = np.argsort
+    monkeypatch.setattr(np, "argsort", lambda *a, **k: calls.append(a) or argsort(*a, **k))
+    m1, m2 = pairs[0]
+    mp.coupling_distances(pairs)
+    mp.lipschitz_distance(m1, m2, 0.5)
+    mp.series_distance(m1, m2, SeriesParams(alpha=1 / 3, q=0.5, tol=1e-6))
+    mp.harmonic_series_distance(m1, m2, 1e-6)
+    mp.ContractionMap(line, target)
+    assert calls == []
 
 
 def test_coordinate_paths_make_no_distance_table_calls(monkeypatch):
@@ -595,14 +637,14 @@ def test_dual_kernel_makes_one_distance_pass_per_level_block(monkeypatch):
         m2 = np_random_measure(s, rng, p_finite=0.8)
         s1, s2 = m1.support(), m2.support()
         for block in (1 << 20, 1000, 64):
-            monkeypatch.setattr(mp.metrics, "_BLOCK_ELEMS", block)
+            monkeypatch.setattr(mp.metrics, "_DUAL_ELEMS", block)
             calls.clear()
             d12, d21 = _directed_deltas(s, m1.density, m2.density, levels)
             n_level_blocks = -(-levels.size // max(1, block // (s1.size + s2.size)))
             assert all(np.array_equal(cols, s2) for _, cols in calls)
             assert np.array_equal(np.concatenate([rows for rows, _ in calls]), np.tile(s1, n_level_blocks))
             assert len(calls) >= n_level_blocks and (block < 1 << 20 or len(calls) == 1)
-            monkeypatch.setattr(mp.metrics, "_BLOCK_ELEMS", 1 << 20)
+            monkeypatch.setattr(mp.metrics, "_DUAL_ELEMS", 1 << 20)
             for k, a in enumerate(levels):
                 assert (d12[k], d21[k]) == dense_deltas(m1, m2, a)
 
@@ -627,7 +669,7 @@ def test_kernel_blocking_does_not_change_values(monkeypatch):
     for s in cases:
         m1, m2 = np_random_measure(s, rng), np_random_measure(s, rng)
         want = _dual_distances(m1, m2, levels)
-        monkeypatch.setattr(mp.metrics, "_BLOCK_ELEMS", 64)
+        monkeypatch.setattr(mp.metrics, "_DUAL_ELEMS", 64)
         got = _dual_distances(m1, m2, levels)
         monkeypatch.undo()
         np.testing.assert_array_equal(got, want)

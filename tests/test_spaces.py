@@ -288,3 +288,55 @@ def test_hausdorff_is_metric_on_subsets():
             assert (h[a, b] == 0.0) == (a == b)
             for c in subsets:
                 assert h[a, b] <= h[a, c] + h[c, b] + 1e-12
+
+
+def test_line_space_owns_its_stable_point_order():
+    # computed once when the space is built: the stable argsort of the
+    # coordinate (ties by index in unvalidated spaces), frozen, and None off
+    # the line
+    rng = np.random.default_rng(33)
+    x = rng.permutation(rng.uniform(-1.0, 1.0, 40))
+    tied = np.repeat(x[:10], 3)
+    for s in (
+        mp.build_grid([0.0], [1.0], [9]),
+        mp.FiniteMetricSpace.from_coords(x),
+        mp.FiniteMetricSpace(coords=tied, validate=False),
+    ):
+        np.testing.assert_array_equal(s.order, np.argsort(s.coords[:, 0], kind="stable"))
+        assert not s.order.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            s.order[0] = 0
+    line = mp.build_grid([0.0], [1.0], [4])
+    for s in (
+        mp.build_grid([0.0, 0.0], [1.0, 1.0], [3, 3]),
+        random_matrix_space(rng, 5),
+        mp.FiniteMetricSpace.from_matrix(line.distance_matrix(), coords=line.coords),
+        mp.product(line, line),
+    ):
+        assert s.order is None
+
+
+def test_hausdorff_reads_row_blocks_of_the_sweep_budget(monkeypatch):
+    # the full 2000 x 2000 table would take 32 MB; row blocks of at most 2^18
+    # distances with running column minima give the same value bit for bit
+    import tracemalloc
+
+    rng = np.random.default_rng(34)
+    line = mp.FiniteMetricSpace.from_coords(rng.uniform(0.0, 1.0, 4000))
+    a, b = rng.permutation(4000)[:2000], rng.permutation(4000)[:2000]
+    d = line.distance_submatrix(a, b)
+    want = float(max(d.min(axis=1).max(), d.min(axis=0).max()))
+    del d
+    tracemalloc.start()
+    got = mp.hausdorff(a, b, line)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert got == want and peak < 5 << 20  # a block and the next one being built
+    plane = random_euclidean_space(rng, 300)
+    sets = [rng.choice(300, size, replace=False) for size in (1, 7, 120, 300)]
+    for sa, sb in itertools.product(sets, repeat=2):
+        d = plane.distance_submatrix(sa, sb)
+        want = float(max(d.min(axis=1).max(), d.min(axis=0).max()))
+        for budget in (1, 1000, 1 << 18):
+            monkeypatch.setattr(mp.spaces, "_BLOCK_ELEMS", budget)
+            assert mp.hausdorff(sa, sb, plane) == want
