@@ -4,9 +4,12 @@
   pointwise-maximal coupling meets both marginals, in closed form as the
   directed level-set value, for a batch of pairs on one space: on the
   line by binary lifting over range-maximum tables of the target levels
-  (O(m log m) per pair on the m points of the batch's supports), else by
-  nearest neighbours over level-ordered prefixes split into dyadic runs,
-  by k-d trees on Euclidean spaces (O(n log^2 n)) and by row chunks of the
+  (O(m log m) per pair on the m points of the batch's supports), on 2-D
+  and 3-D Euclidean spaces by one ring search per direction over a
+  uniform grid of the targets, capped at _RING_WORK cell visits and
+  target reads per point, else (and for the sources left past that cap) by nearest
+  neighbours over level-ordered prefixes split into dyadic runs, by k-d
+  trees on Euclidean spaces (O(n log^2 n)) and by row chunks of the
   support distance table otherwise (O(|s1| |s2|) time, O(256 |s|) memory);
 * the Lipschitz-dual pseudometrics d_a = sup {|mu(f) - nu(f)| : Lip f <= a},
   in closed form through cone test functions; one kernel returns d_a for
@@ -20,7 +23,8 @@
 Slower exact routes (threshold search, subset enumeration, the dense
 per-level dual formula) are test oracles; sampled inf-convolution
 certificates validate the dual closed form.  scipy is imported only for
-the k-d tree off the line, so 1-D runs never load it.
+the k-d tree of the prefix route, so 1-D runs and ring-search d1 never
+load it.
 """
 
 from __future__ import annotations
@@ -40,6 +44,9 @@ from .spaces import ProductSpace, _euclidean_table
 Pair = tuple[IdempotentMeasure, IdempotentMeasure]
 
 _CHUNK_ROWS = 256  # rows per distance block of d1 and its feasibility test
+# cell visits plus targets read by the 2-D and 3-D d1 ring search, per point of both
+# supports, before the prefix route takes the sources left
+_RING_WORK = 32
 # level x row x column elements per dual-kernel block, apart from the 2^18 table
 # budget: at 2^18 a series on two 6561-point 2-D files took 4.1 s, not 3.3-3.6 s
 _DUAL_ELEMS = 1 << 20
@@ -180,6 +187,112 @@ def _directed_d1(space, s_from, l_from, s_to, l_to) -> float:
     return float(best.max())
 
 
+def _ring_offsets(dim: int, r: int) -> np.ndarray:
+    """The cell offsets at Chebyshev distance r, as dim rows of integers."""
+    cube = np.indices((2 * r + 1,) * dim).reshape(dim, -1) - r
+    return cube[:, np.abs(cube).max(axis=0) == r]
+
+
+def _ring_d1(space, s_from, l_from, s_to, l_to) -> float:
+    """_directed_d1 on Euclidean 2-D and 3-D spaces, by one ring search over a grid.
+
+    The targets go into a uniform grid of about 2 per cell (Bentley, Weide
+    and Yao, 1980), sorted by cell and then by level, descending, so the
+    first target of a cell gives its maximum.  Every source still
+    unresolved visits the next Chebyshev ring of cells around its own,
+    reads the targets at or above its level in the cells whose maximum
+    reaches it, and is resolved once its least squared distance is at most
+    the squared distance to the edge of the searched block, less a margin
+    for the rounding of the cell indices.  Squared distances are the
+    table's own arithmetic (the gaps squared and summed in axis order), so
+    the value is bit-equal.  When the next ring's cell visits, or the
+    targets it would read, take the work past _RING_WORK per point of both
+    supports, the sources left go through _directed_d1: crowded cells and
+    far targets cost no more than a bounded detour.
+    """
+    x = space.coords[s_from].T.copy()  # one contiguous row per axis
+    y = space.coords[s_to].T.copy()
+    dim = x.shape[0]
+    lo = np.minimum(x.min(axis=1), y.min(axis=1))
+    span = np.maximum(x.max(axis=1), y.max(axis=1)) - lo
+    # cell width h for about 2 targets per cell, over the axes at least h wide
+    wide, h = span > 0.0, 1.0
+    while wide.any():
+        h = math.exp((np.log(span[wide]).sum() - math.log(max(1.0, s_to.size / 2))) / wide.sum())
+        if np.all(span[wide] >= h):
+            break
+        wide &= span >= h
+    k = np.maximum(np.ceil(span / h), 1).astype(np.intp)  # cells per axis
+    stride = np.cumprod(np.concatenate(([1], k[:0:-1])))[::-1]
+    n_cells = int(k.prod())
+
+    def cells(p):
+        u = p - lo[:, None]
+        return u, np.minimum(np.floor(u / h), k[:, None] - 1).astype(np.intp)
+
+    levels, rank = np.unique(-l_to, return_inverse=True)  # rank 0: the highest level
+    key = stride @ cells(y)[1] * levels.size + rank
+    by = np.argsort(key, kind="stable")
+    y, rank = y[:, by], rank[by]
+    first = np.searchsorted(key[by], np.arange(n_cells + 1) * levels.size)
+    top = np.full(n_cells + 1, levels.size)  # rank of each cell's first target; the last
+    full = first[:-1] < first[1:]  # entry stands for every cell off the grid
+    top[:-1][full] = rank[first[:-1][full]]
+
+    u, c = cells(x)
+    # distance to the lower and upper edge of the own cell on each axis, and
+    # the rings after which that side of the block is the edge of the grid;
+    # the margin exceeds the rounding of u / h and of these sums, so a target
+    # outside the block has a gap of at least the edge on some axis, and as
+    # rounding is monotone its squared distance is at least reach * reach
+    margin = 2.0**-40 * (span + h)
+    side = np.concatenate([u - c * h, (c + 1) * h - u]) - np.tile(margin, 2)[:, None]
+    last = np.concatenate([c, k[:, None] - 1 - c])
+    need = np.searchsorted(levels, -l_from, side="right")  # target ranks below this qualify
+    home = stride @ c
+    best = np.full(s_from.size, np.inf)  # least squared distance found
+    active = np.arange(s_from.size)
+    budget, work, r = _RING_WORK * (s_from.size + s_to.size), 0, 0
+    while active.size:
+        ring = _ring_offsets(dim, r)
+        work += active.size * ring.shape[1]
+        if work > budget:
+            break
+        cell = home[active, None] + stride @ ring
+        for a in range(dim):
+            off = c[a, active, None] + ring[a]
+            cell[off.view(np.uintp) >= int(k[a])] = n_cells  # off the grid on axis a
+        src, pos = np.nonzero(top[cell] < need[active, None])
+        cell = cell[src, pos]
+        count = first[cell + 1] - first[cell]
+        work += int(count.sum())
+        if work > budget:
+            break
+        pos = np.repeat(first[cell] - np.cumsum(count) + count, count) + np.arange(count.sum())
+        src = np.repeat(active[src], count)
+        keep = rank[pos] < need[src]
+        src, pos = src[keep], pos[keep]
+        gap = x[0, src] - y[0, pos]
+        sq = gap * gap
+        for a in range(1, dim):
+            gap = x[a, src] - y[a, pos]
+            sq += gap * gap
+        if src.size:
+            seg = np.flatnonzero(np.diff(src, prepend=-1))
+            best[src[seg]] = np.minimum(best[src[seg]], np.minimum.reduceat(sq, seg))
+        edge = np.full(active.size, np.inf)
+        for to_edge, rings in zip(side, last):
+            np.minimum(edge, np.where(rings[active] > r, to_edge[active] + r * h, np.inf), out=edge)
+        reach = np.maximum(edge, 0.0)
+        active = active[best[active] > reach * reach]
+        r += 1
+    best[active] = 0.0  # the prefix route measures these
+    value = math.sqrt(best.max())
+    if active.size:
+        value = max(value, _directed_d1(space, s_from[active], l_from[active], s_to, l_to))
+    return value
+
+
 def _line_nearest(x, table, rows, pos, level) -> np.ndarray:
     """Per source i, min |x[pos[i]] - x[j]| over j with table[0, rows[i], j] >= level[i].
 
@@ -243,9 +356,11 @@ def coupling_distances(pairs: Sequence[Pair]) -> list[float]:
     lambda2(y) >= lambda1(x)}, and the mirror term); it is a realized
     support-pair distance, so also the largest distance in the support of
     the optimal maximal coupling.  On the line the batch is one exact kernel
-    (_line_d1).  Elsewhere each term is a nearest-neighbour search over
-    level-ordered prefixes (_directed_d1): O(n log^2 n) on Euclidean spaces,
-    at most one pass over the support table elsewhere, memory
+    (_line_d1).  On 2-D and 3-D Euclidean spaces each term is a ring search
+    over a grid of the targets (_ring_d1), numpy only.  Elsewhere, and for
+    the sources left past the ring budget, it is a nearest-neighbour search
+    over level-ordered prefixes (_directed_d1): O(n log^2 n) on Euclidean
+    spaces, at most one pass over the support table elsewhere, memory
     O(chunk * |support|).
     """
     if not pairs:
@@ -256,10 +371,11 @@ def coupling_distances(pairs: Sequence[Pair]) -> list[float]:
             raise ValueError("measures live on different spaces")
     if space.line:
         return _line_d1(space, pairs).tolist()
+    directed = _ring_d1 if space.euclidean and space.coords.shape[1] in (2, 3) else _directed_d1
     out = []
     for mu1, mu2 in pairs:
         s1, s2, l1, l2 = _supports(mu1, mu2)
-        out.append(max(_directed_d1(space, s1, l1, s2, l2), _directed_d1(space, s2, l2, s1, l1)))
+        out.append(max(directed(space, s1, l1, s2, l2), directed(space, s2, l2, s1, l1)))
     return out
 
 
@@ -277,13 +393,15 @@ def _envelope_rows(lam_from, lam_to, u, ax):
 
     1-D Euclidean spaces only: u is the merged supports in point order and
     ax[k] = a[k] * (x - x[0]).  max_y (lam_to(y) - a |x - y|) is the larger
-    of the forward pass maximum.accumulate(g + a x) - a x, its mirror, and
-    the y = x term, which enters exactly; O(levels * n).
+    of the forward pass fmax.accumulate(g + a x) - a x, its mirror, and
+    the y = x term, which enters exactly; O(levels * n).  Densities hold
+    -inf but never NaN, so the scans use fmax, which gives the same maxima
+    faster.
     """
     g = lam_to[u]
     inner = np.broadcast_to(g, ax.shape).copy()
-    fwd = np.maximum.accumulate(g[:-1] + ax[:, :-1], axis=1) - ax[:, 1:]
-    bwd = np.maximum.accumulate((g - ax)[:, :0:-1], axis=1)[:, ::-1] + ax[:, :-1]
+    fwd = np.fmax.accumulate(g[:-1] + ax[:, :-1], axis=1) - ax[:, 1:]
+    bwd = np.fmax.accumulate((g - ax)[:, :0:-1], axis=1)[:, ::-1] + ax[:, :-1]
     np.maximum(inner[:, 1:], fwd, out=inner[:, 1:])
     np.maximum(inner[:, :-1], bwd, out=inner[:, :-1])
     return u[np.argmax(lam_from[u] - inner, axis=1)]

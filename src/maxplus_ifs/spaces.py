@@ -15,8 +15,9 @@ row blocks of at most 2^18 distances against all points.
 
 On the line (1-D Euclidean coordinates) distances are the exact |x - y|,
 and the space sorts its points once, into the read-only `order` that the
-coincidence check and every 1-D route of `ifs`, `metrics` and `cli` read;
-scipy (`cdist`, the k-d tree) is imported only off the line.
+coincidence check and every 1-D route of `ifs`, `metrics` and `cli` read.
+The coincidence check is numpy in any dimension; scipy is imported only by
+`_euclidean_table` off the line, for `cdist`.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ class FiniteMetricSpace:
         self.grid_upper = None
         self.grid_cells = None
         if coords is not None:
-            coords = np.asarray(coords, dtype=float)
+            coords = np.array(coords, dtype=float)  # a copy: the caller's array stays writable
             if coords.ndim == 1:
                 coords = coords[:, None]
             if coords.ndim != 2 or coords.shape[0] < 1:
@@ -66,7 +67,7 @@ class FiniteMetricSpace:
             if self.euclidean and validate:
                 _validate_coords(coords, self.order)
         if matrix is not None:
-            matrix = np.asarray(matrix, dtype=float)
+            matrix = np.array(matrix, dtype=float)  # a copy, as for coords
             if validate:
                 _validate_metric(matrix)
             self._matrix = self._dense = matrix
@@ -165,24 +166,37 @@ def _euclidean_table(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _coincident_pair(coords: np.ndarray, order) -> tuple[int, int] | None:
     """Least pair i < j whose computed squared distance is 0, or None.
 
-    On the line a point has a twin iff a neighbour in the point order is
-    one (rounding is monotone), so i is the least index next to a zero gap
-    and j its least other twin (every twin of i exceeds it), as a radius-0
-    pair query reports.  Off the line (order None) that query, by k-d tree.
+    Such a pair has a zero squared gap on every axis, and rounding is
+    monotone, so every point sorted between them on an axis has zero
+    squared gaps to both there.  The pair thus shares a run of zero squared
+    gaps on axis 0, then, sorted inside that run, on axis 1, and so on;
+    a point left alone in a run has no twin.  Of the points left, the least
+    index with a twin in its final run is i (its twins all exceed it), and
+    j is its least twin.  On the line the point order sorts axis 0 and the
+    first point left has a twin.
     """
-    if order is not None:
-        x = coords[:, 0]
-        gap = np.diff(x[order])
-        zero = gap * gap == 0.0
-        if not zero.any():
+    idx = np.argsort(coords[:, 0], kind="stable") if order is None else order
+    run = np.zeros(idx.size, dtype=np.intp)
+    for k in range(coords.shape[1]):
+        if k:
+            by = np.lexsort((coords[idx, k], run))
+            idx, run = idx[by], run[by]
+        gap = np.diff(coords[idx, k])
+        join = (gap * gap == 0.0) & (run[1:] == run[:-1])
+        keep = np.zeros(idx.size, dtype=bool)
+        keep[1:] = join
+        keep[:-1] |= join
+        run = np.cumsum(np.concatenate(([0], ~join)))
+        idx, run = idx[keep], run[keep]
+        if not idx.size:
             return None
-        i = int(min(order[:-1][zero].min(), order[1:][zero].min()))
-        off = x - x[i]
-        return i, int(np.flatnonzero(off * off == 0.0)[1])
-    from scipy.spatial import cKDTree
-
-    pairs = cKDTree(coords).query_pairs(0.0, output_type="ndarray")
-    return min(map(tuple, pairs.tolist())) if pairs.size else None
+    for t in np.argsort(idx, kind="stable"):
+        members = idx[np.searchsorted(run, run[t]) : np.searchsorted(run, run[t], "right")]
+        off = coords[members] - coords[idx[t]]
+        twins = members[(off * off == 0.0).all(axis=1)]
+        if twins.size > 1:
+            return int(idx[t]), int(twins[twins != idx[t]].min())
+    return None
 
 
 def _validate_coords(coords: np.ndarray, order) -> None:

@@ -621,3 +621,25 @@ def test_line_runs_never_import_scipy(tmp_path):
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[-1] == str([False] * 5)
+
+
+def test_plane_reads_and_d1_never_import_scipy(tmp_path):
+    # off the line the coincidence check is numpy, and d1 on two 2-D files
+    # with the benchmark's integer levels resolves every source by the ring
+    # search, so neither loads scipy
+    rng = np.random.default_rng(40)
+    plane = mp.build_grid([0.0, 0.0], [1.0, 1.0], [40, 40])
+    files = []
+    for side in "ab":
+        levels = -rng.integers(0, 8, plane.n_points).astype(float)
+        files.append(tmp_path / f"{side}.density")
+        mu = mp.normalize(plane, np.where(rng.random(plane.n_points) < 0.7, levels, -np.inf))
+        mp.write_density_file(files[-1], mu)
+    src = str(Path(mp.__file__).resolve().parent.parent)
+    done = subprocess.run(
+        [sys.executable, "-c", SCIPY_PROBE, f"metric|{files[0]}|{files[1]}|d1"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, cwd=tmp_path,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == str([False] * 2)
+    assert float(done.stdout.splitlines()[0]) > 0.0

@@ -5,7 +5,13 @@ import pytest
 from scipy.spatial.distance import cdist
 
 import maxplus_ifs as mp
-from maxplus_ifs.metrics import SeriesParams, _directed_deltas, _dual_distances, _line_nearest
+from maxplus_ifs.metrics import (
+    SeriesParams,
+    _directed_d1,
+    _directed_deltas,
+    _dual_distances,
+    _line_nearest,
+)
 from conftest import (
     NEG,
     cantor_ifs,
@@ -221,6 +227,126 @@ def test_coupling_distance_equals_threshold_search(kind):
             assert mp.coupling_distance(c1, c2) == want
             largest = max(largest, m1.support().size)
         assert s.n_points < 1000 or largest > 3 * 256
+
+
+def _prefix_d1(m1, m2):
+    """d1 by the level-ordered prefix route alone: the ring search's finishing step."""
+    s1, s2 = m1.support(), m2.support()
+    l1, l2 = m1.density[s1], m2.density[s2]
+    space = m1.space
+    return max(_directed_d1(space, s1, l1, s2, l2), _directed_d1(space, s2, l2, s1, l1))
+
+
+def _ring_cases(space, rng):
+    """Integer and continuous levels, cones toward opposite corners and one
+    top point in rings around a corner, each pair in both orders."""
+    x = space.coords
+    lo, hi = x.min(axis=0), x.max(axis=0)
+    reach = np.linalg.norm(x - lo, axis=1) / np.linalg.norm(hi - lo)
+    rings = -1.0 - np.floor(12.0 * reach)
+    rings[np.argmin(reach)] = 0.0
+    keep = rng.random((4, space.n_points)) < 0.7
+    cases = {
+        "integer": [np.where(k, -rng.integers(0, 8, k.size).astype(float), NEG) for k in keep[:2]],
+        "continuous": [np.where(k, -rng.uniform(0.0, 3.0, k.size), NEG) for k in keep[2:]],
+        "cone": [-reach, -np.linalg.norm(x - hi, axis=1)],
+        "top": [rings, np.where(keep[0], -rng.integers(0, 8, space.n_points).astype(float), NEG)],
+    }
+    for name, (a, b) in cases.items():
+        m1, m2 = mp.normalize(space, a), mp.normalize(space, b)
+        yield name, m1, m2
+        yield name, m2, m1
+
+
+def test_ring_d1_equals_the_threshold_search_and_the_prefix_route():
+    # bit for bit, on 2-D and 3-D grids from 1e-150 to 1e150 and shifted off
+    # the origin, on a 2-D grid at 1e-160, where squared distances are
+    # subnormal, on random 3-D points, and on supports of 2 m^dim targets in
+    # [0, 1]^dim, where the cell width is 1 / m and every lattice point sits
+    # on cell edges
+    rng = np.random.default_rng(38)
+    spaces = [
+        mp.build_grid([-scale, 2 * scale], [scale, 3 * scale], [20, 20])
+        for scale in (1e-160, 1e-150, 1e-100, 1.0, 1e100, 1e150)
+    ]
+    spaces += [
+        mp.build_grid([0.0] * 3, [1e150] * 3, [8] * 3),
+        mp.build_grid([-1.0] * 3, [1.0] * 3, [8] * 3),
+        mp.FiniteMetricSpace.from_coords(rng.uniform(-1.0, 1.0, (600, 3)) * 1e-120),
+    ]
+    for space in spaces:
+        for name, m1, m2 in _ring_cases(space, rng):
+            want = threshold_d1(m1, m2)
+            assert mp.coupling_distance(m1, m2) == _prefix_d1(m1, m2) == want, name
+    for dim, cells, m in ((2, 20, 10), (3, 8, 4)):
+        space = mp.build_grid([0.0] * dim, [1.0] * dim, [cells] * dim)
+        for _ in range(3):
+            targets = rng.choice(space.n_points, 2 * m**dim, replace=False)
+            targets[:2] = 0, space.n_points - 1  # the box stays the unit box
+            lam = np.full(space.n_points, NEG)
+            lam[targets] = -rng.integers(0, 4, targets.size).astype(float)
+            m1 = mp.normalize(space, lam)
+            m2 = mp.normalize(space, np.floor(np_random_measure(space, rng, depth=4.0).density))
+            want = threshold_d1(m1, m2)
+            assert mp.coupling_distance(m1, m2) == mp.coupling_distance(m2, m1) == want
+            assert _prefix_d1(m1, m2) == want
+
+
+def test_ring_d1_equals_the_prefix_route_on_small_random_sets():
+    # stretched 2-D and 3-D point sets of up to 150 points, where few
+    # targets reach the top levels: sources near the edges of the grid stop
+    # at the edge of their block on one side and at the grid's on the other
+    rng = np.random.default_rng(41)
+    for trial in range(300):
+        dim = 2 + trial % 2
+        n = int(rng.integers(2, 150))
+        space = mp.FiniteMetricSpace.from_coords(
+            rng.uniform(0.0, 1.0, (n, dim)) * 10.0 ** rng.uniform(-2.0, 2.0, dim)
+        )
+        m1, m2 = (np_random_measure(space, rng, p_finite=rng.uniform(0.05, 1.0)) for _ in "ab")
+        if trial % 3 == 0:  # integer levels: ties at every level
+            m1, m2 = (mp.normalize(space, np.floor(m.density)) for m in (m1, m2))
+        assert mp.coupling_distance(m1, m2) == _prefix_d1(m1, m2), trial
+
+
+def test_ring_d1_hands_what_passes_its_budget_to_the_prefix_route(monkeypatch):
+    # on 6561 points of the plane the benchmark's integer levels and
+    # continuous levels resolve inside the ring budget; cones toward opposite
+    # corners, and one top point, would need hundreds to thousands of cell
+    # visits per point, so thousands of their sources go through the prefix
+    # route; the value is the prefix route's either way
+    rng = np.random.default_rng(39)
+    plane = mp.build_grid([0.0, 0.0], [1.0, 1.0], [80, 80])
+    handed = []
+
+    def spy(space, s_from, *args):
+        handed.append(s_from.size)
+        return _directed_d1(space, s_from, *args)
+
+    monkeypatch.setattr(mp.metrics, "_directed_d1", spy)
+
+    def sources_handed(m1, m2):
+        handed.clear()
+        assert mp.coupling_distance(m1, m2) == _prefix_d1(m1, m2)
+        return sum(handed)
+
+    for name, m1, m2 in _ring_cases(plane, rng):
+        if name in ("integer", "continuous"):
+            assert sources_handed(m1, m2) == 0, name
+        else:
+            assert sources_handed(m1, m2) > 3000, name
+    # 3000 points in one cell of the grid that 100 spread points span: every
+    # source there would read them all, so the search hands them over at once
+    crowd = mp.FiniteMetricSpace.from_coords(
+        np.concatenate([rng.uniform(0.0, 1e-3, (3000, 2)), rng.uniform(0.0, 1.0, (100, 2))])
+    )
+    m1, m2 = (mp.normalize(crowd, -rng.integers(0, 8, 3100).astype(float)) for _ in range(2))
+    assert sources_handed(m1, m2) == 2 * 3100
+    # without a budget the cones search out to the edges of the grid
+    monkeypatch.setattr(mp.metrics, "_RING_WORK", 10**9)
+    square = mp.build_grid([0.0, 0.0], [1.0, 1.0], [30, 30])
+    for name, m1, m2 in _ring_cases(square, rng):
+        assert sources_handed(m1, m2) == 0, name
 
 
 def _line_kernel(space, rows, cols, width):

@@ -1,5 +1,6 @@
-"""Property tests: the array code of the seeded stream, the density files and
-the line d1 kernel against the slower routes kept in `oracles.py`.
+"""Property tests: the array code of the seeded stream, the density files, the
+line d1 kernel and the off-line coincidence check against the slower routes
+kept in `oracles.py`.
 
 Hypothesis runs derandomized with a bounded number of examples, so every
 run checks the same cases.
@@ -8,12 +9,15 @@ run checks the same cases.
 import re
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import maxplus_ifs as mp
+from maxplus_ifs.spaces import _coincident_pair
 from conftest import random_matrix_space
 from oracles import (
+    coincident_pair_kdtree,
     random_measure_scalar,
     read_density_file_lines,
     threshold_d1,
@@ -285,3 +289,48 @@ def test_batched_line_d1_equals_the_threshold_search_and_each_pair_alone(case):
         # the same distances as a matrix go through the off-line route
         c1, c2 = (mp.IdempotentMeasure(exact, m.density) for m in (m1, m2))
         assert d == mp.coupling_distance(c1, c2)
+
+
+# --- the coincidence check off the line ---------------------------------------
+
+@st.composite
+def point_sets(draw):
+    """2-D and 3-D points with planted exact twins, offsets that underflow
+    when squared (gaps near 1e-170) on some axes, and a third point sorted
+    between an underflowing pair on axis 0 but apart on another axis.
+
+    Coordinates are small integers times a scale, where 1e-162 steps chain
+    into runs whose ends are apart, or free floats.
+    """
+    dim = draw(st.integers(2, 3))
+    n = draw(st.integers(1, 25))
+    if draw(st.booleans()):
+        scale = draw(st.sampled_from([1.0, 1e-150, 1e-162, 2e-162]))
+        ints = draw(st.lists(st.integers(-3, 3), min_size=n * dim, max_size=n * dim))
+        x = np.array(ints, dtype=float).reshape(n, dim) * scale
+    else:
+        flat = draw(st.lists(st.floats(-1e3, 1e3), min_size=n * dim, max_size=n * dim))
+        x = np.array(flat).reshape(n, dim)
+    tiny = st.sampled_from([0.0, -0.0, 1e-170, -3e-171, 1e-162, 1e-160])
+    for _ in range(draw(st.integers(0, 3))):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        x[j] = x[i] + np.array([draw(tiny) for _ in range(dim)])
+    if draw(st.booleans()):  # a, c coincide; b lies between them on axis 0 only
+        a = x[draw(st.integers(0, n - 1))]
+        b = a + np.array([5e-171, 1.0] + [0.0] * (dim - 2))
+        c = a + np.array([1e-170] + [0.0] * (dim - 1))
+        rows = list(x) + [b, c]
+        x = np.array([rows[k] for k in draw(st.permutations(range(len(rows))))])
+    return x
+
+
+@settings(PROPERTY, max_examples=300)
+@given(point_sets())
+def test_off_line_coincidence_check_equals_the_kdtree_pair_query(x):
+    want = coincident_pair_kdtree(x)
+    assert _coincident_pair(x, None) == want
+    if want is None:
+        assert mp.FiniteMetricSpace.from_coords(x).n_points == x.shape[0]
+    else:
+        with pytest.raises(ValueError, match=f"points {want[0]} and {want[1]} coincide"):
+            mp.FiniteMetricSpace.from_coords(x)

@@ -67,6 +67,12 @@ def test_from_coords_coincidence_is_computed_distance_zero():
     # the first index with a twin, and its first twin, as a pairwise scan reports
     with pytest.raises(ValueError, match="points 0 and 4 coincide"):
         mp.FiniteMetricSpace.from_coords([[5.0], [3.0], [3.0], [4.0], [5.0], [3.0]])
+    # off the line too: past a point sorted between the pair on axis 0 only,
+    # and in a chain of 1e-162 steps (which square to 0) whose ends are apart
+    with pytest.raises(ValueError, match="points 0 and 2 coincide"):
+        mp.FiniteMetricSpace.from_coords([[0.0, 0.0], [5e-171, 1.0], [1e-170, 0.0], [1e-170, 1.0]])
+    with pytest.raises(ValueError, match="points 0 and 2 coincide"):
+        mp.FiniteMetricSpace.from_coords([[0.0, 0.0], [0.0, 2e-162], [0.0, 1e-162]])
 
 
 def test_line_coincidence_names_the_pair_of_a_radius_zero_pair_query():
@@ -95,6 +101,39 @@ def test_line_coincidence_names_the_pair_of_a_radius_zero_pair_query():
             with pytest.raises(ValueError, match=f"points {want[0]} and {want[1]} coincide"):
                 mp.FiniteMetricSpace.from_coords(x)
     assert 100 < refused < 350
+
+
+def test_vertical_segment_validates_inside_the_table_budget():
+    # every point shares x0, so axis 0 is one run; sorting it on axis 1
+    # splits it, in O(n) memory rather than a table of the run
+    import tracemalloc
+
+    y = np.linspace(0.0, 1.0, 6561)
+    coords = np.stack([np.full_like(y, 0.5), y], axis=1)
+    tracemalloc.start()
+    space = mp.FiniteMetricSpace.from_coords(coords)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert space.n_points == 6561
+    assert peak < (1 << 18) * 8  # one 2^18-entry float table
+    twin = coords.copy()
+    twin[-1] = twin[-2]
+    with pytest.raises(ValueError, match="points 6559 and 6560 coincide"):
+        mp.FiniteMetricSpace.from_coords(twin)
+
+
+def test_construction_copies_the_callers_arrays():
+    # the space freezes its own copy; the caller can still write to theirs
+    c = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    m = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]])
+    coords_space = mp.FiniteMetricSpace.from_coords(c)
+    matrix_space = mp.FiniteMetricSpace.from_matrix(m)
+    c[0, 0] = 7.0
+    m[0, 2] = m[2, 0] = 1.5
+    assert coords_space.coords[0, 0] == 0.0 and coords_space.dist(0, 1) == 1.0
+    assert matrix_space.dist(0, 2) == 2.0
+    assert not coords_space.coords.flags.writeable
+    assert not matrix_space.distance_matrix().flags.writeable
 
 
 def test_line_distances_are_exact_gaps():

@@ -4,9 +4,11 @@
 method that is gone is skipped, but a module-level function that is gone
 makes ``Tracer.install`` raise, so every traced run would fail.
 
-scipy is imported inside the functions that need it (off the line), so
-start-up and 1-D runs never pay for it; a module-level import must not
-come back.
+scipy is imported inside the functions that need it, so start-up, 1-D
+runs, 2-D reads and ring-search ``d1`` never pay for it; a module-level
+import must not come back, and a lazy one may sit only in the two
+functions that use it: ``cdist`` in ``spaces._euclidean_table`` and the
+k-d tree in ``metrics._nearest``, the finishing step of off-line ``d1``.
 """
 
 import ast
@@ -47,15 +49,36 @@ def _import_time_imports(node):
         yield from _import_time_imports(child)
 
 
+def _scipy_sites(node, function=None):
+    """(enclosing function, imported module) of each scipy import under node."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Import):
+            names = [alias.name for alias in child.names]
+        elif isinstance(child, ast.ImportFrom) and child.level == 0:
+            names = [child.module]
+        else:
+            names = []
+        yield from ((function, name) for name in names if name.split(".")[0] == "scipy")
+        inner = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+        yield from _scipy_sites(child, child.name if inner else function)
+
+
 def test_no_module_imports_scipy_at_import_time():
     modules = sorted(PACKAGE.glob("*.py"))
     assert len(modules) > 5
+    sites = set()
     for path in modules:
         tree = ast.parse(path.read_text(), filename=str(path))
         names = [name.split(".")[0] for name in _import_time_imports(tree)]
         assert "scipy" not in names, path.name
+        sites |= {(path.stem, function) for function, _ in _scipy_sites(tree)}
+    # the lazy imports: cdist for the distance table, the k-d tree for the
+    # finishing step of off-line d1, and none on the read or ring path
+    assert sites == {("spaces", "_euclidean_table"), ("metrics", "_nearest")}
     # the walk does see an import nested in a class body or an if
     nested = ast.parse("if True:\n    class A:\n        from scipy import linalg\n")
     assert list(_import_time_imports(nested)) == ["scipy"]
     lazy = ast.parse("def f():\n    import scipy\n")
     assert list(_import_time_imports(lazy)) == []
+    method = ast.parse("class A:\n    def f(self):\n        if x:\n            import scipy.linalg\n")
+    assert list(_scipy_sites(method)) == [("f", "scipy.linalg")]
