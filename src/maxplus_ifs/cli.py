@@ -27,7 +27,7 @@ from .config import (
     run_params,
     verify_params,
 )
-from .ifs import CertificateError, attractor, iterate_fixed_point, markov
+from .ifs import CertificateError, attractor, iterate_fixed_point, markov_many
 from .measures import read_density_file, write_density_file
 from .metrics import (
     SeriesParams,
@@ -37,8 +37,9 @@ from .metrics import (
     harmonic_series_distance,
     lipschitz_distance,
     series_distance,
+    series_distances,
 )
-from .rng import Lcg64, random_measure
+from .rng import Lcg64, random_measures
 from .semiring import NEG_INF
 
 
@@ -186,17 +187,14 @@ def cmd_verify(args) -> int:
         with reported(f"{cfg.path}: [metric]"):
             params.n_terms(space.diameter())
 
-    rng = Lcg64(run.seed)
-    pairs = [
-        (
-            random_measure(space, rng, vp.support_prob, vp.depth, points=candidates),
-            random_measure(space, rng, vp.support_prob, vp.depth, points=candidates),
-        )
-        for _ in range(vp.pairs)
-    ]
+    measures = random_measures(
+        space, Lcg64(run.seed), 2 * vp.pairs, vp.support_prob, vp.depth, points=candidates
+    )
+    pairs = list(zip(measures[::2], measures[1::2]))
     print(f"pairs: {vp.pairs}, seed {run.seed}, mode {mode}")
 
-    images = [(markov(ifs, mu1), markov(ifs, mu2)) for mu1, mu2 in pairs]
+    steps = markov_many(ifs, measures)
+    images = list(zip(steps[::2], steps[1::2]))
     d1 = empirical_contraction(coupling_distances, pairs, images, d1_bound)
     print(
         f"check d1: max ratio {_fmt(d1.max_ratio)}, max excess over bound "
@@ -207,7 +205,7 @@ def cmd_verify(args) -> int:
     if run_series:
         factor = params.alpha / params.q
         series = empirical_contraction(
-            lambda batch: [series_distance(mu1, mu2, params) for mu1, mu2 in batch],
+            lambda batch: series_distances(batch, params),
             pairs,
             images,
             # certified: true numerator <= factor * (value + tail)

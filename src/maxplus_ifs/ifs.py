@@ -7,7 +7,10 @@ construction and violations abort with the worst pair.  Snapping a
 continuous affine contraction to a grid can and does break the discrete
 certificate (any non-constant map on a uniform grid moves some adjacent
 pair a full grid step), so snapped maps carry the continuous constant in
-`declared_lip` and per-point snap errors instead of a witness.
+`declared_lip` and per-point snap errors instead of a witness.  The Markov
+operator steps a list of measures at once (`markov_many`: one
+`maximum.at` scatter per map over their stacked densities); `markov` is a
+list of one.
 """
 
 from __future__ import annotations
@@ -16,7 +19,8 @@ from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
-from .measures import IdempotentMeasure, TestFunction, pushforward, weighted_oplus
+from .measures import IdempotentMeasure, TestFunction, pushforward
+from .semiring import NEG_INF
 from .spaces import _BLOCK_ELEMS, FiniteMetricSpace, _euclidean_table, product
 
 # float round-off headroom for certificate comparisons; genuine violations
@@ -250,17 +254,40 @@ class MaxPlusIFS:
         return np.flatnonzero(mask)
 
 
+def markov_many(ifs: MaxPlusIFS, measures) -> list[IdempotentMeasure]:
+    """markov of each measure, over their densities stacked into rows.
+
+    Per map, one maximum.at scatters every row's weighted density onto its
+    images in the running maximum: the values of weighted_oplus of the
+    pushforwards, bit for bit (a weight added to a fiber's maximum is the
+    maximum of the weighted fiber).  Rows go in chunks of at most
+    _BLOCK_ELEMS / 4 entries.
+    """
+    space = ifs.space
+    n = space.n_points
+    if any(mu.space is not space for mu in measures):
+        raise ValueError("measure lives on a different space")
+    out = []
+    step = max(1, _BLOCK_ELEMS // (4 * n))
+    for lo in range(0, len(measures), step):
+        dens = np.stack([mu.density for mu in measures[lo : lo + step]])
+        new = np.full(dens.shape, NEG_INF)
+        base = np.arange(0, dens.size, n)[:, None]
+        for w, m in zip(ifs.weights, ifs.maps):
+            np.maximum.at(new.reshape(-1), (base + m.target).reshape(-1), (dens + w).reshape(-1))
+        out.extend(IdempotentMeasure(space, row) for row in new)
+    return out
+
+
 def markov(ifs: MaxPlusIFS, mu: IdempotentMeasure) -> IdempotentMeasure:
     """Idempotent Markov step: ⊕_j q_j ⊙ (pushforward of mu along map j).
 
     Equivalently the density is lambda'(s) = max over j and x in the fiber
     of map j over s of q_j + lambda(x).  Normalization is preserved exactly
     (max weight 0 against max density 0); the measure constructor re-checks
-    it on every call.
+    it on every call.  A batch of one markov_many call.
     """
-    if mu.space is not ifs.space:
-        raise ValueError("measure lives on a different space")
-    return weighted_oplus(ifs.weights, [m(mu) for m in ifs.maps])
+    return markov_many(ifs, [mu])[0]
 
 
 def markov_dual(ifs: MaxPlusIFS, f: TestFunction) -> TestFunction:

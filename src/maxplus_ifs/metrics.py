@@ -13,15 +13,21 @@
   support distance table otherwise (O(|s1| |s2|) time, O(256 |s|) memory);
 * the Lipschitz-dual pseudometrics d_a = sup {|mu(f) - nu(f)| : Lip f <= a},
   in closed form through cone test functions; one kernel returns d_a for
-  an array of levels, by cone envelopes in the point order of 1-D
-  Euclidean spaces (O(levels * n)) and otherwise by blocks of the support
-  distance table holding all levels, each block read by both directions
-  (O(levels * |s1| |s2|), bounded memory);
+  a batch of pairs and an array of levels.  On the line every (pair,
+  direction, level) row runs cone envelopes on a frame of the pair's
+  merged supports in point order: all of them on middle levels, the
+  points near the top on flat levels, and the farthest sources with
+  their nearest targets on steep levels; frames of similar length share
+  padded blocks, and every value is bit-equal to the same arithmetic
+  over all merged points (O(levels * n) per pair at most).  Elsewhere,
+  pair by pair, blocks of the support distance table holding all levels
+  are read by both directions (O(levels * |s1| |s2|), bounded memory);
 * two-sided weighted and harmonic series of the d_a, truncated in closed
-  form with certified tails, one kernel call per series.
+  form with certified tails; series_distances takes a batch of pairs in
+  one kernel call.
 
 Slower exact routes (threshold search, subset enumeration, the dense
-per-level dual formula) are test oracles; sampled inf-convolution
+per-level dual formula, the per-pair line kernel) are test oracles; sampled inf-convolution
 certificates validate the dual closed form.  scipy is imported only for
 the k-d tree of the prefix route, so 1-D runs and ring-search d1 never
 load it.
@@ -50,6 +56,11 @@ _RING_WORK = 32
 # level x row x column elements per dual-kernel block, apart from the 2^18 table
 # budget: at 2^18 a series on two 6561-point 2-D files took 4.1 s, not 3.3-3.6 s
 _DUAL_ELEMS = 1 << 20
+# frame cells (rows x padded frame length) per block of the line dual kernel
+_LINE_CELLS = 1 << 15
+# relative and absolute slack of the line kernel's frame bounds, far above rounding
+_MARGIN = 2.0**-40
+_TINY = 2.0**-1000
 _MAX_TERMS = 1_000_000  # series terms per side; more is refused
 
 
@@ -87,6 +98,15 @@ class Coupling:
 def _check_same_space(mu1: IdempotentMeasure, mu2: IdempotentMeasure) -> None:
     if mu1.space is not mu2.space:
         raise ValueError("measures live on different spaces")
+
+
+def _batch_space(pairs: Sequence[Pair]):
+    """The one space of every measure in the pairs; ValueError otherwise."""
+    space = pairs[0][0].space
+    for mu1, mu2 in pairs:
+        if mu1.space is not space or mu2.space is not space:
+            raise ValueError("measures live on different spaces")
+    return space
 
 
 def _supports(mu1, mu2):
@@ -365,10 +385,7 @@ def coupling_distances(pairs: Sequence[Pair]) -> list[float]:
     """
     if not pairs:
         return []
-    space = pairs[0][0].space
-    for mu1, mu2 in pairs:
-        if mu1.space is not space or mu2.space is not space:
-            raise ValueError("measures live on different spaces")
+    space = _batch_space(pairs)
     if space.line:
         return _line_d1(space, pairs).tolist()
     directed = _ring_d1 if space.euclidean and space.coords.shape[1] in (2, 3) else _directed_d1
@@ -388,23 +405,189 @@ def coupling_distance(mu1: IdempotentMeasure, mu2: IdempotentMeasure) -> float:
 # Lipschitz-dual pseudometrics
 # ---------------------------------------------------------------------------
 
-def _envelope_rows(lam_from, lam_to, u, ax):
-    """Per level row of ax, the point of u ranked first by cone envelopes.
+def _line_frames(l1, l2, x, starts, pid, levels):
+    """The frames of the line kernel, and the frame each of its rows reads.
 
-    1-D Euclidean spaces only: u is the merged supports in point order and
-    ax[k] = a[k] * (x - x[0]).  max_y (lam_to(y) - a |x - y|) is the larger
-    of the forward pass fmax.accumulate(g + a x) - a x, its mirror, and
-    the y = x term, which enters exactly; O(levels * n).  Densities hold
-    -inf but never NaN, so the scans use fmax, which gives the same maxima
-    faster.
+    l1, l2 and x hold the merged supports of a chunk of pairs in point
+    order, pair after pair (x shifted by each pair's first point), starts
+    their offsets and pid their pair.  A (pair, level) is steep when
+    a gmin > 2 spread and flat when at most a quarter of the points reach
+    -a D (gmin the least gap, D the span, spread the depth of both
+    densities), with margins of 2^-40 relative and 2^-1000 absolute.
+    Every other level is middle.  Returns the frames as runs of elements (elements, first,
+    length) and the frame of each row, rows in (direction, pair, level)
+    order, direction 0 for delta12 and 1 for delta21.  Why each frame holds
+    the row's argmax source, the scan maximum at each of its sources and
+    the finishing maximum is in _line_deltas.
     """
-    g = lam_to[u]
-    inner = np.broadcast_to(g, ax.shape).copy()
-    fwd = np.fmax.accumulate(g[:-1] + ax[:, :-1], axis=1) - ax[:, 1:]
-    bwd = np.fmax.accumulate((g - ax)[:, :0:-1], axis=1)[:, ::-1] + ax[:, :-1]
-    np.maximum(inner[:, 1:], fwd, out=inner[:, 1:])
-    np.maximum(inner[:, :-1], bwd, out=inner[:, :-1])
-    return u[np.argmax(lam_from[u] - inner, axis=1)]
+    k, m = starts.size, np.diff(np.append(starts, x.size))
+    ends = starts + m
+    span = x[ends - 1]
+    both = np.stack([l1, l2])
+    spread = -np.minimum.reduceat(np.where(both > NEG_INF, both, 0.0), starts, axis=1).min(axis=0)
+    gap = np.append(np.diff(x), np.inf)
+    gap[ends - 1] = np.inf
+    gmin = np.where(m > 1, np.minimum.reduceat(gap, starts), 0.0)[:, None]
+    a, spread, span = levels[None, :], spread[:, None], span[:, None]
+    steep = a * gmin > 2.0 * spread + _MARGIN * (spread + a * span) + _TINY
+    reach = a * span * (1.0 + _MARGIN) + _TINY
+    # the (m // 4 + 1)-th largest of max(l1, l2), by a sort of padded rows
+    top = np.maximum(l1, l2)
+    table = np.full((k, m.max()), NEG_INF)
+    table[pid, np.arange(x.size) - starts[pid]] = top
+    table.sort(axis=1)
+    flat = ~steep & (reach < -table[np.arange(k), -1 - m // 4, None])
+    kind = np.where(steep, 2, np.where(flat, 1, 0))
+    flat_reach = np.max(np.where(flat, reach, -np.inf), axis=1)
+    masks = [
+        np.any(kind == 0, axis=1)[pid],
+        top >= -flat_reach[pid],
+    ]
+    has_steep = np.any(steep, axis=1)
+    idx = np.arange(x.size)
+    for l_from, l_to in ((l1, l2), (l2, l1)):
+        if not has_steep.any():
+            masks.append(np.zeros(x.size, dtype=bool))
+            continue
+        # the sources whose nearest target lies within gmin of the farthest,
+        # and the nearest target on each side of them
+        is_to = l_to > NEG_INF
+        left = np.maximum.accumulate(np.where(is_to, idx, -1))
+        right = np.minimum.accumulate(np.where(is_to, idx, x.size)[::-1])[::-1]
+        ok_left, ok_right = left >= starts[pid], right < ends[pid]
+        near = np.minimum(
+            np.where(ok_left, x - x[left], np.inf),
+            np.where(ok_right, x[np.minimum(right, x.size - 1)] - x, np.inf),
+        )
+        is_from = l_from > NEG_INF
+        far = np.maximum.reduceat(np.where(is_from, near, -np.inf), starts)
+        bound = np.where(has_steep, far - gmin[:, 0] - _MARGIN * span[:, 0], np.inf)
+        keep = is_from & (near > bound[pid])
+        frame = keep.copy()
+        frame[left[keep & ok_left]] = True
+        frame[right[keep & ok_right]] = True
+        masks.append(frame)
+    elements = np.concatenate([np.flatnonzero(mask) for mask in masks])
+    frame_of = np.concatenate([kind_id * k + pid[mask] for kind_id, mask in enumerate(masks)])
+    length = np.bincount(frame_of, minlength=4 * k)
+    first = np.cumsum(length) - length
+    row_frame = np.stack([kind, np.where(kind == 2, 3, kind)]) * k + np.arange(k)[:, None]
+    return elements, first, length, row_frame.reshape(-1)
+
+
+def _line_deltas(space, pairs, levels) -> np.ndarray:
+    """(delta12, delta21) of each pair at each level on the line: a (2, P, L) array.
+
+    Each (pair, direction, level) row runs the envelope arithmetic of the
+    dense formula's ranking on a frame of the pair's merged supports in
+    point order, shifted by the first point of those supports: a forward
+    fmax.accumulate(g + a x) - a x over the targets' levels g, its mirror,
+    and the y = x term give max_y (lam_to(y) - a |x - y|) at every source
+    x; the first argmax of lam_from(x) minus that is the row's source, and
+    the dense formula's own arithmetic over the frame's targets finishes
+    it.  The frame is all merged points on middle levels.  On flat levels
+    it is the points at or above -a D of the pair's largest flat level:
+    every other target stays below the top target's term at every point,
+    and every other source stays below 0, which the top source reaches.
+    On steep levels it is the sources whose nearest target lies within
+    gmin of the farthest source's, with the nearest target on each side:
+    a target beyond a nearer one on the same side is at least gmin
+    farther and at most spread higher, and a source outside is at least
+    gmin nearer its targets than the farthest source is, so its value is
+    lower by at least a gmin - 2 spread.  The margins cover every rounding
+    these bounds skip, so each row is bit-equal to the same arithmetic over
+    all merged points.  Frames of similar length share a block of at most
+    _LINE_CELLS cells, padded past their ends with -inf levels, and every
+    block works in one scratch buffer, grown only when a chunk of pairs
+    needs more: block temporaries never meet the allocator's thresholds.
+    """
+    n = space.n_points
+    out = np.empty((2, len(pairs), levels.size))
+    step = max(1, _TABLE_ELEMS // (2 * n))
+    buf = np.empty(2 * min(step, len(pairs)) * n)  # one buffer for every chunk
+    index, scratch = np.empty(0, dtype=np.intp), np.empty(0)
+    for lo in range(0, len(pairs), step):
+        chunk = [mu for pair in pairs[lo : lo + step] for mu in pair]
+        dens = buf[: len(chunk) * n].reshape(len(chunk), n)
+        for row, mu in zip(dens, chunk):
+            mu.density.take(space.order, out=row)
+        merged = np.flatnonzero((dens[0::2] > NEG_INF) | (dens[1::2] > NEG_INF))
+        pid, pos = np.divmod(merged, n)
+        starts = np.searchsorted(pid, np.arange(len(chunk) // 2))
+        size = pid.size
+        coord = space.coords[space.order[pos], 0]
+        shift = coord - coord[starts][pid]
+        l1 = dens.reshape(-1)[merged + pid * n]  # row 2 pid
+        l2 = dens.reshape(-1)[merged + pid * n + n]
+        elements, first, length, row_frame = _line_frames(l1, l2, shift, starts, pid, levels)
+        # rows: x, coordinate, l2, l1, l2, so rows 2 + d and 3 + d hold the
+        # target and source levels of direction d; a padding element past the
+        # end has -inf levels at 0
+        rows_of = (shift, coord, l2, l1, l2)
+        table = np.stack([np.append(v, NEG_INF if i > 1 else 0.0) for i, v in enumerate(rows_of)])
+        elements = np.append(elements, size)
+        # frames by length, and rows by frame, through sorted integer keys
+        by_len = np.sort(length * length.size + np.arange(length.size)) % length.size
+        rank = np.empty_like(by_len)
+        rank[by_len] = np.arange(by_len.size)
+        n_rows = row_frame.size
+        rows = np.sort(rank[row_frame] * n_rows + np.arange(n_rows)) % n_rows
+        row_rank = rank[row_frame[rows]]
+        row_len = length[row_frame[rows]]
+        blocks, r0 = [], 0
+        while r0 < n_rows:
+            r1 = min(n_rows, r0 + max(1, _LINE_CELLS // int(row_len[r0])))
+            while r1 - r0 > 1 and (r1 - r0) * int(row_len[r1 - 1]) > _LINE_CELLS:
+                r1 = r0 + max(1, _LINE_CELLS // int(row_len[r1 - 1]))
+            blocks.append((r0, r1))
+            r0 = r1
+        need = max((r1 - r0) * int(row_len[r1 - 1]) for r0, r1 in blocks)
+        if index.size < 2 * need:  # scratch that every block reuses
+            index, scratch = np.empty(2 * need, dtype=np.intp), np.empty(11 * need)
+        delta = np.empty(n_rows)  # in row order: (direction, pair, level)
+        for r0, r1 in blocks:
+            r = rows[r0:r1]
+            frames = by_len[row_rank[r0] : row_rank[r1 - 1] + 1]
+            local = row_rank[r0:r1] - row_rank[r0]
+            nf, cols, nr = frames.size, int(length[frames[-1]]), r.size
+            col = np.arange(cols)
+            at = index[: nf * cols].reshape(nf, cols)
+            np.add(first[frames, None], col, out=at)
+            at[col >= length[frames, None]] = elements.size - 1
+            out_at = index[need : need + nf * cols].reshape(nf, cols)
+            at = np.take(elements, at, out=out_at, mode="clip")
+            # the table's rows over each frame, then six row buffers
+            frame = scratch[: 5 * nf * cols].reshape(5, nf, cols)
+            np.take(table, at, axis=1, out=frame, mode="clip")
+            frame = frame.reshape(5 * nf, cols)
+            ax, g, lf, inner, s, t = (
+                scratch[k * need : k * need + nr * cols].reshape(nr, cols) for k in range(5, 11)
+            )
+            d, a = r // (starts.size * levels.size), levels[r % levels.size, None]
+            np.take(frame, local, axis=0, out=ax, mode="clip")
+            ax *= a
+            np.take(frame, (2 + d) * nf + local, axis=0, out=g, mode="clip")
+            np.take(frame, (3 + d) * nf + local, axis=0, out=lf, mode="clip")
+            np.copyto(inner, g)
+            np.add(g[:, :-1], ax[:, :-1], out=s[:, :-1])
+            np.fmax.accumulate(s[:, :-1], axis=1, out=t[:, :-1])
+            t[:, :-1] -= ax[:, 1:]
+            np.maximum(inner[:, 1:], t[:, :-1], out=inner[:, 1:])
+            np.subtract(g, ax, out=s)
+            np.fmax.accumulate(s[:, :0:-1], axis=1, out=t[:, :0:-1])
+            t[:, 1:] += ax[:, :-1]
+            np.maximum(inner[:, :-1], t[:, 1:], out=inner[:, :-1])
+            np.subtract(lf, inner, out=s)
+            best = np.argmax(s, axis=1)
+            row = np.arange(nr)
+            c = np.take(frame, nf + local, axis=0, out=ax, mode="clip")  # ax is spent
+            np.subtract(c[row, best][:, None], c, out=s)
+            np.abs(s, out=s)
+            s *= a
+            np.subtract(g, s, out=s)
+            delta[r] = lf[row, best] - s.max(axis=1)
+        out[:, lo : lo + step] = delta.reshape(2, starts.size, levels.size)
+    return out
 
 
 def _directed_deltas(space, lam1, lam2, levels) -> tuple[np.ndarray, np.ndarray]:
@@ -412,31 +595,18 @@ def _directed_deltas(space, lam1, lam2, levels) -> tuple[np.ndarray, np.ndarray]
 
     delta21 is the mirror term, and d = d(x, y).  Rows are evaluated by the
     dense formula's own arithmetic, in blocks of the support distance table
-    holding a chunk of levels.  Off the line each block d(rows of s1, s2)
-    is built once for both directions: delta12 reads its rows, delta21
-    keeps the running column maximum max_x (lam1(x) - a d(x, y)) across the
-    row blocks.  Every row is evaluated, so values are bit-identical to the
-    dense formula.  On the line both directions share one frame and each
-    evaluates only the row its envelope ranks first: a value is never above
-    the dense one, below it only where rows tie within the rounding of a x.
+    holding a chunk of levels.  Each block d(rows of s1, s2) is built once
+    for both directions: delta12 reads its rows, delta21 keeps the running
+    column maximum max_x (lam1(x) - a d(x, y)) across the row blocks.
+    Every row is evaluated, so values are bit-identical to the dense
+    formula.  The line takes _line_deltas instead.
     """
-    f1, f2 = lam1 > NEG_INF, lam2 > NEG_INF
-    s1, s2 = np.flatnonzero(f1), np.flatnonzero(f2)
+    s1, s2 = np.flatnonzero(lam1 > NEG_INF), np.flatnonzero(lam2 > NEG_INF)
     d12 = np.full(levels.size, NEG_INF)
     d21 = np.full(levels.size, NEG_INF)
     step = max(1, _DUAL_ELEMS // (s1.size + s2.size))
-    if space.line:
-        u = space.order[(f1 | f2)[space.order]]
-        x = space.coords[u, 0] - space.coords[u[0], 0]
     for lo in range(0, levels.size, step):
         a = levels[lo : lo + step, None, None]
-        if space.line:
-            ax = a[:, :, 0] * x
-            for out, lf, lt, s_to in ((d12, lam1, lam2, s2), (d21, lam2, lam1, s1)):
-                rows = _envelope_rows(lf, lt, u, ax)
-                d = space.distance_submatrix(rows, s_to)[:, None, :]
-                out[lo : lo + step] = lf[rows] - np.max(lt[s_to] - a * d, axis=2)[:, 0]
-            continue
         r = max(1, _DUAL_ELEMS // (a.size * s2.size))
         cols = np.full((a.shape[0], s2.size), NEG_INF)
         for i in range(0, s1.size, r):
@@ -449,14 +619,21 @@ def _directed_deltas(space, lam1, lam2, levels) -> tuple[np.ndarray, np.ndarray]
     return d12, d21
 
 
-def _dual_distances(mu1, mu2, levels) -> np.ndarray:
-    """d_a(mu1, mu2) = max(0, delta12, delta21) for every level a at once.
+def _dual_distances(pairs: Sequence[Pair], levels) -> np.ndarray:
+    """d_a = max(0, delta12, delta21) of each pair (rows) at each level a (columns).
 
     The inner maximum of delta12 = max_x [lambda1(x) - max_y (lambda2(y) -
-    a d(x, y))] is a distance transform of lambda2 with cone slope a.
+    a d(x, y))] is a distance transform of lambda2 with cone slope a.  On
+    the line the whole batch is one _line_deltas call; elsewhere each pair
+    goes through _directed_deltas.
     """
     levels = np.asarray(levels, dtype=float)
-    d12, d21 = _directed_deltas(mu1.space, mu1.density, mu2.density, levels)
+    space = _batch_space(pairs)
+    if space.line:
+        d12, d21 = _line_deltas(space, pairs, levels)
+    else:
+        deltas = [_directed_deltas(space, m1.density, m2.density, levels) for m1, m2 in pairs]
+        d12, d21 = np.array(deltas).transpose(1, 0, 2)
     return np.maximum(np.maximum(d12, d21), 0.0)
 
 
@@ -471,7 +648,7 @@ def lipschitz_distance(mu1: IdempotentMeasure, mu2: IdempotentMeasure, a: float)
     _check_same_space(mu1, mu2)
     if not 0 < a < math.inf:
         raise ValueError(f"Lipschitz bound a must lie in (0, inf), got {a!r}")
-    return float(_dual_distances(mu1, mu2, [a])[0])
+    return float(_dual_distances([(mu1, mu2)], [a])[0, 0])
 
 
 @dataclass
@@ -600,31 +777,39 @@ class SeriesValue:
         return self.value
 
 
-def series_distance(
-    mu1: IdempotentMeasure, mu2: IdempotentMeasure, params: SeriesParams
-) -> SeriesValue:
-    """Two-sided series sum_n (q^|n| / alpha^n) d_{alpha^n}(mu1, mu2).
+def series_distances(pairs: Sequence[Pair], params: SeriesParams) -> list[SeriesValue]:
+    """Two-sided series sum_n (q^|n| / alpha^n) d_{alpha^n}(mu1, mu2) of each pair.
 
-    Each term is bounded by q^|n| * diam (the dual distance at level a is
-    at most a * diam), so truncating at N = params.n_terms(diam) certifies
-    the tail 2 * diam * q^(N+1) / (1 - q) <= tol.  The partial sum is a
-    lower estimate; the true value lies within [value, value + tail_bound].
-    All 2N+1 levels come from one kernel call; terms are accumulated in
-    ascending |n| for determinism.
+    All measures live on one space.  Each term is bounded by q^|n| * diam
+    (the dual distance at level a is at most a * diam), so truncating at
+    N = params.n_terms(diam) certifies the tail 2 * diam * q^(N+1) / (1 - q)
+    <= tol.  The partial sum is a lower estimate; the true value lies
+    within [value, value + tail_bound].  All 2N+1 levels of every pair come
+    from one _dual_distances call; terms are accumulated in ascending |n|
+    for determinism.
     """
-    _check_same_space(mu1, mu2)
-    diam = mu1.space.diameter()
+    if not pairs:
+        return []
+    space = _batch_space(pairs)
+    diam = space.diameter()
     if diam == 0.0:
-        return SeriesValue(0.0, 0.0, 0)
+        return [SeriesValue(0.0, 0.0, 0) for _ in pairs]
     q, alpha = params.q, params.alpha
     n_terms = params.n_terms(diam)
     tail = 2.0 * diam * q ** (n_terms + 1) / (1.0 - q)
     order = [0] + [n for k in range(1, n_terms + 1) for n in (-k, k)]
     levels = [alpha**n for n in order]
-    total = 0.0
-    for n, a, da in zip(order, levels, _dual_distances(mu1, mu2, levels).tolist()):
+    total = np.zeros(len(pairs))
+    for n, a, da in zip(order, levels, _dual_distances(pairs, levels).T):
         total += (q ** abs(n) / a) * da
-    return SeriesValue(total, tail, n_terms)
+    return [SeriesValue(value, tail, n_terms) for value in total.tolist()]
+
+
+def series_distance(
+    mu1: IdempotentMeasure, mu2: IdempotentMeasure, params: SeriesParams
+) -> SeriesValue:
+    """The two-sided series of one pair: a batch of one series_distances call."""
+    return series_distances([(mu1, mu2)], params)[0]
 
 
 def harmonic_series_distance(
@@ -652,7 +837,7 @@ def harmonic_series_distance(
         )
     levels = np.arange(1, n_terms + 1, dtype=float)
     total = 0.0
-    for n, da in zip(range(1, n_terms + 1), _dual_distances(mu1, mu2, levels).tolist()):
+    for n, da in zip(range(1, n_terms + 1), _dual_distances([(mu1, mu2)], levels)[0].tolist()):
         total += da / (n * 2.0**n)
     return SeriesValue(total, diam * 2.0 ** (-n_terms), n_terms)
 

@@ -2,23 +2,25 @@
 
 A fixed 64-bit linear congruential generator (Knuth's MMIX constants) keeps
 verify reports byte-identical across platforms and numpy versions; the
-top 53 bits of each state feed the uniform floats.  `random_measure` reads
-its draws off one block of states, s_k = A^k s + C (1 + A + ... + A^(k-1))
+top 53 bits of each state feed the uniform floats.  `random_measures` reads
+its draws off blocks of states, s_k = A^k s + C (1 + A + ... + A^(k-1))
 mod 2^64 (Brown's jump-ahead, 1994), so it gives the numbers and the end
-state of one scalar `uniform` call per draw.
+state of one scalar `uniform` call per draw; `random_measure` is a batch
+of one.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .measures import IdempotentMeasure, normalize
+from .measures import IdempotentMeasure
 from .semiring import NEG_INF
 from .spaces import FiniteMetricSpace
 
 _MULT = 6364136223846793005
 _INC = 1442695040888963407
 _MASK = (1 << 64) - 1
+_BLOCK_DRAWS = 1 << 16  # states per block of random_measures
 
 
 class Lcg64:
@@ -40,19 +42,21 @@ class Lcg64:
         return int(self.next_u64() >> 11) % n
 
 
-def random_measure(
+def random_measures(
     space: FiniteMetricSpace,
     rng: Lcg64,
+    count: int,
     support_prob: float = 0.7,
     depth: float = 3.0,
     points=None,
-) -> IdempotentMeasure:
-    """Random density: each candidate point finite with the given probability.
+) -> list[IdempotentMeasure]:
+    """`count` random_measure calls in a row, drawn from blocks of the stream.
 
-    A candidate draws u, and if u < support_prob its value, uniform in
-    [-depth, 0]; at least one point is forced finite, and normalize() pins
-    the maximum to an exact 0.  `points` restricts the candidate support to
-    those point indices; an index that is not an integer in [0, n) is refused.
+    A block holds the 2 draws per candidate that each of its measures may
+    use, at most _BLOCK_DRAWS states (one measure at least).  Its tests are
+    read off as in one long random_measure call; at the first measure
+    without a hit the block stops, that measure takes its randint/uniform
+    fallback from the stream, and the next block starts after it.
     """
     candidates = np.arange(space.n_points) if points is None else np.asarray(points)
     if candidates.size == 0:
@@ -69,19 +73,56 @@ def random_measure(
             f"for a space of {space.n_points} points"
         )
     candidates = candidates.astype(np.intp, copy=False)
-    pos = np.arange(2 * candidates.size)
-    powers = np.multiply.accumulate(np.append(1, np.full(pos.size, _MULT)).astype(np.uint64))
-    states = powers[1:] * np.uint64(rng.state) + np.uint64(_INC) * np.cumsum(powers[:-1])
-    u = (states >> np.uint64(11)) * (1.0 / (1 << 53))
-    hit = u < support_prob
-    # a draw tests the next candidate unless it follows a test that hit:
-    # along a run of hits, tests alternate, restarting after each miss
-    restart = np.append(0, np.maximum.accumulate(np.where(hit, 0, pos + 1))[:-1])
-    tests = np.flatnonzero((pos - restart) % 2 == 0)[: candidates.size]
-    take = hit[tests]
-    raw = np.full(space.n_points, NEG_INF)
-    raw[candidates[take]] = -depth + (0.0 + depth) * u[tests[take] + 1]  # uniform(-depth, 0.0)
-    rng.state = int(states[tests[-1] + take[-1]])
-    if not np.any(raw > NEG_INF):
-        raw[candidates[rng.randint(candidates.size)]] = rng.uniform(-depth, 0.0)
-    return normalize(space, raw)
+    c = candidates.size
+    most = max(1, _BLOCK_DRAWS // (2 * c))
+    # A^k and C (1 + A + ... + A^(k-1)) for the largest block
+    powers = np.full(2 * c * min(count, most) + 1, _MULT, dtype=np.uint64)
+    powers[0] = 1
+    np.multiply.accumulate(powers, out=powers)
+    sums = np.uint64(_INC) * np.cumsum(powers[:-1])
+    out: list[IdempotentMeasure] = []
+    batch = most
+    while len(out) < count:
+        k = min(count - len(out), batch)
+        pos = np.arange(2 * c * k)
+        states = powers[1 : pos.size + 1] * np.uint64(rng.state) + sums[: pos.size]
+        u = (states >> np.uint64(11)) * (1.0 / (1 << 53))
+        hit = u < support_prob
+        # a draw tests the next candidate unless it follows a test that hit:
+        # along a run of hits, tests alternate, restarting after each miss
+        restart = np.append(0, np.maximum.accumulate(np.where(hit, 0, pos + 1))[:-1])
+        tests = np.flatnonzero((pos - restart) % 2 == 0)[: c * k].reshape(k, c)
+        take = hit[tests]
+        some = take.any(axis=1)
+        if not some.all():  # the block ends with the first measure that has no hit
+            k = int(np.argmin(some)) + 1
+        raw = np.full((k, space.n_points), NEG_INF)
+        rows, cols = np.nonzero(take[:k])
+        raw[rows, candidates[cols]] = -depth + (0.0 + depth) * u[tests[:k][take[:k]] + 1]
+        rng.state = int(states[tests[k - 1, -1] + take[k - 1, -1]])
+        if some[k - 1]:
+            batch = min(2 * batch, most)
+        else:  # uniform(-depth, 0.0) at a randint-drawn candidate
+            raw[-1, candidates[rng.randint(c)]] = rng.uniform(-depth, 0.0)
+            batch = k
+        # normalize() row by row: every row has a finite entry
+        out.extend(IdempotentMeasure(space, row) for row in raw - raw.max(axis=1, keepdims=True))
+    return out
+
+
+def random_measure(
+    space: FiniteMetricSpace,
+    rng: Lcg64,
+    support_prob: float = 0.7,
+    depth: float = 3.0,
+    points=None,
+) -> IdempotentMeasure:
+    """Random density: each candidate point finite with the given probability.
+
+    A candidate draws u, and if u < support_prob its value, uniform in
+    [-depth, 0]; at least one point is forced finite, and normalize() pins
+    the maximum to an exact 0.  `points` restricts the candidate support to
+    those point indices; an index that is not an integer in [0, n) is refused.
+    A batch of one random_measures call.
+    """
+    return random_measures(space, rng, 1, support_prob, depth, points)[0]

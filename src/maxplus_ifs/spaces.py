@@ -10,8 +10,8 @@ never allocate an n^2 matrix.
 
 A space implements one distance routine, `distance_submatrix(rows, cols)`;
 `dist` and the full matrix are read through it, and the all-pairs checks
-(Lipschitz constants, contraction certificates, the diameter) sweep its
-row blocks of at most 2^18 distances against all points.
+(Lipschitz constants, contraction certificates, the diameter of a matrix)
+sweep its row blocks of at most 2^18 distances against all points.
 
 On the line (1-D Euclidean coordinates) distances are the exact |x - y|,
 and the space sorts its points once, into the read-only `order` that the
@@ -133,10 +133,38 @@ class FiniteMetricSpace:
             yield rows, self.distance_submatrix(rows, idx)
 
     def diameter(self) -> float:
+        """The largest distance, equal to the largest entry of the distance table.
+
+        On a box grid it is corner to corner; on the line the span of the
+        sorted coordinates (rounding is monotone, so no pair's computed gap
+        is larger).  Off the line, Euclidean points whose farthest corner
+        of the bounding box lies nearer than a distance already realized by
+        the extreme points along the axes can end no largest pair; the
+        points left are swept against each other, in blocks of at most 2^18
+        distances.  Explicit matrices are swept whole.
+        """
         if self._diameter is None:
             if self.grid_lower is not None:
                 # corner-to-corner realizes the max over a box grid
                 self._diameter = float(np.linalg.norm(self.grid_upper - self.grid_lower))
+            elif self.line:
+                x = self.coords[:, 0]
+                self._diameter = float(x[self.order[-1]] - x[self.order[0]])
+            elif self.euclidean:
+                c = self.coords
+                ends = np.concatenate([c.argmin(axis=0), c.argmax(axis=0)])
+                low = float(self.distance_submatrix(ends, ends).max())
+                far = np.maximum(c - c.min(axis=0), c.max(axis=0) - c)
+                reach = np.sqrt(np.sum(far * far, axis=1))
+                # the margin covers rounding; squares stay normal between 2^-400 and 2^400
+                keep = np.flatnonzero(reach >= low * (1.0 - 2.0**-40))
+                if not 2.0**-400 < low < 2.0**400:
+                    keep = np.arange(self.n_points)
+                step = max(1, _BLOCK_ELEMS // keep.size)
+                blocks = range(0, keep.size, step)
+                self._diameter = max(
+                    float(self.distance_submatrix(keep[i : i + step], keep).max()) for i in blocks
+                )
             else:
                 self._diameter = max(float(d.max()) for _, d in self._row_blocks())
         return self._diameter

@@ -279,7 +279,7 @@ def test_verify_failure_names_the_worst_seeded_pair(tmp_path, capsys, monkeypatc
     text = CANTOR_CFG.format(out=tmp_path / "c.density")
     text = text.replace("cells = 27", "cells = 81").replace("pairs = 40", "pairs = 20")
     cfg = _write(tmp_path, "cantor81.cfg", text)
-    monkeypatch.setattr("maxplus_ifs.cli.markov", lambda ifs, mu: mu)
+    monkeypatch.setattr("maxplus_ifs.cli.markov_many", lambda ifs, measures: list(measures))
     assert main(["verify", str(cfg)]) == 5
     captured = capsys.readouterr()
     assert captured.out.count("pairs) FAIL\n") == 2 and captured.out.endswith("verify: FAIL\n")
@@ -309,12 +309,44 @@ def test_verify_takes_each_markov_step_once(tmp_path, capsys, monkeypatch):
     # d1 and dtilde checks: 2 Markov steps per pair, not 4
     cfg = _write(tmp_path, "cantor.cfg", CANTOR_CFG.format(out=tmp_path / "c.density"))
     steps = []
-    markov = mp.markov
-    monkeypatch.setattr("maxplus_ifs.cli.markov", lambda ifs, mu: steps.append(mu) or markov(ifs, mu))
+    markov_many = mp.markov_many
+    monkeypatch.setattr(
+        "maxplus_ifs.cli.markov_many", lambda ifs, ms: steps.extend(ms) or markov_many(ifs, ms)
+    )
     assert main(["verify", str(cfg)]) == 0
     text = capsys.readouterr().out
     assert "check d1:" in text and "check dtilde(alpha=" in text and "(40 usable pairs)" in text
-    assert len(steps) == 2 * 40
+    assert len(steps) == 2 * 40 and len({id(mu) for mu in steps}) == 2 * 40
+
+
+def test_verify_makes_one_batched_call_per_layer(tmp_path, capsys, monkeypatch):
+    # one block draw, one stacked Markov step and one metric call per check,
+    # each over every measure: 40 pairs, their 80 measures, then the 40 pairs
+    # and 40 image pairs
+    cfg = _write(tmp_path, "cantor.cfg", CANTOR_CFG.format(out=tmp_path / "c.density"))
+    sizes = {}
+
+    def counted(name, size):
+        fn = getattr(mp.cli, name)
+
+        def wrapper(*args, **kwargs):
+            sizes.setdefault(name, []).append(size(args))
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(mp.cli, name, wrapper)
+
+    counted("random_measures", lambda args: args[2])
+    counted("markov_many", lambda args: len(args[1]))
+    counted("coupling_distances", lambda args: len(args[0]))
+    counted("series_distances", lambda args: len(args[0]))
+    assert main(["verify", str(cfg)]) == 0
+    assert "verify: PASS" in capsys.readouterr().out
+    assert sizes == {
+        "random_measures": [80],
+        "markov_many": [80],
+        "coupling_distances": [80],
+        "series_distances": [80],
+    }
 
 
 def test_verify_witnessed_ladder(tmp_path, capsys):

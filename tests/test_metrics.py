@@ -10,6 +10,7 @@ from maxplus_ifs.metrics import (
     _directed_d1,
     _directed_deltas,
     _dual_distances,
+    _line_deltas,
     _line_nearest,
 )
 from conftest import (
@@ -19,7 +20,13 @@ from conftest import (
     random_euclidean_space,
     random_matrix_space,
 )
-from oracles import coupling_distance_bruteforce, dense_deltas, dense_dual, threshold_d1
+from oracles import (
+    coupling_distance_bruteforce,
+    dense_deltas,
+    dense_dual,
+    line_deltas_per_pair,
+    threshold_d1,
+)
 
 
 # --- maximal coupling and feasibility ----------------------------------------
@@ -717,7 +724,7 @@ def test_line_kernel_matches_dense_oracle_within_stated_ulps():
     rng = np.random.default_rng(22)
     n_levels = n_exact = 0
     for x, m1, m2 in _line_cases(rng):
-        got = _directed_deltas(m1.space, m1.density, m2.density, EXTREME_LEVELS)
+        got = _line_deltas(m1.space, [(m1, m2)], EXTREME_LEVELS)[:, 0]
         both = np.union1d(m1.support(), m2.support())
         span = float(np.ptp(x[both]))
         lam = np.abs(np.concatenate([m1.density[m1.support()], m2.density[m2.support()]]))
@@ -794,9 +801,10 @@ def test_kernel_blocking_does_not_change_values(monkeypatch):
     cases = [mp.build_grid([0.0], [1.0], [60]), random_euclidean_space(rng, 40), random_matrix_space(rng, 30)]
     for s in cases:
         m1, m2 = np_random_measure(s, rng), np_random_measure(s, rng)
-        want = _dual_distances(m1, m2, levels)
+        want = _dual_distances([(m1, m2)], levels)
         monkeypatch.setattr(mp.metrics, "_DUAL_ELEMS", 64)
-        got = _dual_distances(m1, m2, levels)
+        monkeypatch.setattr(mp.metrics, "_LINE_CELLS", 64)
+        got = _dual_distances([(m1, m2)], levels)
         monkeypatch.undo()
         np.testing.assert_array_equal(got, want)
 
@@ -813,7 +821,7 @@ def test_dual_metrics_vanish_exactly_on_equal_measures():
     for s in spaces:
         for _ in range(5):
             m = np_random_measure(s, rng)
-            assert np.all(_dual_distances(m, m, EXTREME_LEVELS) == 0.0)
+            assert np.all(_dual_distances([(m, m)], EXTREME_LEVELS) == 0.0)
             assert mp.lipschitz_distance(m, m, 3.0**43) == 0.0
             assert mp.series_distance(m, m, params).value == 0.0
             assert mp.harmonic_series_distance(m, m, 1e-9).value == 0.0
@@ -913,3 +921,31 @@ def test_empirical_contraction_skips_degenerate_pairs():
         mp.empirical_contraction(mp.coupling_distances, [], [], lambda t: t)
     with pytest.raises(ValueError, match="one image pair per measure pair"):
         mp.empirical_contraction(mp.coupling_distances, pairs, pairs[:1], lambda t: t)
+
+
+def test_line_dual_frames_keep_the_winning_source_at_each_bound():
+    # pairs built so that the winning source lies just inside each frame's
+    # bound: a middle level below the steep one (a gmin = 1.35 spread), where
+    # a source gmin from its target wins; a steep level (a gmin = 3 spread),
+    # where a source 1.5 gmin from its target beats the farthest one, 2 gmin
+    # from its own; and a flat level, where the top source loses to a point
+    # at -0.7 a D
+    def pair(x, lam1, lam2):
+        space = mp.FiniteMetricSpace.from_coords(np.array(x, dtype=float))
+        return space, mp.IdempotentMeasure(space, lam1), mp.IdempotentMeasure(space, lam2)
+
+    cases = [
+        (pair([0.0, 0.9, 10.0, 12.0], [0.0, NEG, -1.0, NEG], [NEG, -1.0, NEG, 0.0]), [1.5, 3.0]),
+        (
+            pair([0.0, 1.5, 10.0, 12.0, 30.0, 31.0], [0.0, NEG, -1.0, NEG, NEG, NEG], [NEG, -1.0, NEG, 0.0, -1.0, -1.0]),
+            [1.5, 3.0],
+        ),
+        (pair(np.arange(16.0), [0.0] + [-5.0] * 14 + [-0.105], [0.0] + [-5.0] * 15), [0.01, 0.005]),
+    ]
+    for (space, m1, m2), levels in cases:
+        levels = np.array(levels)
+        got = _line_deltas(space, [(m1, m2)], levels)[:, 0]
+        want = line_deltas_per_pair(space, m1.density, m2.density, levels)
+        assert np.array_equal(got, np.array(want))
+        for k, a in enumerate(levels):
+            assert got[:, k].tolist() == list(dense_deltas(m1, m2, a))

@@ -1,6 +1,6 @@
-"""Property tests: the array code of the seeded stream, the density files, the
-line d1 kernel and the off-line coincidence check against the slower routes
-kept in `oracles.py`.
+"""Property tests: the array code of the seeded stream, the stacked Markov
+step, the density files, the line d1 and dual kernels and the off-line
+coincidence check against the slower routes kept in `oracles.py`.
 
 Hypothesis runs derandomized with a bounded number of examples, so every
 run checks the same cases.
@@ -14,10 +14,12 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import maxplus_ifs as mp
+from maxplus_ifs.metrics import _line_deltas
 from maxplus_ifs.spaces import _coincident_pair
 from conftest import random_matrix_space
 from oracles import (
     coincident_pair_kdtree,
+    line_deltas_per_pair,
     random_measure_scalar,
     read_density_file_lines,
     threshold_d1,
@@ -69,6 +71,54 @@ def test_random_measure_equals_the_scalar_stream(case):
         want = random_measure_scalar(space, slow, prob, depth, points=points)
         assert _bits(got.density) == _bits(want.density)
         assert fast.state == slow.state
+    # then one block draw: at support_prob 0 and 0.002 most measures miss
+    # every candidate, so blocks end early and fallback draws come between
+    for got in mp.random_measures(space, fast, 3 * calls, prob, depth, points=points):
+        want = random_measure_scalar(space, slow, prob, depth, points=points)
+        assert _bits(got.density) == _bits(want.density)
+    assert fast.state == slow.state
+
+
+# --- the stacked Markov step --------------------------------------------------
+
+@st.composite
+def ifs_cases(draw):
+    """Table maps on a matrix space or an unsorted line, densities with any
+    -inf pattern, single points and ties."""
+    n = draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 999)))
+    if draw(st.booleans()):
+        space = random_matrix_space(rng, n)
+    else:
+        space = mp.FiniteMetricSpace.from_coords(rng.permutation(np.arange(float(n))))
+    n_maps = draw(st.integers(1, 3))
+    targets = [draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n)) for _ in range(n_maps)]
+    maps = tuple(mp.ContractionMap(space, np.array(t)) for t in targets)
+    depths = st.lists(st.sampled_from([0.0, 0.5, 1.0, 3.0]), min_size=n_maps, max_size=n_maps)
+    weights = [-w for w in draw(depths)]
+    weights[draw(st.integers(0, n_maps - 1))] = 0.0
+    ifs = mp.MaxPlusIFS(space, maps, weights)
+    level = st.sampled_from([0.0, -1.0, -0.25, -7.5]) | st.floats(-3.0, 0.0)
+    measures = []
+    for _ in range(draw(st.integers(1, 5))):
+        finite = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+        raw = np.where(finite, draw(st.lists(level, min_size=n, max_size=n)), NEG)
+        raw[draw(st.integers(0, n - 1))] = 0.0
+        measures.append(mp.normalize(space, raw))
+    f = mp.TestFunction(space, draw(st.lists(st.floats(-5.0, 5.0), min_size=n, max_size=n)))
+    return ifs, measures, f
+
+
+@PROPERTY
+@given(ifs_cases())
+def test_stacked_markov_step_equals_the_step_of_each_measure(case):
+    ifs, measures, f = case
+    got = mp.markov_many(ifs, measures)
+    assert len(got) == len(measures)
+    for mu, out in zip(measures, got):
+        oplus = mp.weighted_oplus(ifs.weights, [m(mu) for m in ifs.maps])
+        assert _bits(out.density) == _bits(oplus.density) == _bits(mp.markov(ifs, mu).density)
+        assert mp.integrate(out, f) == mp.integrate(mu, mp.markov_dual(ifs, f))
 
 
 # --- writer and reader round trip ---------------------------------------------------
@@ -334,3 +384,93 @@ def test_off_line_coincidence_check_equals_the_kdtree_pair_query(x):
     else:
         with pytest.raises(ValueError, match=f"points {want[0]} and {want[1]} coincide"):
             mp.FiniteMetricSpace.from_coords(x)
+
+
+# --- the line dual kernel -------------------------------------------------------
+
+def _frame_thresholds(m1, m2):
+    """The levels where a pair turns steep or flat, by the kernel's definitions."""
+    space = m1.space
+    u = space.order[((m1.density > NEG) | (m2.density > NEG))[space.order]]
+    x = space.coords[u, 0] - space.coords[u[0], 0]
+    top = np.sort(np.maximum(m1.density[u], m2.density[u]))[::-1]
+    spread = -min(m1.density[u].min(initial=0.0, where=m1.density[u] > NEG),
+                  m2.density[u].min(initial=0.0, where=m2.density[u] > NEG))
+    out = []
+    if u.size > 1 and spread > 0.0 and np.diff(x).min() > 0.0:
+        out.append(2.0 * spread / np.diff(x).min())
+    if top[u.size // 4] < 0.0:
+        out.append(-top[u.size // 4] / x[-1])
+    return out
+
+
+@st.composite
+def line_dual_batches(draw):
+    """Batches of pairs on an unsorted line for the dual kernel, with levels.
+
+    Points are distinct integers times a scale (gaps near 1e-160 up to
+    1e150) or free floats; densities have integer or continuous levels,
+    single points, identical supports or supports of very different sizes;
+    the levels straddle each pair's steep and flat thresholds by less and
+    by more than the kernel's margins.
+    """
+    n = draw(st.integers(1, 40))
+    scale = draw(st.sampled_from([1.0, 1e-160, 3e-150, 1e-3, 7e149]))
+    if draw(st.booleans()):
+        ints = draw(st.lists(st.integers(-10**6, 10**6), min_size=n, max_size=n, unique=True))
+        x = np.array(ints, dtype=float) * scale
+    else:
+        x = np.unique(draw(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n))) * scale
+        n = x.size
+    x = x[draw(st.permutations(range(n)))]
+    try:
+        space = mp.FiniteMetricSpace.from_coords(x)
+    except ValueError:  # points closer than the coincidence limit
+        assume(False)
+    integer = draw(st.booleans())
+
+    def measure(support=None):
+        if support is None:
+            support = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+        if integer:
+            vals = [-float(v) for v in draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))]
+        else:
+            vals = draw(st.lists(st.floats(-3.0, 0.0), min_size=n, max_size=n))
+        raw = np.where(support, vals, NEG)
+        raw[draw(st.integers(0, n - 1))] = 0.0
+        return mp.normalize(space, raw)
+
+    pairs = []
+    for _ in range(draw(st.integers(1, 5))):
+        kind = draw(st.sampled_from(["free", "same-support", "dirac-vs-all", "dirac", "equal"]))
+        if kind == "dirac":
+            pair = tuple(mp.dirac(space, draw(st.integers(0, n - 1))) for _ in "ab")
+        elif kind == "dirac-vs-all":
+            pair = (mp.dirac(space, draw(st.integers(0, n - 1))), measure(np.ones(n, dtype=bool)))
+        elif kind == "same-support":
+            support = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+            pair = (measure(support), measure(support))
+        else:
+            pair = (measure(), measure())
+        if kind == "equal":
+            pair = (pair[0], pair[0])
+        pairs.append(pair if draw(st.booleans()) else pair[::-1])
+    # series-like levels, then each pair's thresholds and their near sides
+    levels = [3.0**k for k in range(-4, 5)]
+    for m1, m2 in pairs:
+        for a in _frame_thresholds(m1, m2):
+            levels += [a * (1.0 + t) for t in (-2.0**-20, -2.0**-45, 0.0, 2.0**-45, 2.0**-20)]
+    span = max(float(np.ptp(x)), 1e-300)
+    levels = np.array([a for a in levels if 1e-300 < a and a * span < 1e300])
+    return space, pairs, levels
+
+
+@settings(PROPERTY, max_examples=200)
+@given(line_dual_batches())
+def test_batched_line_dual_kernel_equals_the_per_pair_kernel(case):
+    space, pairs, levels = case
+    got = _line_deltas(space, pairs, levels)
+    for k, (m1, m2) in enumerate(pairs):
+        want = line_deltas_per_pair(space, m1.density, m2.density, levels)
+        hexes = [v.hex() for v in np.ravel(want).tolist()]
+        assert [v.hex() for v in got[:, k].ravel().tolist()] == hexes
