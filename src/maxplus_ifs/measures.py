@@ -4,11 +4,14 @@ A measure is stored through its density: a table point -> [-inf, 0] whose
 maximum is exactly 0.  Integration is sup-plus: mu(f) = max_x(lambda(x) + f(x)).
 Normalization subtracts the max, which lands the top entry on an exact 0.0,
 so the invariant is checked with exact float comparison throughout.
-Density files are parsed and formatted a whole column at a time.
+Density files are formatted in one format call.  Their point lines are
+read by numpy's C text reader; only a file it refuses takes the token
+route, which reads Python-only spellings and names the first bad line.
 """
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 from itertools import chain
 
@@ -196,24 +199,37 @@ def _line_error(parts: list[str], width: int, n: int, above: np.ndarray) -> str:
     return f"bad coordinate {parts[1 + _parse_prefix(parts[1:-1], float).size]!r}"
 
 
-def read_density_file(path, space: FiniteMetricSpace | None = None) -> IdempotentMeasure:
-    """Read a density file; an error names the first bad point line.
+def _c_points(lines: list[str], n: int):
+    """(index, numbers) columns of the point lines by numpy's C text reader, or None.
 
-    Blank lines are skipped; all point lines have the same columns.  With
-    no space given, the coordinate columns define a Euclidean space (the
-    metric is not stored, so a file without them needs the space).
+    One np.loadtxt call reads the lines as rows (index, numbers...), its
+    width set by the first non-blank line.  None whenever the reader or a
+    check refuses the lines, or the reader warns (numpy < 2 parsed an index
+    spelled as a float with a DeprecationWarning).
     """
-    with open(path) as fh:
-        lines = fh.read().splitlines()
-    if not lines or not lines[0].startswith("space "):
-        raise ValueError(f"{path}: missing 'space <n>' header")
+    width = len(next(filter(str.split, lines), "").split())
+    if width < 2 or n < 1:
+        return None
+    dtype = np.dtype([("i", np.intp), ("v", float, (width - 1,))])
     try:
-        n = int(lines[0].split()[1])
-    except (IndexError, ValueError) as exc:
-        raise ValueError(f"{path}: bad space header: {lines[0]!r}") from exc
-    if space is not None and space.n_points != n:
-        raise ValueError(f"{path}: file has {n} points, space has {space.n_points}")
-    rows = list(map(str.split, lines[1:]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table = np.loadtxt(lines, dtype=dtype, comments=None, ndmin=1)
+    except (ValueError, Warning):
+        return None
+    idx, nums = table["i"], table["v"]
+    bad = idx.size != n or idx.min() < 0 or idx.max() >= n or not np.all(nums[:, -1] <= 0)
+    return None if bad or np.bincount(idx, minlength=n).max() > 1 else (idx, nums)
+
+
+def _token_points(path, lines: list[str], n: int):
+    """(index, numbers) columns of the point lines by Python's int and float.
+
+    The route of every file that the C reader refuses: it takes the
+    spellings only Python reads (1_0, non-ASCII digits) and names the
+    first bad point line of a malformed file.
+    """
+    rows = list(map(str.split, lines))
     counts = np.fromiter(map(len, rows), dtype=np.intp, count=len(rows))
     body = np.flatnonzero(counts)  # point line k is rows[body[k]], file line body[k] + 2
     if body.size != n:
@@ -232,8 +248,30 @@ def read_density_file(path, space: FiniteMetricSpace | None = None) -> Idempoten
     if first < n:
         why = _line_error(rows[body[first]], width, n, idx[:first])
         raise ValueError(f"{path}:{body[first] + 2}: {why}")
-    order = np.argsort(idx)  # a permutation of the points by now
-    values, coords = nums[order, -1], (nums[order, :-1] if width > 2 else None)
+    return idx, nums
+
+
+def read_density_file(path, space: FiniteMetricSpace | None = None) -> IdempotentMeasure:
+    """Read a density file; an error names the first bad point line.
+
+    Blank lines are skipped; all point lines have the same columns.  With
+    no space given, the coordinate columns define a Euclidean space (the
+    metric is not stored, so a file without them needs the space).
+    """
+    with open(path) as fh:
+        lines = fh.read().splitlines()
+    if not lines or not lines[0].startswith("space "):
+        raise ValueError(f"{path}: missing 'space <n>' header")
+    try:
+        n = int(lines[0].split()[1])
+    except (IndexError, ValueError) as exc:
+        raise ValueError(f"{path}: bad space header: {lines[0]!r}") from exc
+    if space is not None and space.n_points != n:
+        raise ValueError(f"{path}: file has {n} points, space has {space.n_points}")
+    idx, nums = _c_points(lines[1:], n) or _token_points(path, lines[1:], n)
+    order = np.empty(n, dtype=np.intp)
+    order[idx] = np.arange(n)  # idx is a permutation of the points by now
+    values, coords = nums[order, -1], (nums[order, :-1] if nums.shape[1] > 1 else None)
     if values.max(initial=NEG_INF) != 0.0:
         raise ValueError(f"{path}: density maximum must be exactly 0; use normalize()")
     if space is None:

@@ -62,6 +62,9 @@ _LINE_CELLS = 1 << 15
 _MARGIN = 2.0**-40
 _TINY = 2.0**-1000
 _MAX_TERMS = 1_000_000  # series terms per side; more is refused
+# a level a is refused unless a * diam + depth stays below this: every value and
+# intermediate of the dual kernels is at most that sum, times 2 and the margins
+_LEVEL_LIMIT = 2.0**1022
 
 
 @dataclass(frozen=True)
@@ -405,6 +408,20 @@ def coupling_distance(mu1: IdempotentMeasure, mu2: IdempotentMeasure) -> float:
 # Lipschitz-dual pseudometrics
 # ---------------------------------------------------------------------------
 
+def _check_level(a: float, diam: float, depth: float) -> None:
+    """ValueError unless a * diam + depth < _LEVEL_LIMIT.
+
+    diam bounds the distances and depth the finite levels that a kernel
+    reads, so every value and intermediate stays in the float range.
+    """
+    if not a * diam + depth < _LEVEL_LIMIT:
+        raise ValueError(
+            f"Lipschitz level a={a!r} on points up to {diam:g} apart with densities "
+            f"{depth:g} deep takes a * diam + depth past 2^1022, where the dual kernels "
+            f"overflow; lower a, or raise the tol of a series"
+        )
+
+
 def _line_frames(l1, l2, x, starts, pid, levels):
     """The frames of the line kernel, and the frame each of its rows reads.
 
@@ -418,13 +435,17 @@ def _line_frames(l1, l2, x, starts, pid, levels):
     length) and the frame of each row, rows in (direction, pair, level)
     order, direction 0 for delta12 and 1 for delta21.  Why each frame holds
     the row's argmax source, the scan maximum at each of its sources and
-    the finishing maximum is in _line_deltas.
+    the finishing maximum is in _line_deltas.  A pair whose D and spread
+    fail _check_level at the largest level is refused.
     """
     k, m = starts.size, np.diff(np.append(starts, x.size))
     ends = starts + m
     span = x[ends - 1]
     both = np.stack([l1, l2])
     spread = -np.minimum.reduceat(np.where(both > NEG_INF, both, 0.0), starts, axis=1).min(axis=0)
+    with np.errstate(over="ignore"):  # an overflow here is refused just below
+        worst = int(np.argmax(levels.max() * span + spread))
+    _check_level(float(levels.max()), float(span[worst]), float(spread[worst]))
     gap = np.append(np.diff(x), np.inf)
     gap[ends - 1] = np.inf
     gmin = np.where(m > 1, np.minimum.reduceat(gap, starts), 0.0)[:, None]
@@ -625,13 +646,17 @@ def _dual_distances(pairs: Sequence[Pair], levels) -> np.ndarray:
     The inner maximum of delta12 = max_x [lambda1(x) - max_y (lambda2(y) -
     a d(x, y))] is a distance transform of lambda2 with cone slope a.  On
     the line the whole batch is one _line_deltas call; elsewhere each pair
-    goes through _directed_deltas.
+    goes through _directed_deltas, after _check_level on the space's
+    diameter and the pair's depth (the line kernel checks its own span).
     """
     levels = np.asarray(levels, dtype=float)
     space = _batch_space(pairs)
     if space.line:
         d12, d21 = _line_deltas(space, pairs, levels)
     else:
+        for pair in pairs:
+            depth = -min(float(mu.density[mu.support()].min()) for mu in pair)
+            _check_level(float(levels.max()), space.diameter(), depth)
         deltas = [_directed_deltas(space, m1.density, m2.density, levels) for m1, m2 in pairs]
         d12, d21 = np.array(deltas).transpose(1, 0, 2)
     return np.maximum(np.maximum(d12, d21), 0.0)
@@ -735,12 +760,14 @@ class SeriesParams:
         if not self.tol > 0.0:
             raise ValueError("tol must be positive")
 
-    def n_terms(self, diameter: float) -> int:
+    def n_terms(self, diameter: float, depth: float = 0.0) -> int:
         """Terms per side: the least N >= 0 with 2 diam q^(N+1) / (1 - q) <= tol.
 
         Closed form, settled against the float test; 0 on a one-point space.
-        ValueError when alpha^(+-N) or diam / alpha^N leaves the normal
-        float range, or N would exceed _MAX_TERMS.
+        ValueError when alpha^(+-N) leaves the normal float range, when
+        diam / alpha^N + depth reaches _LEVEL_LIMIT (depth bounds the
+        densities from below, as in _check_level), or when N would exceed
+        _MAX_TERMS.
         """
         if diameter == 0.0:
             return 0
@@ -756,12 +783,13 @@ class SeriesParams:
                 n -= 1
             while over(n):
                 n += 1
-            if alpha**n >= sys.float_info.min and math.isfinite(diameter / alpha**n):
+            if alpha**n >= sys.float_info.min and diameter / alpha**n + depth < _LEVEL_LIMIT:
                 return n
         raise ValueError(
             f"series metric alpha={alpha!r}, q={q!r}, tol={tol!r} on a space of diameter "
-            f"{diameter:g} needs levels alpha^n outside the normal float range "
-            f"(or over {_MAX_TERMS} terms per side); raise tol or lower q"
+            f"{diameter:g} with densities {depth:g} deep needs levels alpha^n outside the "
+            f"normal float range, or a * diam + depth past 2^1022 at a = alpha^-n (or over "
+            f"{_MAX_TERMS} terms per side); raise tol or lower q"
         )
 
 

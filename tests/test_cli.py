@@ -626,6 +626,64 @@ def test_cantor_render_matches_attractor(tmp_path, capsys):
     np.testing.assert_array_equal(np.flatnonzero(pixels), mu.support())
 
 
+MATRIX_CFG = """
+[space]
+kind = matrix
+size = 3
+row = 0 1 2
+row = 1 0 1
+row = 2 1 0
+
+[ifs]
+map = table 0 0 1
+map = table 2 2 2
+weights = 0 -1
+
+[initial]
+kind = file
+path = {start}
+
+[run]
+max_iter = 50
+out = {out}
+"""
+
+
+def test_valid_density_files_never_reach_the_token_route(tmp_path, capsys, monkeypatch):
+    # numpy's C text reader is the production route; the token route only
+    # words refusals and reads spellings that numpy refuses
+    def refuse(path, lines, n):
+        raise AssertionError(f"{path} reached the token route")
+
+    monkeypatch.setattr(mp.measures, "_token_points", refuse)
+    rng = np.random.default_rng(41)
+    line, plane = mp.build_grid([0.0], [1.0], [27]), mp.build_grid([0.0, 0.0], [1.0, 1.0], [5, 6])
+    for name, space in (("line", line), ("plane", plane)):
+        files = [tmp_path / f"{name}_{side}.density" for side in "ab"]
+        for f in files:
+            raw = np.where(rng.random(space.n_points) < 0.7, -rng.random(space.n_points), -np.inf)
+            raw[rng.integers(space.n_points)] = 0.0
+            mp.write_density_file(f, mp.normalize(space, raw))
+        for spec in ("d1", "da:a=2", "dtilde:alpha=0.3,q=0.5,tol=1e-6", "brz:tol=1e-6"):
+            assert main(["metric", str(files[0]), str(files[1]), spec]) == 0
+        assert main(["render", str(files[0]), str(tmp_path / f"{name}.pgm"), "--floor", "-1"]) == 0
+    # [initial] kind = file on the line: solve, then restart from its output
+    first = tmp_path / "c.density"
+    assert main(["solve", str(_write(tmp_path, "c.cfg", CANTOR_CFG.format(out=first)))]) == 0
+    again = CANTOR_CFG.format(out=tmp_path / "c2.density").replace(
+        "kind = uniform", f"kind = file\npath = {first}"
+    )
+    assert main(["solve", str(_write(tmp_path, "c2.cfg", again))]) == 0
+    # files without coordinates, on an explicit matrix space
+    matrix = mp.FiniteMetricSpace.from_matrix([[0, 1, 2], [1, 0, 1], [2, 1, 0]])
+    start = tmp_path / "m.density"
+    mp.write_density_file(start, mp.normalize(matrix, [-1.0, 0.0, -np.inf]))
+    cfg = _write(tmp_path, "m.cfg", MATRIX_CFG.format(start=start, out=tmp_path / "m2.density"))
+    assert main(["solve", str(cfg)]) == 0
+    assert main(["metric", str(start), str(tmp_path / "m2.density"), "d1", "--config", str(cfg)]) == 0
+    assert "reached the token route" not in capsys.readouterr().err
+
+
 SCIPY_PROBE = """
 import sys
 from maxplus_ifs.cli import main

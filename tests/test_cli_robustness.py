@@ -9,6 +9,8 @@ traceback and print no NaN.  The named tests below pin one defect each.
 import re
 import time
 
+import numpy as np
+
 import maxplus_ifs as mp
 from maxplus_ifs.cli import main
 
@@ -177,6 +179,30 @@ def test_lipschitz_level_outside_the_positive_reals_is_refused(tmp_path, capsys)
         assert main(["metric", str(fa), str(fa), f"da:a={value}"]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and f"da:a={value}: Lipschitz bound a" in captured.err
+
+
+def test_lipschitz_level_past_the_float_range_is_refused(tmp_path, capsys):
+    # a * diam overflowed: da:a=1e307 printed 1e+308 here (the dense formula gives
+    # 1.4e+308), with a RuntimeWarning, and exited 0
+    line = mp.FiniteMetricSpace.from_coords([6.0, 12, 13, 25, 35, 49])
+    fa, fb = tmp_path / "a.density", tmp_path / "b.density"
+    mp.write_density_file(fa, mp.normalize(line, [0, -2, -np.inf, -1, -np.inf, -1]))
+    mp.write_density_file(fb, mp.normalize(line, [-np.inf, -1, 0, -np.inf, -2, -np.inf]))
+    assert main(["metric", str(fa), str(fb), "da:a=1e307"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert "da:a=1e307: Lipschitz level a=1e+307 on points up to 43 apart" in captured.err
+    assert main(["metric", str(fa), str(fb), "da:a=1e306"]) == 0
+    assert float(capsys.readouterr().out) > 1e306
+
+
+def test_series_levels_past_the_float_range_of_the_verify_depth_are_refused(tmp_path, capsys):
+    # densities down to -1e308 put a * diam + depth past 2^1022 at every level
+    cfg = _cantor(tmp_path, "depth = 3", "depth = 1e308")
+    err = _config_error("verify", cfg, capsys, "[metric]", "densities 1e+308 deep")
+    assert "a * diam + depth past 2^1022" in err
+    cfg = _cantor(tmp_path, "depth = 3", "depth = 1e300")
+    assert main(["verify", str(cfg)]) == 0
 
 
 def test_solve_output_in_a_missing_directory_is_a_config_error(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import itertools
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -304,3 +305,54 @@ def test_writer_output_is_pinned_to_seventeen_digits(tmp_path):
     )
     mp.write_density_file(p, mp.IdempotentMeasure(g, [0.0, NEG]))
     assert p.read_text().splitlines()[2].endswith(" -inf")
+
+
+def test_empty_bodies_keep_their_messages_and_warn_nothing(tmp_path):
+    # np.loadtxt warns "input contained no data" on an empty body
+    p = tmp_path / "empty.density"
+    cases = {
+        "space 3\n": "expected 3 point lines, found 0",
+        "space 2\n\n \t\n\n": "expected 2 point lines, found 0",
+        "space 0\n": "density maximum must be exactly 0; use normalize()",
+        "space 0\n\n  \n": "density maximum must be exactly 0; use normalize()",
+        "space 0\n0 0.0 0\n": "expected 0 point lines, found 1",
+    }
+    for text, message in cases.items():
+        p.write_text(text)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ValueError) as exc:
+                mp.read_density_file(p)
+        assert str(exc.value) == f"{p}: {message}" and caught == []
+
+
+def test_a_hash_starts_no_comment(tmp_path):
+    # np.loadtxt skips what follows a "#" unless told otherwise
+    p = tmp_path / "hash.density"
+    p.write_text("space 2\n0 0.0 0\n# 0 0 0\n1 1.0 -1\n")
+    with pytest.raises(ValueError, match=r"hash\.density: expected 2 point lines, found 3$"):
+        mp.read_density_file(p)
+    p.write_text("space 2\n0 0.0 0\n1 1.0 -1 # last\n")
+    with pytest.raises(ValueError, match=r"hash\.density:3: bad density value$"):
+        mp.read_density_file(p)
+
+
+def test_an_index_spelled_as_a_float_is_refused_whatever_numpy_parses(tmp_path, monkeypatch):
+    # numpy 2 refuses such an index; numpy 1.x parsed it with a DeprecationWarning,
+    # which the reader takes for a refusal even where such warnings are ignored
+    p = tmp_path / "float.density"
+    real = np.loadtxt
+
+    def lenient(lines, dtype, **kwargs):
+        warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.", DeprecationWarning)
+        rows = [line.split() for line in lines]
+        return real([f"{int(float(r[0]))} {' '.join(r[1:])}" for r in rows], dtype, **kwargs)
+
+    for index in ("1.0", "1e0"):
+        p.write_text(f"space 2\n0 0.0 0\n{index} 1.0 -1\n")
+        for loadtxt in (real, lenient):
+            monkeypatch.setattr(np, "loadtxt", loadtxt)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                with pytest.raises(ValueError, match=rf"float\.density:3: bad point index '{index}'$"):
+                    mp.read_density_file(p)

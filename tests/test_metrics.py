@@ -737,6 +737,53 @@ def test_line_kernel_matches_dense_oracle_within_stated_ulps():
     assert n_exact >= 0.95 * n_levels
 
 
+def _top_level(diam, depth):
+    """The largest a with a * diam + depth below 2^1022, in float arithmetic."""
+    a = (2.0**1022 - depth) / diam
+    while not a * diam + depth < 2.0**1022:
+        a = np.nextafter(a, 0.0)
+    while np.nextafter(a, np.inf) * diam + depth < 2.0**1022:
+        a = np.nextafter(a, np.inf)
+    return float(a)
+
+
+def test_levels_past_the_float_range_are_refused_and_levels_below_match_the_dense_oracle():
+    # a * diam used to overflow inside the kernels, with a RuntimeWarning: on
+    # the first line below inf - inf read 1e308 where the dense formula gives
+    # 1.4e308 (a = 1e307), off the line the value was inf
+    rng = np.random.default_rng(24)
+    spaces = [
+        mp.FiniteMetricSpace.from_coords(np.array([6.0, 12, 13, 25, 35, 49])),
+        mp.FiniteMetricSpace.from_coords(rng.permutation(np.arange(40.0)) * 1e150),
+        mp.FiniteMetricSpace.from_coords([[0.0, 0.0], [3.0, 0.0], [0.0, 4.0]]),
+        random_euclidean_space(rng, 30, dim=3),
+        random_matrix_space(rng, 12),
+    ]
+    refused = 0
+    for space in spaces:
+        for _ in range(30):
+            m1, m2 = (np_random_measure(space, rng, depth=rng.choice([3.0, 1e306])) for _ in "ab")
+            lam = np.abs(np.concatenate([m1.density[m1.support()], m2.density[m2.support()]]))
+            both = np.union1d(m1.support(), m2.support())
+            # the line kernel reads distances up to the span of the pair's supports
+            diam = float(np.ptp(space.coords[both, 0])) if space.line else space.diameter()
+            top = _top_level(diam, lam.max())
+            for a in (np.nextafter(top, np.inf), 1e307, 1e308):
+                if a >= top * (1.0 + 2.0**-52):
+                    refused += 1
+                    with pytest.raises(ValueError, match=r"a \* diam \+ depth past 2\^1022"):
+                        mp.lipschitz_distance(m1, m2, a)
+            for a in (top, np.nextafter(top, 0.0), top / 3.0, 1e306, 1.0):
+                if a > top:
+                    continue
+                got, want = mp.lipschitz_distance(m1, m2, a), dense_dual(m1, m2, a)
+                if space.line:  # the stated bound of the line kernel
+                    assert want - 8.0 * np.spacing(a * diam + lam.max()) <= got <= want
+                else:
+                    assert got == want
+    assert refused >= 300
+
+
 def test_block_kernel_is_bit_identical_to_dense_oracle():
     rng = np.random.default_rng(23)
     levels = np.concatenate([EXTREME_LEVELS, rng.uniform(0.1, 10.0, 40)])

@@ -1,12 +1,14 @@
 """Property tests: the array code of the seeded stream, the stacked Markov
 step, the density files, the line d1 and dual kernels and the off-line
-coincidence check against the slower routes kept in `oracles.py`.
+coincidence check against the slower routes kept in `oracles.py`, and the
+density reader's C route against its token route.
 
 Hypothesis runs derandomized with a bounded number of examples, so every
 run checks the same cases.
 """
 
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import maxplus_ifs as mp
+from maxplus_ifs import measures as measures_module
 from maxplus_ifs.metrics import _line_deltas
 from maxplus_ifs.spaces import _coincident_pair
 from conftest import random_matrix_space
@@ -167,11 +170,27 @@ def test_written_file_reads_back_bit_for_bit(tmp_path, mu):
 
 # --- the reader against the per-line parser ------------------------------------
 
+ARABIC_INDIC = str.maketrans("0123456789", "\u0660\u0661\u0662\u0663\u0664\u0665\u0666\u0667\u0668\u0669")
+# line breaks of str.splitlines; the file is read in text mode, so \r\n and \r end a line too
+LINE_BREAKS = ("\n",) * 4 + ("\r\n", "\r", "\x0c", "\x1c", "\u2028")
+BLANK_LINES = ("", "", " ", "\t", " \t ", "\u3000")
+SUBNORMAL = st.sampled_from([-5e-324, -1e-310, -2.225073858507201e-308])
+
+
+def _python_only(draw, token):
+    """A spelling of token that only Python's int and float read: an
+    underscore between two digits, or Arabic-Indic digits."""
+    pair = re.search(r"\d\d", token)
+    if pair and draw(st.booleans()):
+        return token[: pair.start() + 1] + "_" + token[pair.start() + 1 :]
+    return token.translate(ARABIC_INDIC)
+
+
 def _spell_value(draw, v):
     v = float(v)
     if v == NEG:
         return draw(st.sampled_from(["-inf", "-Infinity", "-INF", "-1e999"]))
-    return draw(st.sampled_from([repr(v), "%.17g" % v, "%.20e" % v]))
+    return draw(st.sampled_from([repr(v), "%.17g" % v, "%.20e" % v, "%.25g" % v]))
 
 
 def _spell_index(draw, i):
@@ -180,18 +199,29 @@ def _spell_index(draw, i):
 
 @st.composite
 def density_files(draw):
-    """Lines of a valid density file in varied spelling, and its point count."""
+    """Lines of a valid density file in varied spelling, and its point count.
+
+    Two files in five hold tokens that only Python reads (1_0, Arabic-Indic
+    digits), so the rest take the reader's C route.
+    """
     n = draw(st.integers(1, 9))
     dim = draw(st.integers(0, 3))
     order = draw(st.permutations(range(n)))
     coords = np.arange(n * max(dim, 1), dtype=float).reshape(n, -1) / 7.0
-    dens = np.array(draw(st.lists(values, min_size=n, max_size=n)))
-    dens[draw(st.integers(0, n - 1))] = 0.0
+    dens = np.array(draw(st.lists(values | SUBNORMAL, min_size=n, max_size=n)))
+    dens[draw(st.integers(0, n - 1))] = draw(st.sampled_from([0.0, -0.0]))  # "-0" too
     lines = [draw(st.sampled_from(["space %d" % n, "space  %d " % n]))]
+    rows = []
     for i in order:
         toks = [_spell_index(draw, i)]
         toks += [repr(float(c)) for c in coords[i][:dim]]
         toks.append(_spell_value(draw, dens[i]))
+        rows.append(toks)
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 3]))):  # in two files of five
+        toks = rows[draw(st.integers(0, n - 1))]
+        k = draw(st.integers(0, len(toks) - 1))
+        toks[k] = _python_only(draw, toks[k])
+    for toks in rows:
         sep = draw(st.sampled_from([" ", "  ", "\t"]))
         lines.append(draw(st.sampled_from(["", " "])) + sep.join(toks))
     return lines, n, dim
@@ -200,8 +230,19 @@ def density_files(draw):
 def _with_blank_lines(draw, lines):
     out = [lines[0]]
     for line in lines[1:]:
-        out += [""] * draw(st.integers(0, 2)) + [line]
+        out += [draw(st.sampled_from(BLANK_LINES)) for _ in range(draw(st.integers(0, 2)))]
+        out.append(line)
     return out
+
+
+def _write(draw, path, lines):
+    """The lines, each ended by a line break of its own, maybe a blank line after."""
+    text = "".join(line + draw(st.sampled_from(LINE_BREAKS)) for line in lines)
+    path.write_bytes((text + draw(st.sampled_from(["", "\n", " \r\n"]))).encode())
+
+
+def _hex(a) -> list:
+    return [float.hex(v) for v in np.ravel(a).tolist()]
 
 
 def _read(reader, path, space):
@@ -209,7 +250,13 @@ def _read(reader, path, space):
         mu = reader(path, space)
     except ValueError as exc:
         return str(exc)
-    return _bits(mu.density), (None if mu.space.coords is None else _bits(mu.space.coords))
+    return _hex(mu.density), (None if mu.space.coords is None else _hex(mu.space.coords))
+
+
+def _read_by_tokens(path, space):
+    """The reader with its C route refusing every file: the token route alone."""
+    with mock.patch.object(measures_module, "_c_points", lambda lines, n: None):
+        return _read(mp.read_density_file, path, space)
 
 
 def _space_for(n, dim):
@@ -223,7 +270,7 @@ def test_reader_equals_the_line_parser_on_valid_files(tmp_path, case, data):
     if data.draw(st.booleans()):
         lines = _with_blank_lines(data.draw, lines)
     path = tmp_path / "ok.density"
-    path.write_text("\n".join(lines) + data.draw(st.sampled_from(["", "\n", "\n\n"])))
+    _write(data.draw, path, lines)
     got = _read(mp.read_density_file, path, _space_for(n, dim))
     assert not isinstance(got, str), got
     assert got == _read(read_density_file_lines, path, _space_for(n, dim))
@@ -237,11 +284,11 @@ LINE_MUTATIONS = (
     "bad index", "out of range", "duplicate", "bad value", "extra column",
     "drop one coordinate", "nan coordinate",
 )
-FILE_MUTATIONS = ("missing line", "extra line", "header")
+FILE_MUTATIONS = ("missing line", "extra line", "header", "whitespace line", "line break")
 
 
-def _mutate(draw, lines, n, dim):
-    kind = draw(st.sampled_from(LINE_MUTATIONS * 4 + FILE_MUTATIONS))
+def _mutate(draw, lines, n, dim, extra=()):
+    kind = draw(st.sampled_from(LINE_MUTATIONS * 4 + FILE_MUTATIONS + extra))
     k = draw(st.integers(1, len(lines) - 1))
     toks = lines[k].split()
     if kind == "bad index":
@@ -259,12 +306,23 @@ def _mutate(draw, lines, n, dim):
         del toks[draw(st.integers(1, len(toks) - 2))]
     elif kind == "nan coordinate" and len(toks) >= 3:
         toks[draw(st.integers(1, len(toks) - 2))] = "nan"
+    elif kind == "comment":  # np.loadtxt would skip it by default
+        comment = draw(st.sampled_from(["#", "#x", "# 0", "# 0 0 0"]))
+        if draw(st.booleans()):  # a line of its own
+            return lines[:k] + [comment] + lines[k:]
+        toks.insert(draw(st.integers(1, len(toks))), comment)
     elif kind == "missing line":
         return lines[:k] + lines[k + 1 :]
     elif kind == "extra line":
         return lines[:k] + [lines[k]] + lines[k:]
     elif kind == "header":
         return [draw(st.sampled_from(["space", "space x", "spaces 3", "#", ""]))] + lines[1:]
+    elif kind == "whitespace line":
+        return lines[:k] + [draw(st.sampled_from(BLANK_LINES[2:] + (" \r",)))] + lines[k:]
+    elif kind == "line break":  # inside a line, or at its end as a CRLF ending
+        at = draw(st.integers(0, len(lines[k])))
+        brk = draw(st.sampled_from(LINE_BREAKS))
+        return lines[:k] + [lines[k][:at] + brk + lines[k][at:]] + lines[k + 1 :]
     return lines[:k] + [" ".join(toks)] + lines[k + 1 :]
 
 
@@ -274,18 +332,35 @@ def test_reader_gives_the_line_parser_message_on_malformed_files(tmp_path, case,
     lines, n, dim = case
     for _ in range(data.draw(st.integers(1, 3))):
         lines = _mutate(data.draw, lines, n, dim)
-    blank = data.draw(st.booleans())
-    if blank:
+    if data.draw(st.booleans()):
         lines = _with_blank_lines(data.draw, lines)
     path = tmp_path / "bad.density"
-    path.write_text("\n".join(lines) + "\n")
+    _write(data.draw, path, lines)
     got = _read(mp.read_density_file, path, _space_for(n, dim))
     want = _read(read_density_file_lines, path, _space_for(n, dim))
+    with open(path) as fh:
+        blank = any(not line.split() for line in fh.read().splitlines()[1:])
     if blank and isinstance(want, str) and isinstance(got, str):
         # the per-line parser counts point lines, not blank ones
         got, want = (re.sub(r"^(.*?):\d+: ", r"\1: ", m) for m in (got, want))
     assert got == want
 
+
+@settings(PROPERTY, max_examples=300)
+@given(density_files(), st.data())
+def test_c_reader_equals_the_token_route(tmp_path, case, data):
+    # valid files in float.hex, malformed ones by their message, line numbers included
+    lines, n, dim = case
+    valid = data.draw(st.booleans())
+    for _ in range(0 if valid else data.draw(st.integers(1, 3))):
+        lines = _mutate(data.draw, lines, n, dim, extra=("comment",) * 2)
+    if data.draw(st.booleans()):
+        lines = _with_blank_lines(data.draw, lines)
+    path = tmp_path / "any.density"
+    _write(data.draw, path, lines)
+    got = _read(mp.read_density_file, path, _space_for(n, dim))
+    assert not (valid and isinstance(got, str)), got
+    assert got == _read_by_tokens(path, _space_for(n, dim))
 
 
 # --- the batched line d1 kernel -----------------------------------------------
