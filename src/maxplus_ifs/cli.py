@@ -92,10 +92,13 @@ def _parse_metric_spec(spec: str):
     opts = {}
     for item in rest.split(",") if rest else ():
         key, eq, val = item.partition("=")
+        key = key.strip()
         if not eq:
             raise ConfigError(f"bad metric option {item!r} in {spec!r}")
+        if key in opts:
+            raise ConfigError(f"repeated metric option {key!r} in {spec!r}")
         with reported(f"bad metric option value in {item!r}"):
-            opts[key.strip()] = float(val)
+            opts[key] = float(val)
     if name not in _METRIC_OPTIONS:
         raise ConfigError(f"unknown metric {name!r} (want d1, da, dtilde or brz)")
     if set(opts) != set(_METRIC_OPTIONS[name]):

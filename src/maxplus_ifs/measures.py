@@ -4,16 +4,17 @@ A measure is stored through its density: a table point -> [-inf, 0] whose
 maximum is exactly 0.  Integration is sup-plus: mu(f) = max_x(lambda(x) + f(x)).
 Normalization subtracts the max, which lands the top entry on an exact 0.0,
 so the invariant is checked with exact float comparison throughout.
-Density files are formatted in one format call.  Their point lines are
-read by numpy's C text reader; only a file it refuses takes the token
-route, which reads Python-only spellings and names the first bad line.
+Density files are formatted in one format call and read in one grammar,
+numpy's C text reader: one np.loadtxt call reads all point lines.  A
+file it refuses is bisected with the same call to name its first bad
+line; spellings only Python reads (1_0, non-ASCII digits) are refused.
 """
 
 from __future__ import annotations
 
+import re
 import warnings
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -167,88 +168,72 @@ def write_density_file(path, mu: IdempotentMeasure) -> None:
         fh.write(f"space {space.n_points}\n{text}")
 
 
-def _parse_prefix(tokens: list, dtype) -> np.ndarray:
-    """The tokens before the first that does not convert to dtype, by bisection."""
+_INDEX = re.compile(r"[+-]?[0-9]+")  # numpy's integer grammar, ASCII digits only
+
+
+def _loadtxt(lines: list[str], dtype):
+    """np.loadtxt of the lines, or None if it refuses them or warns.
+
+    numpy < 2 parsed an index spelled as a float with a DeprecationWarning,
+    and any numpy warns on no lines at all.
+    """
     try:
-        return np.array(tokens, dtype=dtype)
-    except (ValueError, OverflowError):
-        half = len(tokens) // 2
-        head = _parse_prefix(tokens[:half], dtype)
-        if head.size < half or len(tokens) == 1:
-            return head
-        return np.concatenate([head, _parse_prefix(tokens[half:], dtype)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return np.loadtxt(lines, dtype=dtype, comments=None, ndmin=1)
+    except (ValueError, Warning):
+        return None
 
 
 def _line_error(parts: list[str], width: int, n: int, above: np.ndarray) -> str:
-    """Why a point line is refused; `above` holds the valid indices before it."""
-    try:
-        idx = int(parts[0])
-    except ValueError:
+    """Why a point line is refused; `above` holds the indices of the lines before it."""
+    if not _INDEX.fullmatch(parts[0]):
         return f"bad point index {parts[0]!r}"
+    idx = int(parts[0])
     if not 0 <= idx < n:
         return f"point index {idx} out of range"
     if np.any(above == idx):
         return f"duplicate point index {idx}"
-    value = np.append(_parse_prefix(parts[1:][-1:], float), np.nan)[0]
-    if np.isnan(value) or value == np.inf:
+    value = _loadtxt(parts[1:][-1:], float)
+    if value is None or np.isnan(value[0]) or value[0] == np.inf:
         return "bad density value"
-    if value > 0.0:
+    if value[0] > 0.0:
         return "density entries must be <= 0"
     if len(parts) != width:
         return "inconsistent coordinate columns"
-    return f"bad coordinate {parts[1 + _parse_prefix(parts[1:-1], float).size]!r}"
+    return f"bad coordinate {next(t for t in parts[1:-1] if _loadtxt([t], float) is None)!r}"
 
 
-def _c_points(lines: list[str], n: int):
-    """(index, numbers) columns of the point lines by numpy's C text reader, or None.
-
-    One np.loadtxt call reads the lines as rows (index, numbers...), its
-    width set by the first non-blank line.  None whenever the reader or a
-    check refuses the lines, or the reader warns (numpy < 2 parsed an index
-    spelled as a float with a DeprecationWarning).
-    """
-    width = len(next(filter(str.split, lines), "").split())
-    if width < 2 or n < 1:
-        return None
-    dtype = np.dtype([("i", np.intp), ("v", float, (width - 1,))])
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            table = np.loadtxt(lines, dtype=dtype, comments=None, ndmin=1)
-    except (ValueError, Warning):
+def _rows(lines: list[str], n: int, width: int):
+    """(index, numbers) columns of the point lines by one np.loadtxt call, or None
+    if it refuses them, an index is out of range or repeated, or a density
+    value is not <= 0."""
+    table = _loadtxt(lines, np.dtype([("i", np.intp), ("v", float, (width - 1,))]))
+    if table is None:
         return None
     idx, nums = table["i"], table["v"]
-    bad = idx.size != n or idx.min() < 0 or idx.max() >= n or not np.all(nums[:, -1] <= 0)
-    return None if bad or np.bincount(idx, minlength=n).max() > 1 else (idx, nums)
+    bad = idx.min() < 0 or idx.max() >= n or not np.all(nums[:, -1] <= 0)
+    return None if bad or np.bincount(idx).max() > 1 else (idx, nums)
 
 
-def _token_points(path, lines: list[str], n: int):
-    """(index, numbers) columns of the point lines by Python's int and float.
-
-    The route of every file that the C reader refuses: it takes the
-    spellings only Python reads (1_0, non-ASCII digits) and names the
-    first bad point line of a malformed file.
-    """
-    rows = list(map(str.split, lines))
-    counts = np.fromiter(map(len, rows), dtype=np.intp, count=len(rows))
-    body = np.flatnonzero(counts)  # point line k is rows[body[k]], file line body[k] + 2
-    if body.size != n:
-        raise ValueError(f"{path}: expected {n} point lines, found {body.size}")
-    width = max(2, int(counts[body[0]]) if n else 2)  # index, coordinates, value
-    # keep the point lines above the first with another width or a bad token
-    good = int(np.argmax(np.append(counts[body] != width, True)))
-    tokens = list(chain.from_iterable(rows))[: good * width]
-    idx = _parse_prefix(tokens[::width], np.intp)
-    del tokens[::width]
-    nums = _parse_prefix(tokens, float)
-    good = min(idx.size, nums.size // (width - 1))
-    idx, nums = idx[:good], nums[: good * (width - 1)].reshape(good, width - 1)
-    dup = np.isin(np.arange(good), np.unique(idx, return_index=True)[1], invert=True)
-    first = int(np.argmax(np.append(dup | (idx < 0) | (idx >= n) | ~(nums[:, -1] <= 0), True)))
-    if first < n:
-        why = _line_error(rows[body[first]], width, n, idx[:first])
-        raise ValueError(f"{path}:{body[first] + 2}: {why}")
-    return idx, nums
+def _refusal(path, lines: list[str], n: int, width: int) -> str:
+    """The message for point lines that _rows refuses: the first bad line,
+    found by bisection over prefixes of the point lines."""
+    body = [k for k, line in enumerate(lines) if line.split()]
+    if len(body) != n:
+        return f"{path}: expected {n} point lines, found {len(body)}"
+    if n == 0:  # every check passes on no lines; an empty density has no maximum
+        return f"{path}: density maximum must be exactly 0; use normalize()"
+    points = [lines[k] for k in body]
+    good, bad, above = 0, n, np.empty(0, dtype=np.intp)  # points[:good] pass, points[:bad] fail
+    while bad - good > 1:
+        mid = (good + bad) // 2
+        rows = _rows(points[:mid], n, width)
+        if rows is None:
+            bad = mid
+        else:
+            good, above = mid, rows[0]
+    return f"{path}:{body[good] + 2}: {_line_error(points[good].split(), width, n, above)}"
 
 
 def read_density_file(path, space: FiniteMetricSpace | None = None) -> IdempotentMeasure:
@@ -262,25 +247,33 @@ def read_density_file(path, space: FiniteMetricSpace | None = None) -> Idempoten
         lines = fh.read().splitlines()
     if not lines or not lines[0].startswith("space "):
         raise ValueError(f"{path}: missing 'space <n>' header")
-    try:
-        n = int(lines[0].split()[1])
-    except (IndexError, ValueError) as exc:
-        raise ValueError(f"{path}: bad space header: {lines[0]!r}") from exc
+    head = lines[0].split()
+    if len(head) < 2 or not _INDEX.fullmatch(head[1]):
+        raise ValueError(f"{path}: bad space header: {lines[0]!r}")
+    n = int(head[1])
     if space is not None and space.n_points != n:
         raise ValueError(f"{path}: file has {n} points, space has {space.n_points}")
-    idx, nums = _c_points(lines[1:], n) or _token_points(path, lines[1:], n)
+    del lines[0]
+    # index, coordinates, value: as many columns as the first point line, at least 2
+    width = max(2, len(next(filter(str.split, lines), "").split()))
+    rows = _rows(lines, n, width)
+    if rows is None or rows[0].size != n:
+        raise ValueError(_refusal(path, lines, n, width))
+    idx, nums = rows
     order = np.empty(n, dtype=np.intp)
     order[idx] = np.arange(n)  # idx is a permutation of the points by now
-    values, coords = nums[order, -1], (nums[order, :-1] if nums.shape[1] > 1 else None)
-    if values.max(initial=NEG_INF) != 0.0:
-        raise ValueError(f"{path}: density maximum must be exactly 0; use normalize()")
-    if space is None:
-        if coords is None:
-            raise ValueError(f"{path}: no coordinate columns; pass the space explicitly")
-        space = FiniteMetricSpace.from_coords(coords)
-    elif coords is not None and space.coords is not None:
-        if coords.shape != space.coords.shape or not np.allclose(
-            coords, space.coords, rtol=1e-12, atol=1e-12
-        ):
-            raise ValueError(f"{path}: coordinates disagree with the given space")
-    return IdempotentMeasure(space, values)
+    values, coords = nums[order, -1], (nums[order, :-1] if width > 2 else None)
+    try:
+        if space is None:
+            if coords is None:
+                raise ValueError("no coordinate columns; pass the space explicitly")
+            space = FiniteMetricSpace.from_coords(coords)
+        elif coords is not None and space.coords is not None:
+            scale = 1e-12 * np.abs(space.coords).max()  # the tolerance at the space's scale
+            if coords.shape != space.coords.shape or not np.allclose(
+                coords, space.coords, rtol=1e-12, atol=scale
+            ):
+                raise ValueError("coordinates disagree with the given space")
+        return IdempotentMeasure(space, values)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc

@@ -155,12 +155,16 @@ def write_density_file_lines(path, mu) -> None:
 def read_density_file_lines(path, space=None):
     """Density file parsed line by line in Python.
 
-    Known gaps, closed in the production reader: a line number counts only
-    the point lines above it, not blank lines; a later line without
-    coordinate columns is placed at coordinate 0; a bare index line reads
-    as density equal to its index; a bad coordinate raises float()'s own
-    message; a density that is all below 0 or has a positive entry fails
-    without the path.
+    Known gaps, closed in the production reader: Python's int and float
+    read spellings outside numpy's grammar (1_0, non-ASCII digits); a line
+    number counts only the point lines above it, not blank lines; a later
+    line without coordinate columns is placed at coordinate 0; a bare index
+    line reads as density equal to its index; a bad coordinate raises
+    float()'s own message; a density that is all below 0 or has a positive entry fails
+    without the path, and so does a space built from bad coordinates;
+    coordinates are compared to a given space with an absolute tolerance of
+    1e-12, so below that scale any coordinates agree (on a grid from 0 to
+    1e-150 in 2 cells, a point at 9e-151 passes for 5e-151).
     """
     with open(path) as fh:
         lines = fh.read().splitlines()

@@ -649,13 +649,23 @@ out = {out}
 """
 
 
-def test_valid_density_files_never_reach_the_token_route(tmp_path, capsys, monkeypatch):
-    # numpy's C text reader is the production route; the token route only
-    # words refusals and reads spellings that numpy refuses
-    def refuse(path, lines, n):
-        raise AssertionError(f"{path} reached the token route")
+def test_valid_density_files_are_read_by_one_loadtxt_call_each(tmp_path, monkeypatch):
+    # numpy's C text reader is the one parse route: a valid file takes one
+    # np.loadtxt call, and only a refused file is bisected with more
+    calls = []
+    real = np.loadtxt
 
-    monkeypatch.setattr(mp.measures, "_token_points", refuse)
+    def spy(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", spy)
+
+    def reads(argv, files):
+        calls.clear()
+        assert main(argv) == 0
+        assert len(calls) == files
+
     rng = np.random.default_rng(41)
     line, plane = mp.build_grid([0.0], [1.0], [27]), mp.build_grid([0.0, 0.0], [1.0, 1.0], [5, 6])
     for name, space in (("line", line), ("plane", plane)):
@@ -665,23 +675,59 @@ def test_valid_density_files_never_reach_the_token_route(tmp_path, capsys, monke
             raw[rng.integers(space.n_points)] = 0.0
             mp.write_density_file(f, mp.normalize(space, raw))
         for spec in ("d1", "da:a=2", "dtilde:alpha=0.3,q=0.5,tol=1e-6", "brz:tol=1e-6"):
-            assert main(["metric", str(files[0]), str(files[1]), spec]) == 0
-        assert main(["render", str(files[0]), str(tmp_path / f"{name}.pgm"), "--floor", "-1"]) == 0
+            reads(["metric", str(files[0]), str(files[1]), spec], 2)
+        reads(["render", str(files[0]), str(tmp_path / f"{name}.pgm"), "--floor", "-1"], 1)
     # [initial] kind = file on the line: solve, then restart from its output
     first = tmp_path / "c.density"
-    assert main(["solve", str(_write(tmp_path, "c.cfg", CANTOR_CFG.format(out=first)))]) == 0
+    reads(["solve", str(_write(tmp_path, "c.cfg", CANTOR_CFG.format(out=first)))], 0)
     again = CANTOR_CFG.format(out=tmp_path / "c2.density").replace(
         "kind = uniform", f"kind = file\npath = {first}"
     )
-    assert main(["solve", str(_write(tmp_path, "c2.cfg", again))]) == 0
+    reads(["solve", str(_write(tmp_path, "c2.cfg", again))], 1)
     # files without coordinates, on an explicit matrix space
     matrix = mp.FiniteMetricSpace.from_matrix([[0, 1, 2], [1, 0, 1], [2, 1, 0]])
     start = tmp_path / "m.density"
     mp.write_density_file(start, mp.normalize(matrix, [-1.0, 0.0, -np.inf]))
     cfg = _write(tmp_path, "m.cfg", MATRIX_CFG.format(start=start, out=tmp_path / "m2.density"))
-    assert main(["solve", str(cfg)]) == 0
-    assert main(["metric", str(start), str(tmp_path / "m2.density"), "d1", "--config", str(cfg)]) == 0
-    assert "reached the token route" not in capsys.readouterr().err
+    reads(["solve", str(cfg)], 1)
+    reads(["metric", str(start), str(tmp_path / "m2.density"), "d1", "--config", str(cfg)], 2)
+
+
+def test_a_density_file_whose_space_or_measure_fails_is_named(tmp_path, capsys):
+    # read without a space, a file's coordinates build one; those errors had no path
+    good, bad = tmp_path / "good.density", tmp_path / "bad.density"
+    mp.write_density_file(good, mp.uniform(mp.build_grid([0.0], [1.0], [1])))
+    for text, words in (
+        ("space 2\n0 nan 0\n1 1.0 -1\n", "coordinates must be finite"),
+        ("space 2\n0 1.0 0\n1 1.0 -1\n", "points 0 and 1 coincide"),
+        ("space 2\n0 0 0\n1 1e308 -1\n", "coordinate span 1e+308 overflows when squared"),
+    ):
+        bad.write_text(text)
+        assert main(["metric", str(bad), str(good), "d1"]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {bad}: {words}")
+    # the second file is read against the first file's space
+    for text, words in (
+        ("space 2\n0 0.0 -1\n1 1.0 -2\n", "density maximum must be exactly 0; use normalize()"),
+        ("space 2\n0 nan 0\n1 1.0 -1\n", "coordinates disagree with the given space"),
+        ("space 2\n0 1e-11 0\n1 1.0 -1\n", "coordinates disagree with the given space"),
+    ):
+        bad.write_text(text)
+        assert main(["metric", str(good), str(bad), "d1"]) == 2
+        assert capsys.readouterr().err == f"error: {bad}: {words}\n"
+
+
+def test_python_only_spellings_exit_2_with_file_and_line(tmp_path, capsys):
+    good, bad = tmp_path / "good.density", tmp_path / "bad.density"
+    mp.write_density_file(good, mp.uniform(mp.build_grid([0.0], [1.0], [2])))
+    for body, line, words in (
+        ("0 0 0\n1_0 0.5 0\n2 1 0", 3, "bad point index '1_0'"),
+        ("0 0 0\n1 0.5 0\n\u0662 1 0", 4, "bad point index '\u0662'"),
+        ("0 0 0\n1 0.5 -1_0\n2 1 0", 3, "bad density value"),
+        ("0 0 0\n1 \u0660.5 0\n2 1 0", 3, "bad coordinate '\u0660.5'"),
+    ):
+        bad.write_text(f"space 3\n{body}\n", encoding="utf-8")
+        assert main(["metric", str(good), str(bad), "d1"]) == 2
+        assert capsys.readouterr().err == f"error: {bad}:{line}: {words}\n"
 
 
 SCIPY_PROBE = """

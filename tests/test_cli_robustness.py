@@ -55,6 +55,12 @@ SPECS = (
     "dtilde:alpha=0.5,q=0.5,tol={}",
     "brz:tol={}",
 )
+# a repeated option used to keep its last value and exit 0
+REPEATED = {
+    "da:a=1,a=2": "repeated metric option 'a'",
+    "dtilde:alpha=0.5,q=0.5,tol=1e-6,q=0.25": "repeated metric option 'q'",
+    "brz:tol=1e-6, tol=1e-6": "repeated metric option 'tol'",
+}
 DOCUMENTED_CODES = {0, 2, 3, 4, 5}
 NAN_WORD = re.compile(r"(?<![\w/])nan\b", re.IGNORECASE)  # a printed value, not a path
 
@@ -85,6 +91,7 @@ def robustness_cases(tmp_path):
         for value in SPEC_VALUES:
             spec = template.format(value)
             cases.append((f"metric {spec}", ["metric", str(fa), str(fb), spec]))
+    cases += [(f"metric {spec}", ["metric", str(fa), str(fb), spec]) for spec in REPEATED]
     return cases
 
 
@@ -106,6 +113,8 @@ def test_cli_robustness_table(tmp_path, capsys):
     for case, argv in cases:
         code, out, err = _run(argv, capsys)
         if code not in DOCUMENTED_CODES or "Traceback" in err or NAN_WORD.search(out):
+            faults.append((case, code, out[-200:], err[-200:]))
+        elif argv[-1] in REPEATED and (code != 2 or REPEATED[argv[-1]] not in err):
             faults.append((case, code, out[-200:], err[-200:]))
     elapsed = time.perf_counter() - start
     assert faults == []

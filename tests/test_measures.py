@@ -343,10 +343,13 @@ def test_an_index_spelled_as_a_float_is_refused_whatever_numpy_parses(tmp_path, 
     p = tmp_path / "float.density"
     real = np.loadtxt
 
-    def lenient(lines, dtype, **kwargs):
-        warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.", DeprecationWarning)
+    def lenient(lines, dtype=float, **kwargs):
+        # numpy 1.x warned only where an integer column held a float spelling
         rows = [line.split() for line in lines]
-        return real([f"{int(float(r[0]))} {' '.join(r[1:])}" for r in rows], dtype, **kwargs)
+        if np.dtype(dtype).names and any(not r[0].lstrip("+-").isdigit() for r in rows if r):
+            warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.", DeprecationWarning)
+            lines = [" ".join([str(int(float(r[0])))] + r[1:]) for r in rows if r]
+        return real(lines, dtype, **kwargs)
 
     for index in ("1.0", "1e0"):
         p.write_text(f"space 2\n0 0.0 0\n{index} 1.0 -1\n")
@@ -356,3 +359,46 @@ def test_an_index_spelled_as_a_float_is_refused_whatever_numpy_parses(tmp_path, 
                 warnings.simplefilter("ignore")
                 with pytest.raises(ValueError, match=rf"float\.density:3: bad point index '{index}'$"):
                     mp.read_density_file(p)
+
+
+def test_the_space_count_is_read_in_numpys_integer_grammar(tmp_path):
+    # Python's int also reads these; the point lines are judged the same way
+    p = tmp_path / "py.density"
+    for count in ("\u0662", "0_2", "2.0", "+"):
+        p.write_text(f"space {count}\n0 0.0 0\n1 1.0 -1\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=re.escape(f"py.density: bad space header: 'space {count}'")):
+            mp.read_density_file(p)
+    p.write_text("space +02\n0 0.0 0\n1 1.0 -1\n")
+    assert mp.read_density_file(p).space.n_points == 2
+
+
+def test_a_bad_last_line_of_a_large_file_is_named(tmp_path):
+    # the refusal bisects the point lines; the last one is found too
+    plane = mp.build_grid([0.0, 0.0], [1.0, 1.0], [80, 80])
+    p = tmp_path / "large.density"
+    mp.write_density_file(p, mp.uniform(plane))
+    lines = p.read_text().splitlines()
+    for bad, message in (("6560 1 1 1_0", "bad density value"), ("6560 1 1_0 0", "bad coordinate '1_0'")):
+        p.write_text("\n".join(lines[:-1] + [bad]) + "\n")
+        with pytest.raises(ValueError, match=rf"large\.density:6562: {re.escape(message)}$"):
+            mp.read_density_file(p)
+
+
+def test_coordinates_are_compared_at_the_scale_of_the_space(tmp_path):
+    # an absolute 1e-12 tolerance accepted any coordinates below that scale
+    p = tmp_path / "tiny.density"
+    tiny = mp.build_grid([0.0], [1e-150], [2])
+    p.write_text("space 3\n0 0 0\n1 9e-151 -1\n2 1e-150 -2\n")
+    with pytest.raises(ValueError, match=r"tiny\.density: coordinates disagree with the given space$"):
+        mp.read_density_file(p, tiny)
+    # coordinates rounded to 12 digits agree at every scale
+    for exp in range(-150, 151, 25):
+        space = mp.build_grid([0.0, -(10.0**exp)], [10.0**exp, 0.0], [7, 3])
+        rows = [f"{i} {x:.12g} {y:.12g} 0" for i, (x, y) in enumerate(space.coords)]
+        p.write_text(f"space {space.n_points}\n" + "\n".join(rows) + "\n")
+        assert mp.read_density_file(p, space) == mp.uniform(space)
+        # and a point moved by a tenth of a cell does not
+        rows[5] = f"5 {space.coords[5, 0] + 10.0**exp / 70:.12g} {space.coords[5, 1]:.12g} 0"
+        p.write_text(f"space {space.n_points}\n" + "\n".join(rows) + "\n")
+        with pytest.raises(ValueError, match="disagree"):
+            mp.read_density_file(p, space)

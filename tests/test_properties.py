@@ -1,14 +1,14 @@
 """Property tests: the array code of the seeded stream, the stacked Markov
 step, the density files, the line d1 and dual kernels and the off-line
-coincidence check against the slower routes kept in `oracles.py`, and the
-density reader's C route against its token route.
+coincidence check against the slower routes kept in `oracles.py`; the
+density reader on tokens outside numpy's grammar, and `metric` on
+mutated density files.
 
 Hypothesis runs derandomized with a bounded number of examples, so every
 run checks the same cases.
 """
 
 import re
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,7 +16,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import maxplus_ifs as mp
-from maxplus_ifs import measures as measures_module
+from maxplus_ifs.cli import main
 from maxplus_ifs.metrics import _line_deltas
 from maxplus_ifs.spaces import _coincident_pair
 from conftest import random_matrix_space
@@ -178,8 +178,8 @@ SUBNORMAL = st.sampled_from([-5e-324, -1e-310, -2.225073858507201e-308])
 
 
 def _python_only(draw, token):
-    """A spelling of token that only Python's int and float read: an
-    underscore between two digits, or Arabic-Indic digits."""
+    """A spelling of a token with a digit that only Python's int and float
+    read: an underscore between two digits, or Arabic-Indic digits."""
     pair = re.search(r"\d\d", token)
     if pair and draw(st.booleans()):
         return token[: pair.start() + 1] + "_" + token[pair.start() + 1 :]
@@ -198,30 +198,18 @@ def _spell_index(draw, i):
 
 
 @st.composite
-def density_files(draw):
-    """Lines of a valid density file in varied spelling, and its point count.
-
-    Two files in five hold tokens that only Python reads (1_0, Arabic-Indic
-    digits), so the rest take the reader's C route.
-    """
-    n = draw(st.integers(1, 9))
-    dim = draw(st.integers(0, 3))
+def density_files(draw, n=st.integers(1, 9), dim=st.integers(0, 3)):
+    """Lines of a valid density file in varied spelling, its point count and dimension."""
+    n, dim = draw(n), draw(dim)
     order = draw(st.permutations(range(n)))
     coords = np.arange(n * max(dim, 1), dtype=float).reshape(n, -1) / 7.0
     dens = np.array(draw(st.lists(values | SUBNORMAL, min_size=n, max_size=n)))
     dens[draw(st.integers(0, n - 1))] = draw(st.sampled_from([0.0, -0.0]))  # "-0" too
     lines = [draw(st.sampled_from(["space %d" % n, "space  %d " % n]))]
-    rows = []
     for i in order:
         toks = [_spell_index(draw, i)]
         toks += [repr(float(c)) for c in coords[i][:dim]]
         toks.append(_spell_value(draw, dens[i]))
-        rows.append(toks)
-    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 3]))):  # in two files of five
-        toks = rows[draw(st.integers(0, n - 1))]
-        k = draw(st.integers(0, len(toks) - 1))
-        toks[k] = _python_only(draw, toks[k])
-    for toks in rows:
         sep = draw(st.sampled_from([" ", "  ", "\t"]))
         lines.append(draw(st.sampled_from(["", " "])) + sep.join(toks))
     return lines, n, dim
@@ -253,12 +241,6 @@ def _read(reader, path, space):
     return _hex(mu.density), (None if mu.space.coords is None else _hex(mu.space.coords))
 
 
-def _read_by_tokens(path, space):
-    """The reader with its C route refusing every file: the token route alone."""
-    with mock.patch.object(measures_module, "_c_points", lambda lines, n: None):
-        return _read(mp.read_density_file, path, space)
-
-
 def _space_for(n, dim):
     return None if dim else mp.FiniteMetricSpace.from_coords(np.arange(float(n)))
 
@@ -287,8 +269,8 @@ LINE_MUTATIONS = (
 FILE_MUTATIONS = ("missing line", "extra line", "header", "whitespace line", "line break")
 
 
-def _mutate(draw, lines, n, dim, extra=()):
-    kind = draw(st.sampled_from(LINE_MUTATIONS * 4 + FILE_MUTATIONS + extra))
+def _mutate(draw, lines, n, dim):
+    kind = draw(st.sampled_from(LINE_MUTATIONS * 4 + FILE_MUTATIONS))
     k = draw(st.integers(1, len(lines) - 1))
     toks = lines[k].split()
     if kind == "bad index":
@@ -306,11 +288,6 @@ def _mutate(draw, lines, n, dim, extra=()):
         del toks[draw(st.integers(1, len(toks) - 2))]
     elif kind == "nan coordinate" and len(toks) >= 3:
         toks[draw(st.integers(1, len(toks) - 2))] = "nan"
-    elif kind == "comment":  # np.loadtxt would skip it by default
-        comment = draw(st.sampled_from(["#", "#x", "# 0", "# 0 0 0"]))
-        if draw(st.booleans()):  # a line of its own
-            return lines[:k] + [comment] + lines[k:]
-        toks.insert(draw(st.integers(1, len(toks))), comment)
     elif kind == "missing line":
         return lines[:k] + lines[k + 1 :]
     elif kind == "extra line":
@@ -326,6 +303,16 @@ def _mutate(draw, lines, n, dim, extra=()):
     return lines[:k] + [" ".join(toks)] + lines[k + 1 :]
 
 
+def _in_file_terms(message, path):
+    """A per-line parser message as the reader words it: the line counted
+    in the file, blank lines included, and the path on every message."""
+    with open(path) as fh:
+        body = [k + 2 for k, line in enumerate(fh.read().splitlines()[1:]) if line.split()]
+    if not message.startswith(str(path)):  # a space or measure error
+        return f"{path}: {message}"
+    return re.sub(r"^(.*?):(\d+): ", lambda m: f"{m[1]}:{body[int(m[2]) - 2]}: ", message)
+
+
 @settings(PROPERTY, max_examples=300)
 @given(density_files(), st.data())
 def test_reader_gives_the_line_parser_message_on_malformed_files(tmp_path, case, data):
@@ -338,29 +325,90 @@ def test_reader_gives_the_line_parser_message_on_malformed_files(tmp_path, case,
     _write(data.draw, path, lines)
     got = _read(mp.read_density_file, path, _space_for(n, dim))
     want = _read(read_density_file_lines, path, _space_for(n, dim))
-    with open(path) as fh:
-        blank = any(not line.split() for line in fh.read().splitlines()[1:])
-    if blank and isinstance(want, str) and isinstance(got, str):
-        # the per-line parser counts point lines, not blank ones
-        got, want = (re.sub(r"^(.*?):\d+: ", r"\1: ", m) for m in (got, want))
-    assert got == want
+    if isinstance(want, str):
+        assert got == _in_file_terms(want, path)
+    else:
+        assert got == want
+
+
+def _spoil(draw, toks):
+    """Put a token outside numpy's grammar into a point line: a Python-only
+    spelling of a token with a digit, or a '#' token (no comment here).
+    Returns the line and the reader's message for it."""
+    if draw(st.booleans()):
+        k = draw(st.sampled_from([k for k, tok in enumerate(toks) if re.search(r"\d", tok)]))
+        toks[k] = _python_only(draw, toks[k])
+        if k == len(toks) - 1:
+            return " ".join(toks), "bad density value"
+        return " ".join(toks), re.escape(f"bad {'point index' if k == 0 else 'coordinate'} {toks[k]!r}")
+    toks.insert(draw(st.integers(1, len(toks))), draw(st.sampled_from(["#", "#x", "# 0", "# 0 0 0"])))
+    return " ".join(toks), "bad density value|inconsistent coordinate columns|bad coordinate '#.*'"
 
 
 @settings(PROPERTY, max_examples=300)
 @given(density_files(), st.data())
-def test_c_reader_equals_the_token_route(tmp_path, case, data):
-    # valid files in float.hex, malformed ones by their message, line numbers included
+def test_tokens_outside_numpys_grammar_are_refused_at_their_line(tmp_path, case, data):
+    # Python-only spellings (1_0, Arabic-Indic digits) and '#' tokens; a '#'
+    # line of its own is a point line too.  The first spoiled line is named.
     lines, n, dim = case
-    valid = data.draw(st.booleans())
-    for _ in range(0 if valid else data.draw(st.integers(1, 3))):
-        lines = _mutate(data.draw, lines, n, dim, extra=("comment",) * 2)
+    whys = {}  # spoiled line -> the reader's message for it
+    for k in data.draw(st.sets(st.integers(1, n), min_size=1, max_size=3)):
+        lines[k], why = _spoil(data.draw, lines[k].split())
+        whys[lines[k]] = why
+    comments = data.draw(st.sampled_from([0, 0, 0, 1, 2]))
+    for _ in range(comments):
+        lines.insert(data.draw(st.integers(1, len(lines))), data.draw(st.sampled_from(["#", "# 0 0 0"])))
     if data.draw(st.booleans()):
         lines = _with_blank_lines(data.draw, lines)
-    path = tmp_path / "any.density"
-    _write(data.draw, path, lines)
+    path = tmp_path / "spoiled.density"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     got = _read(mp.read_density_file, path, _space_for(n, dim))
-    assert not (valid and isinstance(got, str)), got
-    assert got == _read_by_tokens(path, _space_for(n, dim))
+    if comments:
+        assert got == f"{path}: expected {n} point lines, found {n + comments}"
+    else:
+        first = next(k for k, line in enumerate(lines) if line in whys)
+        assert re.fullmatch(rf"{re.escape(str(path))}:{first + 1}: ({whys[lines[first]]})", got), got
+
+
+def _metric_mutation(draw, lines, n, dim):
+    """One change to a density file: a token outside numpy's grammar, a
+    30-digit index, a NaN or infinite coordinate, a blank or whitespace
+    line, or one of the malformed-file mutations."""
+    kind = draw(st.sampled_from(["spoil", "long index", "coordinate", "blank", "malformed"]))
+    rows = [k for k in range(1, len(lines)) if len(lines[k].split()) >= 3 and re.search(r"\d", lines[k])]
+    if kind == "malformed" or not rows:
+        return _mutate(draw, lines, n, dim)
+    k = draw(st.sampled_from(rows))
+    toks = lines[k].split()
+    if kind == "spoil":
+        line = _spoil(draw, toks)[0]
+    elif kind == "long index":
+        toks[0] = draw(st.sampled_from(["9" * 30, "-" + "9" * 30, "0" * 29 + "1"]))
+        line = " ".join(toks)
+    elif kind == "coordinate":
+        toks[draw(st.integers(1, len(toks) - 2))] = draw(st.sampled_from(["nan", "inf", "-inf", "+Infinity"]))
+        line = " ".join(toks)
+    else:
+        return lines[:k] + [draw(st.sampled_from(BLANK_LINES + (" \r",)))] + lines[k:]
+    return lines[:k] + [line] + lines[k + 1 :]
+
+
+@settings(PROPERTY, max_examples=200)
+@given(st.integers(1, 9), st.integers(1, 2), st.data())
+def test_metric_on_mutated_files_exits_0_or_2_naming_a_file(tmp_path, capsys, n, dim, data):
+    paths = [tmp_path / "a.density", tmp_path / "b.density"]
+    for path in paths:
+        lines = data.draw(density_files(st.just(n), st.just(dim)))[0]
+        for _ in range(data.draw(st.integers(0, 2))):
+            lines = _metric_mutation(data.draw, lines, n, dim)
+        _write(data.draw, path, lines)
+    code = main(["metric", str(paths[0]), str(paths[1]), "d1"])
+    out, err = capsys.readouterr()
+    assert code in (0, 2)
+    if code == 2:
+        assert err.startswith((f"error: {paths[0]}", f"error: {paths[1]}")), err
+    else:
+        assert np.isfinite(float(out)) and err == ""
 
 
 # --- the batched line d1 kernel -----------------------------------------------
