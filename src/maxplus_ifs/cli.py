@@ -69,8 +69,10 @@ def cmd_solve(args) -> int:
     print(f"exact fixed point: {'yes' if diag.exact else 'no'}")
     if diag.apriori_bound is not None:
         print(f"a-priori distance bound: {_fmt(diag.apriori_bound)}")
-    else:
+    elif ifs.discrete_lip_max >= 1.0:
         print("a-priori distance bound: n/a (no Banach factor below 1)")
+    else:
+        print("a-priori distance bound: n/a (the bound holds for d1 residuals only)")
     print(f"support ({sup.size} points): {' '.join(str(i) for i in sup)}")
     print(f"density file: {run.out}")
     if not diag.converged:

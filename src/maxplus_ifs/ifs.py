@@ -334,9 +334,13 @@ def iterate_fixed_point(
     or "d1" (the coupling metric).  Bitwise-equal densities are an exact
     fixed point (the operator is a finite max/plus circuit) and stop the
     iteration with a recorded residual of 0 regardless of tol.  When every
-    map contracts (discrete_lip_max < 1) the diagnostics carry the a-priori
-    bound residual * a / (1 - a) on the distance to the true fixed point;
-    for witness-only (non-Banach) systems the stopping rule is
+    map contracts (discrete_lip_max < 1) and the residual is d1, the metric
+    in which the operator contracts, the diagnostics carry the a-priori
+    bound residual * a / (1 - a) on the d1 distance to the true fixed
+    point.  A sup_density residual gives no such bound: on three points
+    with a = 1/3 a step of 2 can end 2 away from the fixed point, in sup
+    and in d1, above the 2 a / (1 - a) = 1 that the formula would claim.
+    For witness-only (non-Banach) systems the stopping rule is
     residual-only.
     """
     if not tol >= 0:
@@ -370,7 +374,7 @@ def iterate_fixed_point(
             diag.converged = True
             break
     alpha = ifs.discrete_lip_max
-    if diag.residuals and alpha < 1.0:
+    if metric == "d1" and diag.residuals and alpha < 1.0:
         diag.apriori_bound = diag.residuals[-1] * alpha / (1.0 - alpha)
     if not diag.converged:
         diag.message = (

@@ -186,13 +186,13 @@ def _loadtxt(lines: list[str], dtype):
 
 
 def _line_error(parts: list[str], width: int, n: int, above: np.ndarray) -> str:
-    """Why a point line is refused; `above` holds the indices of the lines before it."""
+    """Why a point line is refused; `above` marks the indices of the lines before it."""
     if not _INDEX.fullmatch(parts[0]):
         return f"bad point index {parts[0]!r}"
     idx = int(parts[0])
     if not 0 <= idx < n:
         return f"point index {idx} out of range"
-    if np.any(above == idx):
+    if above[idx]:
         return f"duplicate point index {idx}"
     value = _loadtxt(parts[1:][-1:], float)
     if value is None or np.isnan(value[0]) or value[0] == np.inf:
@@ -218,21 +218,25 @@ def _rows(lines: list[str], n: int, width: int):
 
 def _refusal(path, lines: list[str], n: int, width: int) -> str:
     """The message for point lines that _rows refuses: the first bad line,
-    found by bisection over prefixes of the point lines."""
+    found by bisection over prefixes of the point lines.  A prefix that
+    extends a passing one passes if its new lines do and repeat none of
+    its indices, so each step parses only the new lines."""
     body = [k for k, line in enumerate(lines) if line.split()]
     if len(body) != n:
         return f"{path}: expected {n} point lines, found {len(body)}"
     if n == 0:  # every check passes on no lines; an empty density has no maximum
         return f"{path}: density maximum must be exactly 0; use normalize()"
     points = [lines[k] for k in body]
-    good, bad, above = 0, n, np.empty(0, dtype=np.intp)  # points[:good] pass, points[:bad] fail
+    good, bad = 0, n  # points[:good] pass, points[:bad] fail
+    above = np.zeros(n, dtype=bool)  # the indices of points[:good]
     while bad - good > 1:
         mid = (good + bad) // 2
-        rows = _rows(points[:mid], n, width)
-        if rows is None:
+        rows = _rows(points[good:mid], n, width)
+        if rows is None or above[rows[0]].any():
             bad = mid
         else:
-            good, above = mid, rows[0]
+            good = mid
+            above[rows[0]] = True
     return f"{path}:{body[good] + 2}: {_line_error(points[good].split(), width, n, above)}"
 
 

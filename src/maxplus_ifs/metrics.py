@@ -7,10 +7,10 @@
   (O(m log m) per pair on the m points of the batch's supports), on 2-D
   and 3-D Euclidean spaces by one ring search per direction over a
   uniform grid of the targets, capped at _RING_WORK cell visits and
-  target reads per point, else (and for the sources left past that cap) by nearest
-  neighbours over level-ordered prefixes split into dyadic runs, by k-d
-  trees on Euclidean spaces (O(n log^2 n)) and by row chunks of the
-  support distance table otherwise (O(|s1| |s2|) time, O(256 |s|) memory);
+  target reads per point, else (and for the sources left past that cap)
+  by one sweep of the support distance table, sources sorted by the
+  width of their level-ordered target prefix, in masked row blocks of at
+  most 2^18 entries (O(|s1| |s2|) time, bounded memory);
 * the Lipschitz-dual pseudometrics d_a = sup {|mu(f) - nu(f)| : Lip f <= a},
   in closed form through cone test functions; one kernel returns d_a for
   a batch of pairs and an array of levels.  On the line every (pair,
@@ -28,9 +28,9 @@
 
 Slower exact routes (threshold search, subset enumeration, the dense
 per-level dual formula, the per-pair line kernel) are test oracles; sampled inf-convolution
-certificates validate the dual closed form.  scipy is imported only for
-the k-d tree of the prefix route, so 1-D runs and ring-search d1 never
-load it.
+certificates validate the dual closed form.  scipy is never imported
+here; off the line the distance table loads it for cdist, so 1-D runs,
+and ring-search d1 that leaves no source to the table sweep, never do.
 """
 
 from __future__ import annotations
@@ -45,13 +45,12 @@ import numpy as np
 from .measures import IdempotentMeasure, TestFunction, pushforward
 from .semiring import NEG_INF
 from .spaces import _BLOCK_ELEMS as _TABLE_ELEMS
-from .spaces import ProductSpace, _euclidean_table
+from .spaces import ProductSpace
 
 Pair = tuple[IdempotentMeasure, IdempotentMeasure]
 
-_CHUNK_ROWS = 256  # rows per distance block of d1 and its feasibility test
 # cell visits plus targets read by the 2-D and 3-D d1 ring search, per point of both
-# supports, before the prefix route takes the sources left
+# supports, before the table sweep takes the sources left
 _RING_WORK = 32
 # level x row x column elements per dual-kernel block, apart from the 2^18 table
 # budget: at 2^18 a series on two 6561-point 2-D files took 4.1 s, not 3.3-3.6 s
@@ -141,73 +140,47 @@ def coupling_feasible(mu1: IdempotentMeasure, mu2: IdempotentMeasure, t: float) 
     Row x needs max_y eta(x, y) = lambda1(x); since min(l1, l2) never
     exceeds l1, that holds iff some y within t has lambda2(y) >= lambda1(x)
     (bottom rows are automatic).  Columns are symmetric, settled across
-    row chunks of the support distance table.
+    row blocks of at most _TABLE_ELEMS entries of the support distance table.
     """
     _check_same_space(mu1, mu2)
     s1, s2, l1, l2 = _supports(mu1, mu2)
     cols_ok = np.zeros(s2.size, dtype=bool)
-    for start in range(0, s1.size, _CHUNK_ROWS):
-        near = mu1.space.distance_submatrix(s1[start : start + _CHUNK_ROWS], s2) <= t
-        lr = l1[start : start + _CHUNK_ROWS, None]
+    step = max(1, _TABLE_ELEMS // s2.size)
+    for start in range(0, s1.size, step):
+        near = mu1.space.distance_submatrix(s1[start : start + step], s2) <= t
+        lr = l1[start : start + step, None]
         if not np.all(((l2 >= lr) & near).any(axis=1)):
             return False
         cols_ok |= ((lr >= l2) & near).any(axis=0)
     return bool(cols_ok.all())
 
 
-def _nearest(space, rows, cols, width=None) -> np.ndarray:
-    """Per rows[i], the least distance to cols[:width[i]] (all of cols by default).
-
-    The one space-dependent step of d1 off the line: a k-d tree over cols
-    on Euclidean spaces, row chunks of the distance table elsewhere and for
-    the masked widths of a partial block, through the spaces' Euclidean
-    table on coordinates.
-    """
-    if space.euclidean and width is None:
-        from scipy.spatial import cKDTree
-
-        return cKDTree(space.coords[cols]).query(space.coords[rows])[0]
-    out = np.empty(rows.size)
-    for lo in range(0, rows.size, _CHUNK_ROWS):
-        r = rows[lo : lo + _CHUNK_ROWS]
-        if space.euclidean:
-            d = _euclidean_table(space.coords[r], space.coords[cols])
-        else:
-            d = space.distance_submatrix(r, cols)
-        if width is not None:
-            d[np.arange(cols.size) >= width[lo : lo + _CHUNK_ROWS, None]] = np.inf
-        out[lo : lo + _CHUNK_ROWS] = d.min(axis=1)
-    return out
-
-
 def _directed_d1(space, s_from, l_from, s_to, l_to) -> float:
     """max over x of min {d(x, y) : lambda_to(y) >= lambda_from(x)}.
 
     With the targets sorted by level, descending, x searches the prefix of
-    the p(x) targets at or above its level.  A prefix splits into aligned
-    dyadic runs of whole _CHUNK_ROWS-point blocks and one partial block;
-    each run is searched once for every x that uses it (Bentley and Saxe's
-    logarithmic method), so Euclidean spaces take O(n log^2 n).
+    the p(x) targets at or above its level.  The sources, sorted by p, read
+    row blocks of at most _TABLE_ELEMS entries of the distance table against
+    the widest prefix of the block: the narrowest prefix is read whole and
+    only the ragged tail past it is masked (O(|s_from| |s_to|) time).
     """
     order = np.argsort(-l_to, kind="stable")
     targets = s_to[order]
     p = np.searchsorted(-l_to[order], -l_from, side="right")  # >= 1: lambda_to peaks at 0
-    blocks, rest = np.divmod(p, _CHUNK_ROWS)
-    best = np.full(s_from.size, np.inf)
-
-    def search(use, first_block, n_blocks, width=None):
-        users = np.flatnonzero(use)
-        users = users[np.argsort(first_block[users], kind="stable")]
-        firsts, starts = np.unique(first_block[users], return_index=True)
-        for b, q in zip(firsts, np.split(users, starts[1:])):
-            run = targets[b * _CHUNK_ROWS : (b + n_blocks) * _CHUNK_ROWS]
-            w = None if width is None else width[q]
-            best[q] = np.minimum(best[q], _nearest(space, s_from[q], run, w))
-
-    for k in range(int(blocks.max()).bit_length()):
-        search((blocks >> k) & 1 == 1, (blocks >> (k + 1)) << (k + 1), 1 << k)
-    search(rest > 0, blocks, 1, rest)
-    return float(best.max())
+    by = np.argsort(p, kind="stable")
+    rows, p = s_from[by], p[by]
+    best, start = 0.0, 0
+    while start < rows.size:
+        # the most rows from start whose count times their widest prefix fits the budget
+        w = p[start : start + max(1, _TABLE_ELEMS // int(p[start]))]
+        cost = np.arange(1, w.size + 1) * w
+        w = w[: max(1, int(np.searchsorted(cost, _TABLE_ELEMS, "right")))]
+        end = start + w.size
+        d = space.distance_submatrix(rows[start:end], targets[: w[-1]])
+        d[:, w[0] :][np.arange(w[0], w[-1]) >= w[:, None]] = np.inf
+        best = max(best, float(d.min(axis=1).max()))
+        start = end
+    return best
 
 
 def _ring_offsets(dim: int, r: int) -> np.ndarray:
@@ -230,8 +203,8 @@ def _ring_d1(space, s_from, l_from, s_to, l_to) -> float:
     table's own arithmetic (the gaps squared and summed in axis order), so
     the value is bit-equal.  When the next ring's cell visits, or the
     targets it would read, take the work past _RING_WORK per point of both
-    supports, the sources left go through _directed_d1: crowded cells and
-    far targets cost no more than a bounded detour.
+    supports, the sources left go through the table sweep of _directed_d1:
+    crowded cells and far targets cost no more than a bounded detour.
     """
     x = space.coords[s_from].T.copy()  # one contiguous row per axis
     y = space.coords[s_to].T.copy()
@@ -309,7 +282,7 @@ def _ring_d1(space, s_from, l_from, s_to, l_to) -> float:
         reach = np.maximum(edge, 0.0)
         active = active[best[active] > reach * reach]
         r += 1
-    best[active] = 0.0  # the prefix route measures these
+    best[active] = 0.0  # the table sweep measures these
     value = math.sqrt(best.max())
     if active.size:
         value = max(value, _directed_d1(space, s_from[active], l_from[active], s_to, l_to))
@@ -381,10 +354,9 @@ def coupling_distances(pairs: Sequence[Pair]) -> list[float]:
     the optimal maximal coupling.  On the line the batch is one exact kernel
     (_line_d1).  On 2-D and 3-D Euclidean spaces each term is a ring search
     over a grid of the targets (_ring_d1), numpy only.  Elsewhere, and for
-    the sources left past the ring budget, it is a nearest-neighbour search
-    over level-ordered prefixes (_directed_d1): O(n log^2 n) on Euclidean
-    spaces, at most one pass over the support table elsewhere, memory
-    O(chunk * |support|).
+    the sources left past the ring budget, it is one sweep of the support
+    distance table over level-ordered prefixes (_directed_d1): at most one
+    pass over the table, in row blocks of at most _TABLE_ELEMS entries.
     """
     if not pairs:
         return []

@@ -135,19 +135,16 @@ class FiniteMetricSpace:
     def diameter(self) -> float:
         """The largest distance, equal to the largest entry of the distance table.
 
-        On a box grid it is corner to corner; on the line the span of the
-        sorted coordinates (rounding is monotone, so no pair's computed gap
-        is larger).  Off the line, Euclidean points whose farthest corner
-        of the bounding box lies nearer than a distance already realized by
-        the extreme points along the axes can end no largest pair; the
-        points left are swept against each other, in blocks of at most 2^18
-        distances.  Explicit matrices are swept whole.
+        On the line the span of the sorted coordinates (rounding is
+        monotone, so no pair's computed gap is larger).  Off the line, grids
+        included, Euclidean points whose farthest corner of the bounding box
+        lies nearer than a distance already realized by the extreme points
+        along the axes can end no largest pair; the points left are swept
+        against each other, in blocks of at most 2^18 distances.  Explicit
+        matrices are swept whole.
         """
         if self._diameter is None:
-            if self.grid_lower is not None:
-                # corner-to-corner realizes the max over a box grid
-                self._diameter = float(np.linalg.norm(self.grid_upper - self.grid_lower))
-            elif self.line:
+            if self.line:
                 x = self.coords[:, 0]
                 self._diameter = float(x[self.order[-1]] - x[self.order[0]])
             elif self.euclidean:

@@ -99,6 +99,48 @@ def test_solve_round_trip_restarts_at_fixed_point(tmp_path, capsys):
     assert "residual (sup_density): 0" in text
 
 
+BOUND_CFG = """
+[space]
+kind = matrix
+size = 3
+row = 0 2 8
+row = 2 0 6
+row = 8 6 0
+
+[ifs]
+map = table 0 0 1
+map = table 2 2 2
+weights = 0 -2
+
+[initial]
+kind = uniform
+
+[run]
+tol = 2
+out = {out}
+"""
+
+
+def test_solve_prints_an_a_priori_bound_for_d1_residuals_only(tmp_path, capsys):
+    # both maps are 1/3-Lipschitz; the one sup_density step of 2 stops at
+    # (0, 0, -2), 2 away from the fixed point (0, -2, -2) in sup and in d1,
+    # so the Banach bound 2 (1/3) / (2/3) = 1 would be false there
+    space = mp.FiniteMetricSpace.from_matrix([[0, 2, 8], [2, 0, 6], [8, 6, 0]])
+    fixed = mp.IdempotentMeasure(space, np.array([0.0, -2.0, -2.0]))
+    out = tmp_path / "out.density"
+    cfg = _write(tmp_path, "sup.cfg", BOUND_CFG.format(out=out))
+    assert main(["solve", str(cfg)]) == 0
+    text = capsys.readouterr().out
+    assert "residual (sup_density): 2\n" in text
+    assert "a-priori distance bound: n/a (the bound holds for d1 residuals only)\n" in text
+    assert mp.coupling_distance(mp.read_density_file(out, space), fixed) == 2.0
+    cfg = _write(tmp_path, "d1.cfg", BOUND_CFG.format(out=out) + "metric = d1\n")
+    assert main(["solve", str(cfg)]) == 0
+    text = capsys.readouterr().out
+    assert "residual (d1): 2\n" in text and "a-priori distance bound: 1\n" in text
+    assert mp.coupling_distance(mp.read_density_file(out, space), fixed) <= 1.0
+
+
 def test_solve_nonconvergent_exit_code(tmp_path, capsys):
     out = tmp_path / "x.density"
     cfg = _write(

@@ -458,6 +458,18 @@ def test_iterate_banach_bound_and_independence():
         assert other == results[0]
 
 
+def test_iterate_bounds_d1_residuals_only():
+    # the Banach factor bounds d1 steps; a sup_density residual carries no bound
+    ifs = ladder_ifs()
+    assert ifs.discrete_lip_max < 1.0
+    mu0 = mp.dirac(ifs.space, 9)
+    _, sup = mp.iterate_fixed_point(ifs, mu0, tol=0.5, max_iter=200)
+    _, d1 = mp.iterate_fixed_point(ifs, mu0, metric="d1", tol=0.5, max_iter=200)
+    assert sup.residuals and sup.apriori_bound is None
+    a = ifs.discrete_lip_max
+    assert d1.apriori_bound == d1.residuals[-1] * a / (1.0 - a)
+
+
 def test_iterate_d1_metric_residuals():
     ifs = ladder_ifs()
     mu, diag = mp.iterate_fixed_point(

@@ -209,8 +209,8 @@ def _measure_pairs(space, rng):
 
 @pytest.mark.parametrize("kind", ["matrix", "coords1d", "coords2d", "coords3d"])
 def test_coupling_distance_equals_threshold_search(kind):
-    # bit for bit, on supports of 1 point, below one 256-point block and
-    # above three (dyadic runs of one and two blocks plus a partial block);
+    # bit for bit, on supports of 1 point up to more than 768 points (the
+    # table sweep then reads several row blocks, most with a ragged tail);
     # coordinate spaces also as matrix copies, and as grids, where distances tie
     rng = np.random.default_rng(21)
     if kind == "matrix":
@@ -236,8 +236,50 @@ def test_coupling_distance_equals_threshold_search(kind):
         assert s.n_points < 1000 or largest > 3 * 256
 
 
+@pytest.mark.parametrize("budget", [1, 7, None])
+def test_table_sweep_equals_threshold_search(monkeypatch, budget):
+    # bit for bit on 4-D and 5-D grids and random points and on product
+    # spaces, with row blocks of one row, of a few rows, and of 2^18 entries
+    if budget is not None:
+        monkeypatch.setattr(mp.metrics, "_TABLE_ELEMS", budget)
+    rng = np.random.default_rng(44)
+    spaces = [
+        mp.build_grid([0.0] * 4, [1.0] * 4, [3] * 4),
+        mp.build_grid([-1.0] * 5, [2.0] * 5, [2] * 5),
+        mp.FiniteMetricSpace.from_coords(rng.uniform(-1.0, 1.0, (200, 4))),
+        mp.FiniteMetricSpace.from_coords(rng.uniform(0.0, 1e-3, (150, 5))),
+        mp.product(mp.build_grid([0.0, 0.0], [1.0, 2.0], [4, 4]), random_matrix_space(rng, 8)),
+        mp.product(mp.build_grid([0.0], [1.0], [14]), mp.build_grid([0.0], [3.0], [9])),
+    ]
+    for s in spaces:
+        for m1, m2 in _measure_pairs(s, rng):
+            assert mp.coupling_distance(m1, m2) == threshold_d1(m1, m2)
+
+
+def test_table_sweep_memory_is_bounded_on_a_crowded_cell():
+    # 3000 points in one cell of the grid that 100 spread points span: the
+    # ring search hands every source to the table sweep, which holds row
+    # blocks of 2^18 distances (2 MiB), not the 73 MiB table
+    import tracemalloc
+
+    rng = np.random.default_rng(39)
+    crowd = mp.FiniteMetricSpace.from_coords(
+        np.concatenate([rng.uniform(0.0, 1e-3, (3000, 2)), rng.uniform(0.0, 1.0, (100, 2))])
+    )
+    m1, m2 = (mp.normalize(crowd, -rng.integers(0, 8, 3100).astype(float)) for _ in range(2))
+    mp.coupling_distance(m1, m2)  # the lazy scipy import is not counted
+    tracemalloc.start()
+    try:
+        got = mp.coupling_distance(m1, m2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == _prefix_d1(m1, m2)
+    assert peak < 8 << 20
+
+
 def _prefix_d1(m1, m2):
-    """d1 by the level-ordered prefix route alone: the ring search's finishing step."""
+    """d1 by the table sweep over level-ordered prefixes alone: the ring search's finishing step."""
     s1, s2 = m1.support(), m2.support()
     l1, l2 = m1.density[s1], m2.density[s2]
     space = m1.space

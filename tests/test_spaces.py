@@ -295,6 +295,21 @@ def test_diameter_examples():
     assert mp.FiniteMetricSpace.from_coords(pts).diameter() == cdist(pts, pts).max()
 
 
+def test_grid_diameter_is_the_table_maximum():
+    # the norm of the box diagonal is 1 ulp high on the first grid and 1 ulp
+    # low on the second; the diameter is the largest table entry on both
+    high = mp.build_grid([0, 0], [0.2, 3.7], [1, 1])
+    low = mp.build_grid([0, 0], [0.3, 1.3], [1, 1])
+    assert high.diameter().hex() == diameter_sweep(high).hex() == "0x1.da4a985a7ccbep+1"
+    assert low.diameter().hex() == diameter_sweep(low).hex() == "0x1.558bedfaf6cfap+0"
+    rng = np.random.default_rng(72)
+    for trial in range(60):
+        dim = 1 + trial % 4
+        lower = rng.uniform(-2.0, 2.0, dim)
+        grid = mp.build_grid(lower, lower + rng.uniform(0.1, 4.0, dim), rng.integers(1, 5, dim))
+        assert grid.diameter().hex() == diameter_sweep(grid).hex(), trial
+
+
 def test_distance_matrix_cache_keeps_the_space_kind():
     # the full table is cached beside the metric, not in place of it
     pts = mp.FiniteMetricSpace.from_coords([[0.0], [1.0], [3.0], [7.0], [15.0]])

@@ -4,11 +4,10 @@
 method that is gone is skipped, but a module-level function that is gone
 makes ``Tracer.install`` raise, so every traced run would fail.
 
-scipy is imported inside the functions that need it, so start-up, 1-D
-runs, 2-D reads and ring-search ``d1`` never pay for it; a module-level
-import must not come back, and a lazy one may sit only in the two
-functions that use it: ``cdist`` in ``spaces._euclidean_table`` and the
-k-d tree in ``metrics._nearest``, the finishing step of off-line ``d1``.
+scipy is imported inside the one function that needs it, so start-up,
+1-D runs, 2-D reads and ring-search ``d1`` never pay for it; a
+module-level import must not come back, and a lazy one may sit only in
+``spaces._euclidean_table``, for ``cdist``.
 """
 
 import ast
@@ -72,9 +71,8 @@ def test_no_module_imports_scipy_at_import_time():
         names = [name.split(".")[0] for name in _import_time_imports(tree)]
         assert "scipy" not in names, path.name
         sites |= {(path.stem, function) for function, _ in _scipy_sites(tree)}
-    # the lazy imports: cdist for the distance table, the k-d tree for the
-    # finishing step of off-line d1, and none on the read or ring path
-    assert sites == {("spaces", "_euclidean_table"), ("metrics", "_nearest")}
+    # the one lazy import: cdist for the distance table, none on the read or ring path
+    assert sites == {("spaces", "_euclidean_table")}
     # the walk does see an import nested in a class body or an if
     nested = ast.parse("if True:\n    class A:\n        from scipy import linalg\n")
     assert list(_import_time_imports(nested)) == ["scipy"]
