@@ -275,7 +275,7 @@ def markov_many(ifs: MaxPlusIFS, measures) -> list[IdempotentMeasure]:
         base = np.arange(0, dens.size, n)[:, None]
         for w, m in zip(ifs.weights, ifs.maps):
             np.maximum.at(new.reshape(-1), (base + m.target).reshape(-1), (dens + w).reshape(-1))
-        out.extend(IdempotentMeasure(space, row) for row in new)
+        out.extend(IdempotentMeasure.from_rows(space, new))
     return out
 
 

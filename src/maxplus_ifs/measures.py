@@ -22,14 +22,24 @@ from .semiring import NEG_INF
 from .spaces import FiniteMetricSpace
 
 
-def _as_density(space: FiniteMetricSpace, values) -> np.ndarray:
+def _as_density(space: FiniteMetricSpace, values, rows: bool = False) -> np.ndarray:
+    """values as a float array of one density, or of one per row if rows."""
     arr = np.array(values, dtype=float)
-    if arr.shape != (space.n_points,):
+    if arr.ndim != 1 + rows or arr.shape[-1:] != (space.n_points,):
         raise ValueError(
-            f"density must have one entry per point ({space.n_points}), got {arr.shape}"
+            f"density must have one entry per point ({space.n_points}), got {arr.shape[rows:]}"
         )
     if np.any(np.isnan(arr)) or np.any(arr == np.inf):
         raise ValueError("density entries must be in [-inf, 0]")
+    return arr
+
+
+def _normalized(space: FiniteMetricSpace, values, rows: bool = False) -> np.ndarray:
+    """_as_density, read-only, after checking that each density tops at exactly 0."""
+    arr = _as_density(space, values, rows)
+    if np.any(arr.max(axis=-1) != 0.0):  # NaN is refused, so no entry is above 0 either
+        raise ValueError("density maximum must be exactly 0; use normalize()")
+    arr.flags.writeable = False
     return arr
 
 
@@ -41,11 +51,22 @@ class IdempotentMeasure:
     density: np.ndarray
 
     def __post_init__(self):
-        arr = _as_density(self.space, self.density)
-        if arr.max() != 0.0:  # NaN is refused, so no entry is above 0 either
-            raise ValueError("density maximum must be exactly 0; use normalize()")
-        arr.flags.writeable = False
-        object.__setattr__(self, "density", arr)
+        object.__setattr__(self, "density", _normalized(self.space, self.density))
+
+    @classmethod
+    def from_rows(cls, space: FiniteMetricSpace, table) -> list[IdempotentMeasure]:
+        """One measure per row of table, checked as one array.
+
+        The checks and their messages are those of building each row's
+        measure alone; the measures hold read-only views of one copy.
+        """
+        out = []
+        for row in _normalized(space, table, rows=True):
+            mu = object.__new__(cls)
+            object.__setattr__(mu, "space", space)
+            object.__setattr__(mu, "density", row)
+            out.append(mu)
+        return out
 
     def support(self) -> np.ndarray:
         """Indices with finite density, ascending."""
@@ -194,13 +215,13 @@ def _line_error(parts: list[str], width: int, n: int, above: np.ndarray) -> str:
         return f"point index {idx} out of range"
     if above[idx]:
         return f"duplicate point index {idx}"
+    if 1 < len(parts) != width:  # a bare index has no value to count columns by
+        return "inconsistent coordinate columns"
     value = _loadtxt(parts[1:][-1:], float)
     if value is None or np.isnan(value[0]) or value[0] == np.inf:
         return "bad density value"
     if value[0] > 0.0:
         return "density entries must be <= 0"
-    if len(parts) != width:
-        return "inconsistent coordinate columns"
     return f"bad coordinate {next(t for t in parts[1:-1] if _loadtxt([t], float) is None)!r}"
 
 

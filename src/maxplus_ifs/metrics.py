@@ -14,12 +14,13 @@
 * the Lipschitz-dual pseudometrics d_a = sup {|mu(f) - nu(f)| : Lip f <= a},
   in closed form through cone test functions; one kernel returns d_a for
   a batch of pairs and an array of levels.  On the line every (pair,
-  direction, level) row runs cone envelopes on a frame of the pair's
-  merged supports in point order: all of them on middle levels, the
-  points near the top on flat levels, and the farthest sources with
-  their nearest targets on steep levels; frames of similar length share
-  padded blocks, and every value is bit-equal to the same arithmetic
-  over all merged points (O(levels * n) per pair at most).  Elsewhere,
+  direction, level) row runs cone envelopes over the pair's merged
+  supports in point order: all of them on middle levels and the points
+  near the top, per level, on flat levels, in padded blocks of frames of
+  similar length; on steep levels only the sources that can win, each
+  against its two nearest targets, with no block.  Every value is
+  bit-equal to the same arithmetic over all merged points (O(levels * n)
+  per pair at most).  Elsewhere,
   pair by pair, blocks of the support distance table holding all levels
   are read by both directions (O(levels * |s1| |s2|), bounded memory);
 * two-sided weighted and harmonic series of the d_a, truncated in closed
@@ -183,6 +184,11 @@ def _directed_d1(space, s_from, l_from, s_to, l_to) -> float:
     return best
 
 
+def _runs(first, count) -> np.ndarray:
+    """The runs first[i], ..., first[i] + count[i] - 1, one after another."""
+    return np.repeat(first - np.cumsum(count) + count, count) + np.arange(count.sum())
+
+
 def _ring_offsets(dim: int, r: int) -> np.ndarray:
     """The cell offsets at Chebyshev distance r, as dim rows of integers."""
     cube = np.indices((2 * r + 1,) * dim).reshape(dim, -1) - r
@@ -264,7 +270,7 @@ def _ring_d1(space, s_from, l_from, s_to, l_to) -> float:
         work += int(count.sum())
         if work > budget:
             break
-        pos = np.repeat(first[cell] - np.cumsum(count) + count, count) + np.arange(count.sum())
+        pos = _runs(first[cell], count)
         src = np.repeat(active[src], count)
         keep = rank[pos] < need[src]
         src, pos = src[keep], pos[keep]
@@ -394,26 +400,28 @@ def _check_level(a: float, diam: float, depth: float) -> None:
         )
 
 
-def _line_frames(l1, l2, x, starts, pid, levels):
-    """The frames of the line kernel, and the frame each of its rows reads.
+def _line_frames(both, x, starts, pid, levels):
+    """The kind of each (pair, level) of the line kernel, and the frames of its blocks.
 
-    l1, l2 and x hold the merged supports of a chunk of pairs in point
-    order, pair after pair (x shifted by each pair's first point), starts
-    their offsets and pid their pair.  A (pair, level) is steep when
+    both (l1 and l2) and x hold the merged supports of a chunk of pairs in
+    point order, pair after pair (x shifted by each pair's first point),
+    starts their offsets and pid their pair.  A (pair, level) is steep when
     a gmin > 2 spread and flat when at most a quarter of the points reach
     -a D (gmin the least gap, D the span, spread the depth of both
     densities), with margins of 2^-40 relative and 2^-1000 absolute.
-    Every other level is middle.  Returns the frames as runs of elements (elements, first,
-    length) and the frame of each row, rows in (direction, pair, level)
-    order, direction 0 for delta12 and 1 for delta21.  Why each frame holds
-    the row's argmax source, the scan maximum at each of its sources and
-    the finishing maximum is in _line_deltas.  A pair whose D and spread
-    fail _check_level at the largest level is refused.
+    Every other level is middle.  A middle frame is all points of its
+    pair, a flat frame the points of its pair at or above its own level's
+    reach -a D, built once per pair for the flat levels that every point
+    of the pair's loosest flat frame reaches; steep rows read no frame
+    (_line_steep).  Returns the frames as runs of elements (elements,
+    first, length), the frame of each (pair, level), -1 where steep, and
+    spread and D per pair.  Why a frame holds the row's argmax source, its
+    scan maximum and the finishing maximum is in _line_deltas.  A pair
+    whose D and spread fail _check_level at the largest level is refused.
     """
     k, m = starts.size, np.diff(np.append(starts, x.size))
     ends = starts + m
     span = x[ends - 1]
-    both = np.stack([l1, l2])
     spread = -np.minimum.reduceat(np.where(both > NEG_INF, both, 0.0), starts, axis=1).min(axis=0)
     with np.errstate(over="ignore"):  # an overflow here is refused just below
         worst = int(np.argmax(levels.max() * span + spread))
@@ -421,51 +429,112 @@ def _line_frames(l1, l2, x, starts, pid, levels):
     gap = np.append(np.diff(x), np.inf)
     gap[ends - 1] = np.inf
     gmin = np.where(m > 1, np.minimum.reduceat(gap, starts), 0.0)[:, None]
-    a, spread, span = levels[None, :], spread[:, None], span[:, None]
-    steep = a * gmin > 2.0 * spread + _MARGIN * (spread + a * span) + _TINY
-    reach = a * span * (1.0 + _MARGIN) + _TINY
+    a, d, w = levels[None, :], spread[:, None], span[:, None]
+    steep = a * gmin > 2.0 * d + _MARGIN * (d + a * w) + _TINY
+    reach = a * w * (1.0 + _MARGIN) + _TINY
     # the (m // 4 + 1)-th largest of max(l1, l2), by a sort of padded rows
-    top = np.maximum(l1, l2)
+    top = np.maximum(both[0], both[1])
     table = np.full((k, m.max()), NEG_INF)
-    table[pid, np.arange(x.size) - starts[pid]] = top
+    table[np.arange(m.max()) < m[:, None]] = top
     table.sort(axis=1)
     flat = ~steep & (reach < -table[np.arange(k), -1 - m // 4, None])
-    kind = np.where(steep, 2, np.where(flat, 1, 0))
-    flat_reach = np.max(np.where(flat, reach, -np.inf), axis=1)
-    masks = [
-        np.any(kind == 0, axis=1)[pid],
-        top >= -flat_reach[pid],
-    ]
-    has_steep = np.any(steep, axis=1)
-    idx = np.arange(x.size)
-    for l_from, l_to in ((l1, l2), (l2, l1)):
-        if not has_steep.any():
-            masks.append(np.zeros(x.size, dtype=bool))
-            continue
-        # the sources whose nearest target lies within gmin of the farthest,
-        # and the nearest target on each side of them
-        is_to = l_to > NEG_INF
+    middle = ~steep & ~flat
+    # a pair's loosest flat frame serves each flat level that every point of it
+    # reaches; the others filter it down to their own reach
+    loose = np.flatnonzero(top >= -np.max(np.where(flat, reach, -np.inf), axis=1)[pid])
+    count = np.bincount(pid[loose], minlength=k)
+    begin = np.cumsum(count) - count
+    lowest = np.zeros(k)
+    lowest[count > 0] = np.minimum.reduceat(top[loose], begin[count > 0])
+    fp, fl = np.nonzero(flat & (lowest[:, None] < -reach))
+    at = loose[_runs(begin[fp], count[fp])]
+    cell = np.repeat(np.arange(fp.size), count[fp])
+    keep = top[at] >= -reach[fp, fl][cell]
+    has_middle = middle.any(axis=1)
+    elements = np.concatenate([np.flatnonzero(has_middle[pid]), loose, at[keep]])
+    length = np.concatenate(
+        [np.where(has_middle, m, 0), count, np.bincount(cell[keep], minlength=fp.size)]
+    )
+    frame = np.where(middle, np.arange(k)[:, None], np.where(flat, k + np.arange(k)[:, None], -1))
+    frame[fp, fl] = 2 * k + np.arange(fp.size)
+    return elements, np.cumsum(length) - length, length, frame, spread, span
+
+
+def _line_steep(both, x, coord, starts, pid, levels, steep, spread, span) -> np.ndarray:
+    """(delta12, delta21) of each steep (pair, level), pair-major: a (2, cells) array.
+
+    both holds l1 and l2 of the chunk, x and coord the shifted and the
+    plain coordinates, as in _line_frames.  At a steep level every target
+    beyond a nearer one on the same side trails it by at least
+    a gmin - spread > spread at every point, so the forward scan maximum
+    at a source is the forward term of its nearest target on the left,
+    the backward one that of its nearest target on the right, and a
+    source that is a target scans to its own level; rounding is monotone
+    (fl(max v - c) = max fl(v - c)), so these are bit-equal to the scan
+    over all points.  A source's value lies within spread of a near, near
+    its distance to its nearest target, so a source with
+    a (far - near) > 2 spread, far the largest near, never wins: the
+    sources kept at each level are evaluated directly, one entry per
+    (row, source), in point order, and the first argmax is finished
+    against the same nearest targets.  Entries go in chunks of about
+    _LINE_CELLS.
+    """
+    size = x.size
+    idx = np.arange(size)
+    first_of, end_of = starts[pid], np.append(starts[1:], size)[pid]
+    xs, cs = np.append(x, 0.0), np.append(coord, 0.0)  # position size: no target
+    sp, sl = np.nonzero(steep)
+    out = np.empty((2, sp.size))
+
+    def bound(a, p):  # 2 spread, past every rounding of the values and of near
+        return 2.0 * spread[p] + _MARGIN * (spread[p] + a * span[p]) + _TINY
+
+    # bound / a falls as a grows, so a pair's least steep level keeps the most
+    # sources: far - near at most this slack, widened past its own rounding
+    has = steep.any(axis=1)
+    amin = np.min(np.where(steep[has], levels, np.inf), axis=1)
+    slack = np.full(starts.size, -1.0)
+    slack[has] = bound(amin, np.flatnonzero(has)) / amin * (1.0 + _MARGIN)
+    for d in (0, 1):
+        lf, g = both[d], np.append(both[1 - d], NEG_INF)
+        is_to = g[:-1] > NEG_INF
+        # the nearest target on each side, the point itself if it is a target
         left = np.maximum.accumulate(np.where(is_to, idx, -1))
-        right = np.minimum.accumulate(np.where(is_to, idx, x.size)[::-1])[::-1]
-        ok_left, ok_right = left >= starts[pid], right < ends[pid]
+        left[left < first_of] = size
+        right = np.minimum.accumulate(np.where(is_to, idx, size)[::-1])[::-1]
+        right[right >= end_of] = size
         near = np.minimum(
-            np.where(ok_left, x - x[left], np.inf),
-            np.where(ok_right, x[np.minimum(right, x.size - 1)] - x, np.inf),
+            np.where(left < size, x - xs[left], np.inf), np.where(right < size, xs[right] - x, np.inf)
         )
-        is_from = l_from > NEG_INF
-        far = np.maximum.reduceat(np.where(is_from, near, -np.inf), starts)
-        bound = np.where(has_steep, far - gmin[:, 0] - _MARGIN * span[:, 0], np.inf)
-        keep = is_from & (near > bound[pid])
-        frame = keep.copy()
-        frame[left[keep & ok_left]] = True
-        frame[right[keep & ok_right]] = True
-        masks.append(frame)
-    elements = np.concatenate([np.flatnonzero(mask) for mask in masks])
-    frame_of = np.concatenate([kind_id * k + pid[mask] for kind_id, mask in enumerate(masks)])
-    length = np.bincount(frame_of, minlength=4 * k)
-    first = np.cumsum(length) - length
-    row_frame = np.stack([kind, np.where(kind == 2, 3, kind)]) * k + np.arange(k)[:, None]
-    return elements, first, length, row_frame.reshape(-1)
+        far = np.maximum.reduceat(np.where(lf > NEG_INF, near, -np.inf), starts)
+        src = np.flatnonzero((lf > NEG_INF) & (far[pid] - near <= slack[pid]))
+        per_pair = np.bincount(pid[src], minlength=starts.size)
+        first, count = (np.cumsum(per_pair) - per_pair)[sp], per_pair[sp]
+        cum = np.cumsum(count)
+        lo = 0
+        while lo < sp.size:
+            hi = max(lo + 1, int(np.searchsorted(cum, cum[lo] - count[lo] + _LINE_CELLS, "right")))
+            n_in = count[lo:hi]
+            cell = np.repeat(np.arange(lo, hi), n_in)
+            i = src[_runs(first[lo:hi], n_in)]
+            a = levels[sl[cell]]
+            keep = a * (far[sp[cell]] - near[i]) <= bound(a, sp[cell])
+            i, cell, a = i[keep], cell[keep], a[keep]
+            ax = a * x[i]
+            fwd = g[left[i]] + a * xs[left[i]]
+            fwd -= ax
+            bwd = g[right[i]] - a * xs[right[i]]
+            bwd += ax
+            value = lf[i] - np.where(is_to[i], g[i], np.maximum(fwd, bwd))
+            n_in = np.bincount(cell - lo, minlength=hi - lo)  # at least the farthest source
+            best = np.maximum.reduceat(value, np.cumsum(n_in) - n_in)
+            hit = np.flatnonzero(value == np.repeat(best, n_in))
+            win = hit[np.diff(cell[hit], prepend=-1) != 0]  # the first argmax of each row
+            b, a = i[win], a[win]
+            fin = [g[t] - a * np.abs(coord[b] - cs[t]) for t in (left[b], right[b])]
+            out[d, lo:hi] = lf[b] - np.maximum(*fin)
+            lo = hi
+    return out
 
 
 def _line_deltas(space, pairs, levels) -> np.ndarray:
@@ -479,65 +548,69 @@ def _line_deltas(space, pairs, levels) -> np.ndarray:
     x; the first argmax of lam_from(x) minus that is the row's source, and
     the dense formula's own arithmetic over the frame's targets finishes
     it.  The frame is all merged points on middle levels.  On flat levels
-    it is the points at or above -a D of the pair's largest flat level:
-    every other target stays below the top target's term at every point,
-    and every other source stays below 0, which the top source reaches.
-    On steep levels it is the sources whose nearest target lies within
-    gmin of the farthest source's, with the nearest target on each side:
-    a target beyond a nearer one on the same side is at least gmin
-    farther and at most spread higher, and a source outside is at least
-    gmin nearer its targets than the farthest source is, so its value is
-    lower by at least a gmin - 2 spread.  The margins cover every rounding
-    these bounds skip, so each row is bit-equal to the same arithmetic over
-    all merged points.  Frames of similar length share a block of at most
-    _LINE_CELLS cells, padded past their ends with -inf levels, and every
-    block works in one scratch buffer, grown only when a chunk of pairs
-    needs more: block temporaries never meet the allocator's thresholds.
+    it is the points at or above the level's own reach -a D: every other
+    target stays below the top target's term at every point, and every
+    other source stays below 0, which the top source reaches.  Steep rows
+    take no frame: _line_steep reads each kept source's two nearest
+    targets.  The margins cover every rounding these bounds skip, so each
+    row is bit-equal to the same arithmetic over all merged points.
+    Frames of similar length share a block of at most _LINE_CELLS cells,
+    padded past their ends with -inf levels, and every block works in one
+    scratch buffer, grown only when a chunk of pairs needs more: block
+    temporaries never meet the allocator's thresholds.
     """
     n = space.n_points
     out = np.empty((2, len(pairs), levels.size))
     step = max(1, _TABLE_ELEMS // (2 * n))
     buf = np.empty(2 * min(step, len(pairs)) * n)  # one buffer for every chunk
     index, scratch = np.empty(0, dtype=np.intp), np.empty(0)
+    line = space.coords[space.order, 0]
     for lo in range(0, len(pairs), step):
-        chunk = [mu for pair in pairs[lo : lo + step] for mu in pair]
+        chunk = [mu.density for pair in pairs[lo : lo + step] for mu in pair]
         dens = buf[: len(chunk) * n].reshape(len(chunk), n)
-        for row, mu in zip(dens, chunk):
-            mu.density.take(space.order, out=row)
+        np.take(np.stack(chunk), space.order, axis=1, out=dens, mode="clip")
         merged = np.flatnonzero((dens[0::2] > NEG_INF) | (dens[1::2] > NEG_INF))
         pid, pos = np.divmod(merged, n)
         starts = np.searchsorted(pid, np.arange(len(chunk) // 2))
         size = pid.size
-        coord = space.coords[space.order[pos], 0]
-        shift = coord - coord[starts][pid]
-        l1 = dens.reshape(-1)[merged + pid * n]  # row 2 pid
-        l2 = dens.reshape(-1)[merged + pid * n + n]
-        elements, first, length, row_frame = _line_frames(l1, l2, shift, starts, pid, levels)
-        # rows: x, coordinate, l2, l1, l2, so rows 2 + d and 3 + d hold the
-        # target and source levels of direction d; a padding element past the
-        # end has -inf levels at 0
-        rows_of = (shift, coord, l2, l1, l2)
-        table = np.stack([np.append(v, NEG_INF if i > 1 else 0.0) for i, v in enumerate(rows_of)])
+        # rows: x, coordinate, l1, l2, so rows 3 - d and 2 + d hold the target
+        # and source levels of direction d; the padding element past the end
+        # has -inf levels at 0
+        table = np.empty((4, size + 1))
+        table[:, size] = (0.0, 0.0, NEG_INF, NEG_INF)
+        shift, coord, both = table[0, :size], table[1, :size], table[2:, :size]
+        np.take(line, pos, out=coord, mode="clip")
+        np.subtract(coord, coord[starts][pid], out=shift)
+        at = merged + pid * n  # row 2 pid of dens
+        np.take(dens, at, out=both[0], mode="clip")
+        np.take(dens, at + n, out=both[1], mode="clip")
+        elements, first, length, frame, spread, span = _line_frames(both, shift, starts, pid, levels)
+        steep = frame < 0
+        delta = np.empty((2, starts.size, levels.size))
+        if steep.any():
+            delta[:, steep] = _line_steep(both, shift, coord, starts, pid, levels, steep, spread, span)
         elements = np.append(elements, size)
-        # frames by length, and rows by frame, through sorted integer keys
+        # frames by length, and the rows of every non-steep (pair, level) by
+        # frame, through sorted integer keys; row (d, p, l) is d * k * L + p * L + l
         by_len = np.sort(length * length.size + np.arange(length.size)) % length.size
         rank = np.empty_like(by_len)
         rank[by_len] = np.arange(by_len.size)
+        cells = np.flatnonzero(~steep)
+        row_frame = np.tile(frame.reshape(-1)[cells], 2)
         n_rows = row_frame.size
-        rows = np.sort(rank[row_frame] * n_rows + np.arange(n_rows)) % n_rows
-        row_rank = rank[row_frame[rows]]
-        row_len = length[row_frame[rows]]
+        by = np.sort(rank[row_frame] * n_rows + np.arange(n_rows)) % n_rows
+        rows = np.concatenate([cells, cells + steep.size])[by]
+        row_rank, row_len = rank[row_frame[by]], length[row_frame[by]]
         blocks, r0 = [], 0
-        while r0 < n_rows:
-            r1 = min(n_rows, r0 + max(1, _LINE_CELLS // int(row_len[r0])))
-            while r1 - r0 > 1 and (r1 - r0) * int(row_len[r1 - 1]) > _LINE_CELLS:
-                r1 = r0 + max(1, _LINE_CELLS // int(row_len[r1 - 1]))
+        while r0 < n_rows:  # the most rows whose count times their longest frame fits
+            w = row_len[r0 : r0 + max(1, _LINE_CELLS // int(row_len[r0]))]
+            r1 = r0 + max(1, int(np.searchsorted(np.arange(1, w.size + 1) * w, _LINE_CELLS, "right")))
             blocks.append((r0, r1))
             r0 = r1
-        need = max((r1 - r0) * int(row_len[r1 - 1]) for r0, r1 in blocks)
+        need = max(((r1 - r0) * int(row_len[r1 - 1]) for r0, r1 in blocks), default=0)
         if index.size < 2 * need:  # scratch that every block reuses
-            index, scratch = np.empty(2 * need, dtype=np.intp), np.empty(11 * need)
-        delta = np.empty(n_rows)  # in row order: (direction, pair, level)
+            index, scratch = np.empty(2 * need, dtype=np.intp), np.empty(10 * need)
+        delta = delta.reshape(-1)  # in row order: (direction, pair, level)
         for r0, r1 in blocks:
             r = rows[r0:r1]
             frames = by_len[row_rank[r0] : row_rank[r1 - 1] + 1]
@@ -550,22 +623,22 @@ def _line_deltas(space, pairs, levels) -> np.ndarray:
             out_at = index[need : need + nf * cols].reshape(nf, cols)
             at = np.take(elements, at, out=out_at, mode="clip")
             # the table's rows over each frame, then six row buffers
-            frame = scratch[: 5 * nf * cols].reshape(5, nf, cols)
-            np.take(table, at, axis=1, out=frame, mode="clip")
-            frame = frame.reshape(5 * nf, cols)
+            frame_rows = scratch[: 4 * nf * cols].reshape(4, nf, cols)
+            np.take(table, at, axis=1, out=frame_rows, mode="clip")
+            frame_rows = frame_rows.reshape(4 * nf, cols)
             ax, g, lf, inner, s, t = (
-                scratch[k * need : k * need + nr * cols].reshape(nr, cols) for k in range(5, 11)
+                scratch[k * need : k * need + nr * cols].reshape(nr, cols) for k in range(4, 10)
             )
-            d, a = r // (starts.size * levels.size), levels[r % levels.size, None]
-            np.take(frame, local, axis=0, out=ax, mode="clip")
+            d, a = r // steep.size, levels[r % levels.size, None]
+            np.take(frame_rows, local, axis=0, out=ax, mode="clip")
             ax *= a
-            np.take(frame, (2 + d) * nf + local, axis=0, out=g, mode="clip")
-            np.take(frame, (3 + d) * nf + local, axis=0, out=lf, mode="clip")
-            np.copyto(inner, g)
+            np.take(frame_rows, (3 - d) * nf + local, axis=0, out=g, mode="clip")
+            np.take(frame_rows, (2 + d) * nf + local, axis=0, out=lf, mode="clip")
             np.add(g[:, :-1], ax[:, :-1], out=s[:, :-1])
             np.fmax.accumulate(s[:, :-1], axis=1, out=t[:, :-1])
             t[:, :-1] -= ax[:, 1:]
-            np.maximum(inner[:, 1:], t[:, :-1], out=inner[:, 1:])
+            inner[:, 0] = g[:, 0]
+            np.maximum(g[:, 1:], t[:, :-1], out=inner[:, 1:])
             np.subtract(g, ax, out=s)
             np.fmax.accumulate(s[:, :0:-1], axis=1, out=t[:, :0:-1])
             t[:, 1:] += ax[:, :-1]
@@ -573,7 +646,7 @@ def _line_deltas(space, pairs, levels) -> np.ndarray:
             np.subtract(lf, inner, out=s)
             best = np.argmax(s, axis=1)
             row = np.arange(nr)
-            c = np.take(frame, nf + local, axis=0, out=ax, mode="clip")  # ax is spent
+            c = np.take(frame_rows, nf + local, axis=0, out=ax, mode="clip")  # ax is spent
             np.subtract(c[row, best][:, None], c, out=s)
             np.abs(s, out=s)
             s *= a

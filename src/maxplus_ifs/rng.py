@@ -106,7 +106,7 @@ def random_measures(
             raw[-1, candidates[rng.randint(c)]] = rng.uniform(-depth, 0.0)
             batch = k
         # normalize() row by row: every row has a finite entry
-        out.extend(IdempotentMeasure(space, row) for row in raw - raw.max(axis=1, keepdims=True))
+        out.extend(IdempotentMeasure.from_rows(space, raw - raw.max(axis=1, keepdims=True)))
     return out
 
 

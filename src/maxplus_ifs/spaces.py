@@ -102,7 +102,15 @@ class FiniteMetricSpace:
         rows = np.asarray(rows, dtype=int)
         cols = np.asarray(cols, dtype=int)
         if self._matrix is not None:
-            return self._matrix[np.ix_(rows, cols)]
+            m, step = self._matrix, max(1, _BLOCK_ELEMS // self.n_points)
+            if 3 * cols.size < self.n_points:  # few columns: gather them alone
+                return m[np.ix_(rows, cols)]
+            if rows.size <= step:  # whole rows first, inside the block budget
+                return m[rows][:, cols]
+            out = np.empty((rows.size, cols.size))
+            for i in range(0, rows.size, step):
+                out[i : i + step] = m[rows[i : i + step]][:, cols]
+            return out
         return _euclidean_table(self.coords[rows], self.coords[cols])
 
     def distance_matrix(self) -> np.ndarray:

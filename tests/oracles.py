@@ -159,9 +159,8 @@ def read_density_file_lines(path, space=None):
     read spellings outside numpy's grammar (1_0, non-ASCII digits); a line
     number counts only the point lines above it, not blank lines; a later
     line without coordinate columns is placed at coordinate 0; a bare index
-    line reads as density equal to its index; a bad coordinate raises
-    float()'s own message; a density that is all below 0 or has a positive entry fails
-    without the path, and so does a space built from bad coordinates;
+    line reads as density equal to its index; a density that is all below 0
+    fails without the path, and so does a space built from bad coordinates;
     coordinates are compared to a given space with an absolute tolerance of
     1e-12, so below that scale any coordinates agree (on a grid from 0 to
     1e-150 in 2 cells, a point at 9e-151 passes for 5e-151).
@@ -193,16 +192,23 @@ def read_density_file_lines(path, space=None):
         if idx in seen:
             raise ValueError(f"{path}:{lineno}: duplicate point index {idx}")
         seen.add(idx)
+        cols = parts[1:-1]
+        if coords is None:
+            coords = [[0.0] * len(cols) for _ in range(n)] if cols else None
+        if cols and (coords is None or len(cols) != len(coords[idx])):
+            raise ValueError(f"{path}:{lineno}: inconsistent coordinate columns")
         try:
             values[idx] = parse_scalar(parts[-1])
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: bad density value") from exc
-        cols = parts[1:-1]
-        if coords is None:
-            coords = [[0.0] * len(cols) for _ in range(n)] if cols else None
+        if values[idx] > 0.0:
+            raise ValueError(f"{path}:{lineno}: density entries must be <= 0")
+        for tok in cols:
+            try:
+                float(tok)
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: bad coordinate {tok!r}") from exc
         if cols:
-            if coords is None or len(cols) != len(coords[idx]):
-                raise ValueError(f"{path}:{lineno}: inconsistent coordinate columns")
             coords[idx] = [float(tok) for tok in cols]
     if space is None:
         if coords is None:

@@ -40,6 +40,32 @@ def test_measure_constructor_enforces_invariants():
         mp.IdempotentMeasure(g, [0.0, float("nan")])
 
 
+def test_measures_from_rows_equal_one_by_one_and_refuse_alike():
+    rng = np.random.default_rng(40)
+    g = mp.build_grid([0], [1], [6])
+    raw = np.where(rng.random((5, 7)) < 0.6, -rng.uniform(0.0, 3.0, (5, 7)), NEG)
+    raw[:, 3] = 0.0
+    got = mp.IdempotentMeasure.from_rows(g, raw)
+    assert got == [mp.IdempotentMeasure(g, row) for row in raw]
+    assert all(not mu.density.flags.writeable for mu in got)
+    raw[0, 0] = -9.0  # the measures hold a copy
+    assert got[0].density[0] != -9.0
+    assert mp.IdempotentMeasure.from_rows(g, np.empty((0, 7))) == []
+    bad_rows = [[-1.0] * 7, [0.0, 1.0] + [0.0] * 5, [0.0, float("nan")] + [0.0] * 5, [0.0, np.inf] + [0.0] * 5]
+    for bad in bad_rows:
+        table = np.vstack([raw[1:3], [bad], raw[3:]])
+        with pytest.raises(ValueError) as one:
+            mp.IdempotentMeasure(g, bad)
+        with pytest.raises(ValueError) as batch:
+            mp.IdempotentMeasure.from_rows(g, table)
+        assert str(batch.value) == str(one.value)
+    with pytest.raises(ValueError) as one:
+        mp.IdempotentMeasure(g, [0.0] * 6)
+    with pytest.raises(ValueError) as batch:
+        mp.IdempotentMeasure.from_rows(g, np.zeros((3, 6)))
+    assert str(batch.value) == str(one.value)
+
+
 def test_dirac_and_integrate_examples():
     g = mp.build_grid([0], [1], [3])
     d = mp.dirac(g, 2)
@@ -333,7 +359,7 @@ def test_a_hash_starts_no_comment(tmp_path):
     with pytest.raises(ValueError, match=r"hash\.density: expected 2 point lines, found 3$"):
         mp.read_density_file(p)
     p.write_text("space 2\n0 0.0 0\n1 1.0 -1 # last\n")
-    with pytest.raises(ValueError, match=r"hash\.density:3: bad density value$"):
+    with pytest.raises(ValueError, match=r"hash\.density:3: inconsistent coordinate columns$"):
         mp.read_density_file(p)
 
 
@@ -381,6 +407,20 @@ def test_a_bad_last_line_of_a_large_file_is_named(tmp_path):
     for bad, message in (("6560 1 1 1_0", "bad density value"), ("6560 1 1_0 0", "bad coordinate '1_0'")):
         p.write_text("\n".join(lines[:-1] + [bad]) + "\n")
         with pytest.raises(ValueError, match=rf"large\.density:6562: {re.escape(message)}$"):
+            mp.read_density_file(p)
+
+
+def test_a_line_with_an_extra_column_is_named_for_it_whatever_its_sign(tmp_path):
+    # the value was checked before the column count, so an extra positive
+    # last token was read as a positive density
+    rng = np.random.default_rng(41)
+    plane = mp.build_grid([0.0, 0.0], [1.0, 1.0], [80, 80])
+    p = tmp_path / "wide.density"
+    mp.write_density_file(p, mp.normalize(plane, -rng.integers(0, 8, plane.n_points).astype(float)))
+    lines = p.read_text().splitlines()
+    for extra in (" 7", " -7"):
+        p.write_text("\n".join(lines[:3001] + [lines[3001] + extra] + lines[3002:]) + "\n")
+        with pytest.raises(ValueError, match=r"wide\.density:3002: inconsistent coordinate columns$"):
             mp.read_density_file(p)
 
 

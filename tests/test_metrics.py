@@ -477,6 +477,11 @@ def test_line_routes_read_the_space_order_and_never_sort(monkeypatch):
     mp.harmonic_series_distance(m1, m2, 1e-6)
     mp.ContractionMap(line, target)
     assert calls == []
+    # the series reaches steep levels, which take the direct route
+    steep = mp.metrics._line_steep
+    monkeypatch.setattr(mp.metrics, "_line_steep", lambda *a: calls.append("steep") or steep(*a))
+    mp.series_distance(m1, m2, SeriesParams(alpha=1 / 3, q=0.5, tol=1e-6))
+    assert calls == ["steep"]
 
 
 def test_coordinate_paths_make_no_distance_table_calls(monkeypatch):
@@ -1010,6 +1015,100 @@ def test_empirical_contraction_skips_degenerate_pairs():
         mp.empirical_contraction(mp.coupling_distances, [], [], lambda t: t)
     with pytest.raises(ValueError, match="one image pair per measure pair"):
         mp.empirical_contraction(mp.coupling_distances, pairs, pairs[:1], lambda t: t)
+
+
+def _steep_by_definition(pair, levels):
+    """The kernel's steep levels of a pair: a gmin > 2 spread, past its margins."""
+    m1, m2 = pair
+    space = m1.space
+    u = space.order[((m1.density > NEG) | (m2.density > NEG))[space.order]]
+    x = space.coords[u, 0] - space.coords[u[0], 0]
+    spread = -min(float(mu.density[mu.support()].min()) for mu in pair)
+    gmin = float(np.diff(x).min()) if u.size > 1 else 0.0
+    return levels * gmin > 2.0 * spread + 2.0**-40 * (spread + levels * x[-1]) + 2.0**-1000
+
+
+def test_steep_rows_never_enter_the_block_loop(monkeypatch):
+    # the block loop ranks each block's rows with one argmax over axis 1; the
+    # rows it ranks are the middle and flat ones, and _line_steep answers
+    # every row that is steep by the kernel's definition
+    rng = np.random.default_rng(42)
+    line = mp.build_grid([0.0], [1.0], [242])
+    pairs = [(np_random_measure(line, rng), np_random_measure(line, rng)) for _ in range(8)]
+    levels = np.array([3.0**k for k in range(-10, 11)])
+    ranked, steep_masks = [], []
+
+    class CountedNumpy:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        @staticmethod
+        def argmax(a, axis=None, **kwargs):
+            if axis == 1:
+                ranked.append(a.shape[0])
+            return np.argmax(a, axis=axis, **kwargs)
+
+    steep_route = mp.metrics._line_steep
+
+    def spy(*args):
+        steep_masks.append(args[6].copy())
+        return steep_route(*args)
+
+    monkeypatch.setattr(mp.metrics, "np", CountedNumpy())
+    monkeypatch.setattr(mp.metrics, "_line_steep", spy)
+    got = _line_deltas(line, pairs, levels)
+    monkeypatch.undo()
+    (steep,) = steep_masks  # one chunk of pairs
+    want = np.array([_steep_by_definition(pair, levels) for pair in pairs])
+    assert np.array_equal(steep, want)
+    assert 0 < steep.sum() < steep.size
+    assert sum(ranked) == 2 * (~steep).sum()
+    for k, (m1, m2) in enumerate(pairs):
+        assert np.array_equal(got[:, k], np.array(line_deltas_per_pair(line, m1.density, m2.density, levels)))
+
+
+def test_steep_rows_take_the_first_of_tied_sources():
+    # at every level here (a gmin > 2 spread) several sources of the pair tie
+    # in the envelope ranking; their finishing values differ in the last
+    # bits, and the first in point order gives the per-pair kernel's value
+    x = [1.4, 8.399999999999999, 20.299999999999997, 21.0, 29.4, 31.499999999999996, 32.9, 34.3, 36.4]
+    space = mp.FiniteMetricSpace.from_coords(np.array(x))
+    m1 = mp.IdempotentMeasure(space, [-0.0, -0.0, 0.0, -1.0, NEG, -1.0, NEG, -2.0, NEG])
+    m2 = mp.IdempotentMeasure(space, [NEG, -2.0, NEG, 0.0, 0.0, NEG, NEG, NEG, -1.0])
+    levels = np.array([10.0, 100.0, 1e4, 1e5 / 3])
+    assert _steep_by_definition((m1, m2), levels).all()
+    got = _line_deltas(space, [(m1, m2)], levels)[:, 0]
+    want = np.array(line_deltas_per_pair(space, m1.density, m2.density, levels))
+    assert [v.hex() for v in got.ravel().tolist()] == [v.hex() for v in want.ravel().tolist()]
+
+
+def test_steep_entries_stay_inside_a_memory_budget(monkeypatch):
+    # equal supports keep every source at every steep level: 32 levels x 2
+    # directions x ~4600 sources make ~294 k (row, source) entries, evaluated
+    # in chunks of _LINE_CELLS entries (4.0 MB peak); one pass over all of a
+    # direction's entries took 14.3 MB, and every budget gives the same values
+    import tracemalloc
+
+    rng = np.random.default_rng(43)
+    line = mp.build_grid([0.0], [1.0], [6561])
+    support = rng.random(line.n_points) < 0.7
+    pair = tuple(
+        mp.normalize(line, np.where(support, -rng.integers(0, 8, line.n_points).astype(float), NEG))
+        for _ in "ab"
+    )
+    levels = 10.0 ** np.linspace(6.0, 13.0, 32)
+    assert _steep_by_definition(pair, levels).all()
+    peaks, values = [], []
+    for budget in (1 << 15, 1 << 22):
+        monkeypatch.setattr(mp.metrics, "_LINE_CELLS", budget)
+        tracemalloc.start()
+        values.append(_line_deltas(line, [pair], levels))
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+    assert peaks[0] < 6 << 20 < peaks[1]
+    assert np.array_equal(values[0], values[1])
+    want = line_deltas_per_pair(line, pair[0].density, pair[1].density, levels)
+    assert np.array_equal(values[0][:, 0], np.array(want))
 
 
 def test_line_dual_frames_keep_the_winning_source_at_each_bound():

@@ -273,6 +273,8 @@ def _mutate(draw, lines, n, dim):
     kind = draw(st.sampled_from(LINE_MUTATIONS * 4 + FILE_MUTATIONS))
     k = draw(st.integers(1, len(lines) - 1))
     toks = lines[k].split()
+    if kind in LINE_MUTATIONS and not toks:  # an earlier mutation left a blank line here
+        return lines
     if kind == "bad index":
         toks[0] = draw(st.sampled_from(["x", "1.5", "1e2", "nan", "0x1", "--1"]))
     elif kind == "out of range":
@@ -282,7 +284,7 @@ def _mutate(draw, lines, n, dim):
         toks[0] = lines[draw(st.sampled_from(others))].split()[0] if others else toks[0]
     elif kind == "bad value":
         toks[-1] = draw(st.sampled_from(["nan", "inf", "+inf", "1e999", "x", "-", "--1"]))
-    elif kind == "extra column" and dim >= 1:  # before the value, which stays last
+    elif kind == "extra column" and dim >= 1 and len(toks) > 1:  # before the value, which stays last
         toks.insert(draw(st.integers(1, len(toks) - 1)), "0.5")
     elif kind == "drop one coordinate" and len(toks) >= 4:  # one coordinate stays
         del toks[draw(st.integers(1, len(toks) - 2))]
@@ -512,19 +514,31 @@ def test_off_line_coincidence_check_equals_the_kdtree_pair_query(x):
 # --- the line dual kernel -------------------------------------------------------
 
 def _frame_thresholds(m1, m2):
-    """The levels where a pair turns steep or flat, by the kernel's definitions."""
+    """The levels where the kernel's frames change, by its definitions.
+
+    Returns the levels where the pair turns steep or flat; those where a
+    source leaves a steep row, a (far - near) = 2 spread in either
+    direction; and those where a point leaves a flat frame, a D = -top.
+    """
     space = m1.space
     u = space.order[((m1.density > NEG) | (m2.density > NEG))[space.order]]
     x = space.coords[u, 0] - space.coords[u[0], 0]
     top = np.sort(np.maximum(m1.density[u], m2.density[u]))[::-1]
     spread = -min(m1.density[u].min(initial=0.0, where=m1.density[u] > NEG),
                   m2.density[u].min(initial=0.0, where=m2.density[u] > NEG))
-    out = []
+    turns, edges, reaches = [], [], []
     if u.size > 1 and spread > 0.0 and np.diff(x).min() > 0.0:
-        out.append(2.0 * spread / np.diff(x).min())
+        turns.append(2.0 * spread / np.diff(x).min())
     if top[u.size // 4] < 0.0:
-        out.append(-top[u.size // 4] / x[-1])
-    return out
+        turns.append(-top[u.size // 4] / x[-1])
+    with np.errstate(over="ignore", divide="ignore"):
+        for lf, lt in ((m1.density[u], m2.density[u]), (m2.density[u], m1.density[u])):
+            near = np.abs(x[lf > NEG, None] - x[None, lt > NEG]).min(axis=1)
+            gaps = near.max() - np.unique(near)
+            edges += (2.0 * spread / gaps[gaps > 0.0]).tolist()
+        if u.size > 1:
+            reaches += (-np.unique(top[top < 0.0]) / x[-1]).tolist()
+    return turns, [a for a in edges if a < np.inf], [a for a in reaches if a < np.inf]
 
 
 @st.composite
@@ -532,13 +546,15 @@ def line_dual_batches(draw):
     """Batches of pairs on an unsorted line for the dual kernel, with levels.
 
     Points are distinct integers times a scale (gaps near 1e-160 up to
-    1e150) or free floats; densities have integer or continuous levels,
-    single points, identical supports or supports of very different sizes;
-    the levels straddle each pair's steep and flat thresholds by less and
-    by more than the kernel's margins.
+    1e150, or inexact steps of 0.7) or free floats; densities have integer
+    or continuous levels, single points, identical or nested supports,
+    supports on either side of a cut (targets on one side only) or
+    supports of very different sizes; the levels straddle each pair's steep and flat thresholds, the
+    levels where a source leaves a steep row and those where a point
+    leaves a flat frame, by less and by more than the kernel's margins.
     """
     n = draw(st.integers(1, 40))
-    scale = draw(st.sampled_from([1.0, 1e-160, 3e-150, 1e-3, 7e149]))
+    scale = draw(st.sampled_from([1.0, 1e-160, 3e-150, 1e-3, 0.7, 7e149]))
     if draw(st.booleans()):
         ints = draw(st.lists(st.integers(-10**6, 10**6), min_size=n, max_size=n, unique=True))
         x = np.array(ints, dtype=float) * scale
@@ -552,27 +568,44 @@ def line_dual_batches(draw):
         assume(False)
     integer = draw(st.booleans())
 
+    def mask():
+        return np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+
     def measure(support=None):
-        if support is None:
-            support = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+        """A measure on the support (drawn if None), topping at one of its points."""
+        support = mask() if support is None else support
         if integer:
             vals = [-float(v) for v in draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))]
         else:
             vals = draw(st.lists(st.floats(-3.0, 0.0), min_size=n, max_size=n))
         raw = np.where(support, vals, NEG)
-        raw[draw(st.integers(0, n - 1))] = 0.0
+        inside = np.flatnonzero(support)
+        raw[draw(st.sampled_from(inside.tolist())) if inside.size else draw(st.integers(0, n - 1))] = 0.0
         return mp.normalize(space, raw)
 
+    kinds = ["free", "same-support", "nested", "dirac-vs-all", "dirac", "one-point", "equal"]
     pairs = []
     for _ in range(draw(st.integers(1, 5))):
-        kind = draw(st.sampled_from(["free", "same-support", "dirac-vs-all", "dirac", "equal"]))
+        kind = draw(st.sampled_from(kinds + (["split"] if n > 1 else [])))
         if kind == "dirac":
             pair = tuple(mp.dirac(space, draw(st.integers(0, n - 1))) for _ in "ab")
+        elif kind == "one-point":
+            pair = (mp.dirac(space, draw(st.integers(0, n - 1))),) * 2
         elif kind == "dirac-vs-all":
             pair = (mp.dirac(space, draw(st.integers(0, n - 1))), measure(np.ones(n, dtype=bool)))
         elif kind == "same-support":
-            support = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+            support = mask()
             pair = (measure(support), measure(support))
+        elif kind == "nested":  # every source of the first direction is a target
+            outer = measure()
+            inner = (outer.density > NEG) & mask()
+            pair = (measure(inner if inner.any() else outer.density > NEG), outer)
+        elif kind == "split":  # every target on one side of every source
+            cut = draw(st.integers(1, n - 1))
+            left = np.zeros(n, dtype=bool)
+            left[space.order[:cut]] = True
+            sides = [side & mask() for side in (left, ~left)]
+            pair = tuple(measure(s if s.any() else side) for s, side in zip(sides, (left, ~left)))
         else:
             pair = (measure(), measure())
         if kind == "equal":
@@ -581,7 +614,11 @@ def line_dual_batches(draw):
     # series-like levels, then each pair's thresholds and their near sides
     levels = [3.0**k for k in range(-4, 5)]
     for m1, m2 in pairs:
-        for a in _frame_thresholds(m1, m2):
+        turns, edges, reaches = _frame_thresholds(m1, m2)
+        for some in (edges, reaches):
+            if some:
+                turns += draw(st.lists(st.sampled_from(some), max_size=3, unique=True))
+        for a in turns:
             levels += [a * (1.0 + t) for t in (-2.0**-20, -2.0**-45, 0.0, 2.0**-45, 2.0**-20)]
     span = max(float(np.ptp(x)), 1e-300)
     levels = np.array([a for a in levels if 1e-300 < a and a * span < 1e300])
