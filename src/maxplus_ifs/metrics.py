@@ -482,7 +482,7 @@ def _line_steep(both, x, coord, starts, pid, levels, steep, spread, span) -> np.
     size = x.size
     idx = np.arange(size)
     first_of, end_of = starts[pid], np.append(starts[1:], size)[pid]
-    xs, cs = np.append(x, 0.0), np.append(coord, 0.0)  # position size: no target
+    xs = np.append(x, 0.0)  # position size: no target
     sp, sl = np.nonzero(steep)
     out = np.empty((2, sp.size))
 
@@ -504,7 +504,8 @@ def _line_steep(both, x, coord, starts, pid, levels, steep, spread, span) -> np.
         right = np.minimum.accumulate(np.where(is_to, idx, size)[::-1])[::-1]
         right[right >= end_of] = size
         near = np.minimum(
-            np.where(left < size, x - xs[left], np.inf), np.where(right < size, xs[right] - x, np.inf)
+            np.where(left < size, x - xs[left], np.inf),
+            np.where(right < size, xs[right] - x, np.inf),
         )
         far = np.maximum.reduceat(np.where(lf > NEG_INF, near, -np.inf), starts)
         src = np.flatnonzero((lf > NEG_INF) & (far[pid] - near <= slack[pid]))
@@ -531,7 +532,10 @@ def _line_steep(both, x, coord, starts, pid, levels, steep, spread, span) -> np.
             hit = np.flatnonzero(value == np.repeat(best, n_in))
             win = hit[np.diff(cell[hit], prepend=-1) != 0]  # the first argmax of each row
             b, a = i[win], a[win]
-            fin = [g[t] - a * np.abs(coord[b] - cs[t]) for t in (left[b], right[b])]
+            fin = []
+            for t in (left[b], right[b]):
+                # a missing target reads the source's own coordinate: a * 0, at level -inf
+                fin.append(g[t] - a * np.abs(coord[b] - coord[np.where(t < size, t, b)]))
             out[d, lo:hi] = lf[b] - np.maximum(*fin)
             lo = hi
     return out
@@ -584,11 +588,15 @@ def _line_deltas(space, pairs, levels) -> np.ndarray:
         at = merged + pid * n  # row 2 pid of dens
         np.take(dens, at, out=both[0], mode="clip")
         np.take(dens, at + n, out=both[1], mode="clip")
-        elements, first, length, frame, spread, span = _line_frames(both, shift, starts, pid, levels)
+        elements, first, length, frame, spread, span = _line_frames(
+            both, shift, starts, pid, levels
+        )
         steep = frame < 0
         delta = np.empty((2, starts.size, levels.size))
         if steep.any():
-            delta[:, steep] = _line_steep(both, shift, coord, starts, pid, levels, steep, spread, span)
+            delta[:, steep] = _line_steep(
+                both, shift, coord, starts, pid, levels, steep, spread, span
+            )
         elements = np.append(elements, size)
         # frames by length, and the rows of every non-steep (pair, level) by
         # frame, through sorted integer keys; row (d, p, l) is d * k * L + p * L + l
@@ -604,7 +612,8 @@ def _line_deltas(space, pairs, levels) -> np.ndarray:
         blocks, r0 = [], 0
         while r0 < n_rows:  # the most rows whose count times their longest frame fits
             w = row_len[r0 : r0 + max(1, _LINE_CELLS // int(row_len[r0]))]
-            r1 = r0 + max(1, int(np.searchsorted(np.arange(1, w.size + 1) * w, _LINE_CELLS, "right")))
+            fits = np.searchsorted(np.arange(1, w.size + 1) * w, _LINE_CELLS, "right")
+            r1 = r0 + max(1, int(fits))
             blocks.append((r0, r1))
             r0 = r1
         need = max(((r1 - r0) * int(row_len[r1 - 1]) for r0, r1 in blocks), default=0)
@@ -649,7 +658,8 @@ def _line_deltas(space, pairs, levels) -> np.ndarray:
             c = np.take(frame_rows, nf + local, axis=0, out=ax, mode="clip")  # ax is spent
             np.subtract(c[row, best][:, None], c, out=s)
             np.abs(s, out=s)
-            s *= a
+            with np.errstate(over="ignore"):  # only padding, at coordinate 0: every |x - y| <= D
+                s *= a
             np.subtract(g, s, out=s)
             delta[r] = lf[row, best] - s.max(axis=1)
         out[:, lo : lo + step] = delta.reshape(2, starts.size, levels.size)

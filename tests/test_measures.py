@@ -51,7 +51,7 @@ def test_measures_from_rows_equal_one_by_one_and_refuse_alike():
     raw[0, 0] = -9.0  # the measures hold a copy
     assert got[0].density[0] != -9.0
     assert mp.IdempotentMeasure.from_rows(g, np.empty((0, 7))) == []
-    bad_rows = [[-1.0] * 7, [0.0, 1.0] + [0.0] * 5, [0.0, float("nan")] + [0.0] * 5, [0.0, np.inf] + [0.0] * 5]
+    bad_rows = [[-1.0] * 7] + [[0.0, bad] + [0.0] * 5 for bad in (1.0, float("nan"), np.inf)]
     for bad in bad_rows:
         table = np.vstack([raw[1:3], [bad], raw[3:]])
         with pytest.raises(ValueError) as one:
@@ -420,7 +420,8 @@ def test_a_line_with_an_extra_column_is_named_for_it_whatever_its_sign(tmp_path)
     lines = p.read_text().splitlines()
     for extra in (" 7", " -7"):
         p.write_text("\n".join(lines[:3001] + [lines[3001] + extra] + lines[3002:]) + "\n")
-        with pytest.raises(ValueError, match=r"wide\.density:3002: inconsistent coordinate columns$"):
+        message = r"wide\.density:3002: inconsistent coordinate columns$"
+        with pytest.raises(ValueError, match=message):
             mp.read_density_file(p)
 
 

@@ -1064,14 +1064,16 @@ def test_steep_rows_never_enter_the_block_loop(monkeypatch):
     assert 0 < steep.sum() < steep.size
     assert sum(ranked) == 2 * (~steep).sum()
     for k, (m1, m2) in enumerate(pairs):
-        assert np.array_equal(got[:, k], np.array(line_deltas_per_pair(line, m1.density, m2.density, levels)))
+        want = line_deltas_per_pair(line, m1.density, m2.density, levels)
+        assert np.array_equal(got[:, k], np.array(want))
 
 
 def test_steep_rows_take_the_first_of_tied_sources():
     # at every level here (a gmin > 2 spread) several sources of the pair tie
     # in the envelope ranking; their finishing values differ in the last
     # bits, and the first in point order gives the per-pair kernel's value
-    x = [1.4, 8.399999999999999, 20.299999999999997, 21.0, 29.4, 31.499999999999996, 32.9, 34.3, 36.4]
+    x = [1.4, 8.399999999999999, 20.299999999999997, 21.0, 29.4, 31.499999999999996, 32.9, 34.3,
+         36.4]
     space = mp.FiniteMetricSpace.from_coords(np.array(x))
     m1 = mp.IdempotentMeasure(space, [-0.0, -0.0, 0.0, -1.0, NEG, -1.0, NEG, -2.0, NEG])
     m2 = mp.IdempotentMeasure(space, [NEG, -2.0, NEG, 0.0, 0.0, NEG, NEG, NEG, -1.0])
@@ -1109,6 +1111,31 @@ def test_steep_entries_stay_inside_a_memory_budget(monkeypatch):
     assert np.array_equal(values[0], values[1])
     want = line_deltas_per_pair(line, pair[0].density, pair[1].density, levels)
     assert np.array_equal(values[0][:, 0], np.array(want))
+
+
+def test_far_coordinates_overflow_nothing_in_the_line_kernel():
+    # points near 1e161 with gaps of 1e152 pass the span checks, and a * D
+    # stays far below 2^1022 at these levels, but a * 1e161 overflows: a
+    # steep row's missing side and a block's padding element, both once at
+    # coordinate 0, made a * |x - 0| overflow (a RuntimeWarning, an error here)
+    space = mp.FiniteMetricSpace.from_coords(1e161 + np.arange(6) * 1e152)
+    deep = -1e300
+    one_sided = (
+        mp.IdempotentMeasure(space, [0.0, NEG, -1.0, NEG, NEG, NEG]),
+        mp.IdempotentMeasure(space, [NEG, NEG, NEG, NEG, 0.0, -2.0]),
+    )
+    short = (
+        mp.IdempotentMeasure(space, [0.0, deep, 0.0, 0.0, NEG, NEG]),
+        mp.IdempotentMeasure(space, [0.0, 0.0, deep, 0.0, NEG, NEG]),
+    )
+    wide = (
+        mp.IdempotentMeasure(space, [0.0, deep, 0.0, 0.0, 0.0, 0.0]),
+        mp.IdempotentMeasure(space, [0.0, 0.0, deep, 0.0, 0.0, 0.0]),
+    )
+    for pairs, a in (([one_sided], 1e150), ([short, wide], 1.9e148)):
+        got = _line_deltas(space, pairs, np.array([a]))
+        for k, pair in enumerate(pairs):
+            assert got[:, k, 0].tolist() == list(dense_deltas(*pair, a))
 
 
 def test_line_dual_frames_keep_the_winning_source_at_each_bound():

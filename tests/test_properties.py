@@ -284,7 +284,7 @@ def _mutate(draw, lines, n, dim):
         toks[0] = lines[draw(st.sampled_from(others))].split()[0] if others else toks[0]
     elif kind == "bad value":
         toks[-1] = draw(st.sampled_from(["nan", "inf", "+inf", "1e999", "x", "-", "--1"]))
-    elif kind == "extra column" and dim >= 1 and len(toks) > 1:  # before the value, which stays last
+    elif kind == "extra column" and dim >= 1 and len(toks) > 1:  # before the value, kept last
         toks.insert(draw(st.integers(1, len(toks) - 1)), "0.5")
     elif kind == "drop one coordinate" and len(toks) >= 4:  # one coordinate stays
         del toks[draw(st.integers(1, len(toks) - 2))]
@@ -579,8 +579,8 @@ def line_dual_batches(draw):
         else:
             vals = draw(st.lists(st.floats(-3.0, 0.0), min_size=n, max_size=n))
         raw = np.where(support, vals, NEG)
-        inside = np.flatnonzero(support)
-        raw[draw(st.sampled_from(inside.tolist())) if inside.size else draw(st.integers(0, n - 1))] = 0.0
+        inside = np.flatnonzero(support).tolist() or list(range(n))
+        raw[draw(st.sampled_from(inside))] = 0.0
         return mp.normalize(space, raw)
 
     kinds = ["free", "same-support", "nested", "dirac-vs-all", "dirac", "one-point", "equal"]
