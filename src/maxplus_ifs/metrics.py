@@ -10,7 +10,9 @@
   target reads per point, else (and for the sources left past that cap)
   by one sweep of the support distance table, sources sorted by the
   width of their level-ordered target prefix, in masked row blocks of at
-  most 2^18 entries (O(|s1| |s2|) time, bounded memory);
+  most 2^18 entries (O(|s1| |s2|) time, bounded memory).  Feasibility of
+  the maximal coupling at t is d1 <= t, and the Hausdorff distance of two
+  point sets is d1 of their indicators: both read these kernels;
 * the Lipschitz-dual pseudometrics d_a = sup {|mu(f) - nu(f)| : Lip f <= a},
   in closed form through cone test functions; one kernel returns d_a for
   a batch of pairs and an array of levels.  On the line every (pair,
@@ -27,11 +29,14 @@
   form with certified tails; series_distances takes a batch of pairs in
   one kernel call.
 
-Slower exact routes (threshold search, subset enumeration, the dense
-per-level dual formula, the per-pair line kernel) are test oracles; sampled inf-convolution
-certificates validate the dual closed form.  scipy is never imported
-here; off the line the distance table loads it for cdist, so 1-D runs,
-and ring-search d1 that leaves no source to the table sweep, never do.
+Ragged blocks, of the table sweep and of the line dual kernel, come from
+one packer (_packed).  Slower exact routes (threshold search over the
+dense feasibility sweep, subset enumeration, the dense per-level dual
+formula, the per-pair line kernel) are test oracles; sampled
+inf-convolution certificates validate the dual closed form.  scipy is
+never imported here; off the line the distance table loads it for cdist,
+so 1-D runs, and ring-search d1 that leaves no source to the table sweep,
+never do.
 """
 
 from __future__ import annotations
@@ -46,7 +51,7 @@ import numpy as np
 from .measures import IdempotentMeasure, TestFunction, pushforward
 from .semiring import NEG_INF
 from .spaces import _BLOCK_ELEMS as _TABLE_ELEMS
-from .spaces import ProductSpace
+from .spaces import FiniteMetricSpace, ProductSpace
 
 Pair = tuple[IdempotentMeasure, IdempotentMeasure]
 
@@ -89,18 +94,12 @@ class Coupling:
             raise ValueError("right marginal condition fails")
 
     def max_support_distance(self) -> float:
-        sup = self.measure.support()
+        """The largest distance of a support pair, over the base space's row blocks."""
         ps = self.measure.space
-        il, ir = np.divmod(sup, ps.right.n_points)
-        # the diagonal of d(il, ir), read in blocks of 512 pairs
-        blocks = [slice(k, k + 512) for k in range(0, sup.size, 512)]
-        diag = [np.diagonal(ps.left.distance_submatrix(il[b], ir[b])).max() for b in blocks]
-        return float(max(diag)) if diag else 0.0
-
-
-def _check_same_space(mu1: IdempotentMeasure, mu2: IdempotentMeasure) -> None:
-    if mu1.space is not mu2.space:
-        raise ValueError("measures live on different spaces")
+        on = self.measure.density.reshape(ps.left.n_points, ps.right.n_points) > NEG_INF
+        rows, cols = np.flatnonzero(on.any(axis=1)), np.flatnonzero(on.any(axis=0))
+        blocks = ps.left._row_blocks(rows, cols)
+        return max(float(np.max(d, where=on[np.ix_(r, cols)], initial=0.0)) for r, d in blocks)
 
 
 def _batch_space(pairs: Sequence[Pair]):
@@ -127,7 +126,7 @@ def maximal_coupling(mu1: IdempotentMeasure, mu2: IdempotentMeasure, t: float) -
     satisfies the marginal conditions.  The raw table is returned; it is a
     normalized density only when feasible.
     """
-    _check_same_space(mu1, mu2)
+    _batch_space([(mu1, mu2)])
     if t < 0:
         raise ValueError("threshold must be nonnegative")
     d = mu1.space.distance_matrix()
@@ -135,25 +134,16 @@ def maximal_coupling(mu1: IdempotentMeasure, mu2: IdempotentMeasure, t: float) -
     return np.where(d <= t, eta, NEG_INF)
 
 
-def coupling_feasible(mu1: IdempotentMeasure, mu2: IdempotentMeasure, t: float) -> bool:
-    """Marginal conditions for the maximal coupling at threshold t.
-
-    Row x needs max_y eta(x, y) = lambda1(x); since min(l1, l2) never
-    exceeds l1, that holds iff some y within t has lambda2(y) >= lambda1(x)
-    (bottom rows are automatic).  Columns are symmetric, settled across
-    row blocks of at most _TABLE_ELEMS entries of the support distance table.
-    """
-    _check_same_space(mu1, mu2)
-    s1, s2, l1, l2 = _supports(mu1, mu2)
-    cols_ok = np.zeros(s2.size, dtype=bool)
-    step = max(1, _TABLE_ELEMS // s2.size)
-    for start in range(0, s1.size, step):
-        near = mu1.space.distance_submatrix(s1[start : start + step], s2) <= t
-        lr = l1[start : start + step, None]
-        if not np.all(((l2 >= lr) & near).any(axis=1)):
-            return False
-        cols_ok |= ((lr >= l2) & near).any(axis=0)
-    return bool(cols_ok.all())
+def _packed(widths, budget: int) -> list[tuple[int, int]]:
+    """Blocks (start, end) over ascending widths, each the most rows from its
+    start whose count times their widest fits the budget, one row at least."""
+    blocks, start = [], 0
+    while start < widths.size:
+        w = widths[start : start + max(1, budget // int(widths[start]))]
+        end = start + max(1, int(np.searchsorted(np.arange(1, w.size + 1) * w, budget, "right")))
+        blocks.append((start, end))
+        start = end
+    return blocks
 
 
 def _directed_d1(space, s_from, l_from, s_to, l_to) -> float:
@@ -170,17 +160,12 @@ def _directed_d1(space, s_from, l_from, s_to, l_to) -> float:
     p = np.searchsorted(-l_to[order], -l_from, side="right")  # >= 1: lambda_to peaks at 0
     by = np.argsort(p, kind="stable")
     rows, p = s_from[by], p[by]
-    best, start = 0.0, 0
-    while start < rows.size:
-        # the most rows from start whose count times their widest prefix fits the budget
-        w = p[start : start + max(1, _TABLE_ELEMS // int(p[start]))]
-        cost = np.arange(1, w.size + 1) * w
-        w = w[: max(1, int(np.searchsorted(cost, _TABLE_ELEMS, "right")))]
-        end = start + w.size
+    best = 0.0
+    for start, end in _packed(p, _TABLE_ELEMS):
+        w = p[start:end]
         d = space.distance_submatrix(rows[start:end], targets[: w[-1]])
         d[:, w[0] :][np.arange(w[0], w[-1]) >= w[:, None]] = np.inf
         best = max(best, float(d.min(axis=1).max()))
-        start = end
     return best
 
 
@@ -353,8 +338,8 @@ def _line_d1(space, pairs) -> np.ndarray:
 def coupling_distances(pairs: Sequence[Pair]) -> list[float]:
     """Bottleneck coupling distance d1 of each pair; all measures on one space.
 
-    By coupling_feasible, the least threshold whose maximal coupling meets
-    the marginals is the directed level-set value max(max_x min {d(x, y) :
+    The least threshold whose maximal coupling meets the marginals
+    (coupling_feasible) is the directed level-set value max(max_x min {d(x, y) :
     lambda2(y) >= lambda1(x)}, and the mirror term); it is a realized
     support-pair distance, so also the largest distance in the support of
     the optimal maximal coupling.  On the line the batch is one exact kernel
@@ -380,6 +365,34 @@ def coupling_distances(pairs: Sequence[Pair]) -> list[float]:
 def coupling_distance(mu1: IdempotentMeasure, mu2: IdempotentMeasure) -> float:
     """Bottleneck coupling distance between two measures: a batch of one."""
     return coupling_distances([(mu1, mu2)])[0]
+
+
+def coupling_feasible(mu1: IdempotentMeasure, mu2: IdempotentMeasure, t: float) -> bool:
+    """Marginal conditions for the maximal coupling at threshold t: d1 <= t.
+
+    Row x needs max_y eta(x, y) = lambda1(x); since min(l1, l2) never
+    exceeds l1, that holds iff some y within t has lambda2(y) >= lambda1(x),
+    and columns are symmetric: the directed level-set values, and so d1,
+    are at most t.
+    """
+    return coupling_distance(mu1, mu2) <= t
+
+
+def hausdorff(set_a, set_b, space: FiniteMetricSpace) -> float:
+    """Hausdorff distance between two nonempty index sets of one space.
+
+    d1 of the set indicators (density 0 on the set, -inf off it): with one
+    level, each directed term is the farthest point of one set from the other.
+    """
+    sets = []
+    for members in (set_a, set_b):
+        idx = np.fromiter(members, dtype=int)
+        if idx.size == 0:
+            raise ValueError("hausdorff distance needs nonempty sets")
+        density = np.full(space.n_points, NEG_INF)
+        density[idx] = 0.0
+        sets.append(IdempotentMeasure(space, density))
+    return coupling_distance(*sets)
 
 
 # ---------------------------------------------------------------------------
@@ -609,13 +622,7 @@ def _line_deltas(space, pairs, levels) -> np.ndarray:
         by = np.sort(rank[row_frame] * n_rows + np.arange(n_rows)) % n_rows
         rows = np.concatenate([cells, cells + steep.size])[by]
         row_rank, row_len = rank[row_frame[by]], length[row_frame[by]]
-        blocks, r0 = [], 0
-        while r0 < n_rows:  # the most rows whose count times their longest frame fits
-            w = row_len[r0 : r0 + max(1, _LINE_CELLS // int(row_len[r0]))]
-            fits = np.searchsorted(np.arange(1, w.size + 1) * w, _LINE_CELLS, "right")
-            r1 = r0 + max(1, int(fits))
-            blocks.append((r0, r1))
-            r0 = r1
+        blocks = _packed(row_len, _LINE_CELLS)
         need = max(((r1 - r0) * int(row_len[r1 - 1]) for r0, r1 in blocks), default=0)
         if index.size < 2 * need:  # scratch that every block reuses
             index, scratch = np.empty(2 * need, dtype=np.intp), np.empty(10 * need)
@@ -725,7 +732,7 @@ def lipschitz_distance(mu1: IdempotentMeasure, mu2: IdempotentMeasure, a: float)
     max_x [lambda1(x) - max_y (lambda2(y) - a d(x, y))] and the symmetric
     term, and the larger of the two is attained.
     """
-    _check_same_space(mu1, mu2)
+    _batch_space([(mu1, mu2)])
     if not 0 < a < math.inf:
         raise ValueError(f"Lipschitz bound a must lie in (0, inf), got {a!r}")
     return float(_dual_distances([(mu1, mu2)], [a])[0, 0])
@@ -756,7 +763,7 @@ def lipschitz_distance_certificates(
     value is a true lower bound; the cone at the maximizing support point
     attains the closed form exactly.
     """
-    _check_same_space(mu1, mu2)
+    _batch_space([(mu1, mu2)])
     space = mu1.space
     if space.n_points > 50:
         raise ValueError("certificate sampling is limited to 50 points")
@@ -904,7 +911,7 @@ def harmonic_series_distance(
     terms is at most diam * 2^-N; N is the least N with that bound <= tol,
     and a ValueError is raised when 2^-N is below the normal float range.
     """
-    _check_same_space(mu1, mu2)
+    _batch_space([(mu1, mu2)])
     if not tol > 0:
         raise ValueError("tol must be positive")
     diam = mu1.space.diameter()

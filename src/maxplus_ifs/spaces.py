@@ -9,9 +9,13 @@ coordinates and evaluate Euclidean distances on demand, so 10^4-point grids
 never allocate an n^2 matrix.
 
 A space implements one distance routine, `distance_submatrix(rows, cols)`;
-`dist` and the full matrix are read through it, and the all-pairs checks
-(Lipschitz constants, contraction certificates, the diameter of a matrix)
-sweep its row blocks of at most 2^18 distances against all points.
+`dist` and the full matrix are read through it, and every fixed-width
+sweep reads it through `_row_blocks(rows, cols)`, in row blocks of at most
+2^18 distances: the all-pairs checks (Lipschitz constants, contraction
+certificates, the diameter) against all points, or the points left, and
+the largest support distance of a coupling against its support's columns.
+The Hausdorff distance of point sets is d1 of their indicators, in
+`metrics`.
 
 On the line (1-D Euclidean coordinates) distances are the exact |x - y|,
 and the space sorts its points once, into the read-only `order` that the
@@ -129,16 +133,19 @@ class FiniteMetricSpace:
             self._dense = m
         return self._dense
 
-    def _row_blocks(self):
-        """Yield (rows, distance_submatrix(rows, all points)) over row blocks.
+    def _row_blocks(self, rows=None, cols=None):
+        """Yield (block, distance_submatrix(block, cols)) over blocks of the rows.
 
-        Each block is a fresh array that the caller may overwrite.
+        rows and cols are index arrays, all points by default; a block holds
+        at most _BLOCK_ELEMS distances (one row at least) and is a fresh
+        array that the caller may overwrite.
         """
         idx = np.arange(self.n_points)
-        step = max(1, _BLOCK_ELEMS // self.n_points)
-        for start in range(0, self.n_points, step):
-            rows = idx[start : start + step]
-            yield rows, self.distance_submatrix(rows, idx)
+        rows, cols = (idx if rows is None else rows), (idx if cols is None else cols)
+        step = max(1, _BLOCK_ELEMS // cols.size)
+        for start in range(0, rows.size, step):
+            block = rows[start : start + step]
+            yield block, self.distance_submatrix(block, cols)
 
     def diameter(self) -> float:
         """The largest distance, equal to the largest entry of the distance table.
@@ -148,14 +155,14 @@ class FiniteMetricSpace:
         included, Euclidean points whose farthest corner of the bounding box
         lies nearer than a distance already realized by the extreme points
         along the axes can end no largest pair; the points left are swept
-        against each other, in blocks of at most 2^18 distances.  Explicit
-        matrices are swept whole.
+        against each other, in row blocks.  Explicit matrices are swept whole.
         """
-        if self._diameter is None:
-            if self.line:
-                x = self.coords[:, 0]
-                self._diameter = float(x[self.order[-1]] - x[self.order[0]])
-            elif self.euclidean:
+        if self._diameter is None and self.line:
+            x = self.coords[:, 0]
+            self._diameter = float(x[self.order[-1]] - x[self.order[0]])
+        elif self._diameter is None:
+            keep = None
+            if self.euclidean:
                 c = self.coords
                 ends = np.concatenate([c.argmin(axis=0), c.argmax(axis=0)])
                 low = float(self.distance_submatrix(ends, ends).max())
@@ -164,14 +171,8 @@ class FiniteMetricSpace:
                 # the margin covers rounding; squares stay normal between 2^-400 and 2^400
                 keep = np.flatnonzero(reach >= low * (1.0 - 2.0**-40))
                 if not 2.0**-400 < low < 2.0**400:
-                    keep = np.arange(self.n_points)
-                step = max(1, _BLOCK_ELEMS // keep.size)
-                blocks = range(0, keep.size, step)
-                self._diameter = max(
-                    float(self.distance_submatrix(keep[i : i + step], keep).max()) for i in blocks
-                )
-            else:
-                self._diameter = max(float(d.max()) for _, d in self._row_blocks())
+                    keep = None
+            self._diameter = max(float(d.max()) for _, d in self._row_blocks(keep, keep))
         return self._diameter
 
     def is_grid(self) -> bool:
@@ -369,18 +370,3 @@ class ProductSpace(FiniteMetricSpace):
 def product(left: FiniteMetricSpace, right: FiniteMetricSpace) -> ProductSpace:
     """Product space under the maximum metric rho = max(d_left, d_right)."""
     return ProductSpace(left, right)
-
-
-def hausdorff(set_a, set_b, space: FiniteMetricSpace) -> float:
-    """Hausdorff distance between two nonempty index sets of one space."""
-    a = np.fromiter(set_a, dtype=int)
-    b = np.fromiter(set_b, dtype=int)
-    if a.size == 0 or b.size == 0:
-        raise ValueError("hausdorff distance needs nonempty sets")
-    step = max(1, _BLOCK_ELEMS // b.size)  # row blocks of the sweep budget
-    row_min, col_min = [], np.full(b.size, np.inf)
-    for i in range(0, a.size, step):
-        d = space.distance_submatrix(a[i : i + step], b)
-        row_min.append(d.min(axis=1))
-        np.minimum(col_min, d.min(axis=0), out=col_min)
-    return float(max(np.concatenate(row_min).max(), col_min.max()))

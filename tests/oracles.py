@@ -11,11 +11,27 @@ import maxplus_ifs as mp
 NEG = float("-inf")
 
 
+def feasible_sweep(mu1, mu2, t, d=None) -> bool:
+    """Marginal conditions for the maximal coupling at threshold t, on the
+    support distance table d (built when not given).
+
+    Row x needs max_y eta(x, y) = lambda1(x); since min(l1, l2) never
+    exceeds l1, that holds iff some y within t has lambda2(y) >= lambda1(x)
+    (bottom rows are automatic).  Columns are symmetric.
+    """
+    s1, s2 = mu1.support(), mu2.support()
+    l1, l2 = mu1.density[s1, None], mu2.density[s2]
+    if d is None:
+        d = mu1.space.distance_submatrix(s1, s2)
+    near = d <= t
+    return bool(((l2 >= l1) & near).any(axis=1).all() and ((l1 >= l2) & near).any(axis=0).all())
+
+
 def threshold_d1(mu1, mu2) -> float:
     """Coupling distance by binary search over candidate thresholds.
 
     The smallest support-pair distance (or 0) at which the maximal coupling
-    satisfies both marginals, found with coupling_feasible; then the largest
+    satisfies both marginals, found with feasible_sweep; then the largest
     support-pair distance within it, i.e. the largest distance realized in
     the support of the optimal maximal coupling.
     """
@@ -23,10 +39,10 @@ def threshold_d1(mu1, mu2) -> float:
     d = mu1.space.distance_submatrix(s1, s2)
     cands = np.unique(np.concatenate([[0.0], d.ravel()]))
     lo, hi = 0, cands.size - 1
-    assert mp.coupling_feasible(mu1, mu2, float(cands[hi]))
+    assert feasible_sweep(mu1, mu2, float(cands[hi]), d)
     while lo < hi:
         mid = (lo + hi) // 2
-        if mp.coupling_feasible(mu1, mu2, float(cands[mid])):
+        if feasible_sweep(mu1, mu2, float(cands[mid]), d):
             hi = mid
         else:
             lo = mid + 1
@@ -155,15 +171,15 @@ def write_density_file_lines(path, mu) -> None:
 def read_density_file_lines(path, space=None):
     """Density file parsed line by line in Python.
 
-    Known gaps, closed in the production reader: Python's int and float
-    read spellings outside numpy's grammar (1_0, non-ASCII digits); a line
-    number counts only the point lines above it, not blank lines; a later
-    line without coordinate columns is placed at coordinate 0; a bare index
-    line reads as density equal to its index; a density that is all below 0
-    fails without the path, and so does a space built from bad coordinates;
-    coordinates are compared to a given space with an absolute tolerance of
-    1e-12, so below that scale any coordinates agree (on a grid from 0 to
-    1e-150 in 2 cells, a point at 9e-151 passes for 5e-151).
+    Every point line has the columns of the first one (at least an index and
+    a value).  Known gaps, closed in the production reader: Python's int and
+    float read spellings outside numpy's grammar (1_0, non-ASCII digits); a
+    line number counts only the point lines above it, not blank lines; a
+    density that is all below 0 fails without the path, and so does a space
+    built from bad coordinates; coordinates are compared to a given space
+    with an absolute tolerance of 1e-12, so below that scale any coordinates
+    agree (on a grid from 0 to 1e-150 in 2 cells, a point at 9e-151 passes
+    for 5e-151).
     """
     with open(path) as fh:
         lines = fh.read().splitlines()
@@ -179,7 +195,8 @@ def read_density_file_lines(path, space=None):
     if len(body) != n:
         raise ValueError(f"{path}: expected {n} point lines, found {len(body)}")
     values = np.full(n, NEG)
-    coords = None
+    width = max(2, len(body[0].split())) if body else 2
+    coords = [[0.0] * (width - 2) for _ in range(n)] if width > 2 else None
     seen = set()
     for lineno, line in enumerate(body, start=2):
         parts = line.split()
@@ -193,11 +210,11 @@ def read_density_file_lines(path, space=None):
             raise ValueError(f"{path}:{lineno}: duplicate point index {idx}")
         seen.add(idx)
         cols = parts[1:-1]
-        if coords is None:
-            coords = [[0.0] * len(cols) for _ in range(n)] if cols else None
-        if cols and (coords is None or len(cols) != len(coords[idx])):
+        if 1 < len(parts) != width:  # a bare index has no value to count columns by
             raise ValueError(f"{path}:{lineno}: inconsistent coordinate columns")
         try:
+            if len(parts) == 1:
+                raise ValueError("no density value")
             values[idx] = parse_scalar(parts[-1])
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: bad density value") from exc

@@ -7,6 +7,7 @@ import pytest
 
 import maxplus_ifs as mp
 from conftest import NEG, np_random_measure, random_matrix_space
+from oracles import read_density_file_lines
 
 
 def test_normalize_examples():
@@ -259,28 +260,40 @@ def test_blank_lines_keep_the_file_line_number(tmp_path):
         mp.read_density_file(p)
 
 
+def _refusal(reader, path, space=None):
+    with pytest.raises(ValueError) as err:
+        reader(path, space)
+    return str(err.value)
+
+
 def test_a_line_without_its_coordinate_column_is_refused(tmp_path):
-    # point 1 used to be placed at coordinate 0.0
+    # point 1 used to be placed at coordinate 0.0; the per-line parser
+    # refuses it with the reader's message
     p = tmp_path / "short.density"
     p.write_text("space 3\n0 5.0 0\n1 -1\n2 2.0 -2\n")
     with pytest.raises(ValueError, match=r"short\.density:3: inconsistent coordinate columns$"):
         mp.read_density_file(p)
+    assert _refusal(read_density_file_lines, p) == _refusal(mp.read_density_file, p)
     # and a first line without coordinates is no exception
     p.write_text("space 2\n0 0\n1 1.0 -1\n")
     with pytest.raises(ValueError, match=r"short\.density:3: inconsistent coordinate columns$"):
         mp.read_density_file(p)
+    assert _refusal(read_density_file_lines, p) == _refusal(mp.read_density_file, p)
 
 
 def test_a_bare_index_line_is_refused(tmp_path):
-    # the index token doubled as the value: `0` read as density 0
+    # the index token doubled as the value: `0` read as density 0; the
+    # per-line parser refuses it with the reader's message
     space = mp.build_grid([0.0], [1.0], [1])
     p = tmp_path / "bare.density"
     p.write_text("space 2\n0\n1 -1\n")
     with pytest.raises(ValueError, match=r"bare\.density:2: bad density value$"):
         mp.read_density_file(p, space)
+    assert _refusal(read_density_file_lines, p, space) == _refusal(mp.read_density_file, p, space)
     p.write_text("space 2\n0 0\n1\n")
     with pytest.raises(ValueError, match=r"bare\.density:3: bad density value$"):
         mp.read_density_file(p, space)
+    assert _refusal(read_density_file_lines, p, space) == _refusal(mp.read_density_file, p, space)
 
 
 def test_density_errors_name_the_file_and_line(tmp_path):

@@ -12,6 +12,7 @@ from maxplus_ifs.metrics import (
     _dual_distances,
     _line_deltas,
     _line_nearest,
+    _packed,
 )
 from conftest import (
     NEG,
@@ -76,8 +77,9 @@ def test_feasibility_monotone_in_threshold():
 
 def test_max_support_distance_reads_the_diagonal_in_blocks():
     # full support on a product of two 60-point spaces: a 3600 x 3600 table
-    # (104 MB) only for its diagonal; blocks of 512 pairs give the same value,
-    # also when the one far pair of a support lies in the last block
+    # (104 MB) only for its diagonal; row blocks of the base space masked by
+    # the support give the same value, also when the one far pair of a
+    # support lies in the last block
     import tracemalloc
 
     rng = np.random.default_rng(35)
@@ -305,6 +307,21 @@ def _ring_cases(space, rng):
         m1, m2 = mp.normalize(space, a), mp.normalize(space, b)
         yield name, m1, m2
         yield name, m2, m1
+
+
+def test_packed_blocks_take_the_most_rows_within_the_budget():
+    rng = np.random.default_rng(37)
+    for budget in (1, 7, 64, 1000):
+        widths = np.sort(rng.integers(1, 40, 200))
+        blocks = _packed(widths, budget)
+        assert [b[0] for b in blocks[1:]] == [b[1] for b in blocks[:-1]]
+        assert blocks[0][0] == 0 and blocks[-1][1] == widths.size
+        for start, end in blocks:
+            fits = (end - start) * widths[end - 1] <= budget
+            assert fits or end == start + 1  # a row too wide for the budget goes alone
+            more = end < widths.size and (end + 1 - start) * widths[end] <= budget
+            assert not more
+    assert _packed(np.array([], dtype=int), 10) == []
 
 
 def test_ring_d1_equals_the_threshold_search_and_the_prefix_route():

@@ -1,8 +1,8 @@
 """Property tests: the array code of the seeded stream, the stacked Markov
-step, the density files, the line d1 and dual kernels and the off-line
-coincidence check against the slower routes kept in `oracles.py`; the
-density reader on tokens outside numpy's grammar, and `metric` on
-mutated density files.
+step, the density files, the line d1 and dual kernels, feasibility and
+Hausdorff distance through d1, and the off-line coincidence check against
+the slower routes kept in `oracles.py`; the density reader on tokens
+outside numpy's grammar, and `metric` on mutated density files.
 
 Hypothesis runs derandomized with a bounded number of examples, so every
 run checks the same cases.
@@ -22,6 +22,7 @@ from maxplus_ifs.spaces import _coincident_pair
 from conftest import random_matrix_space
 from oracles import (
     coincident_pair_kdtree,
+    feasible_sweep,
     line_deltas_per_pair,
     random_measure_scalar,
     read_density_file_lines,
@@ -258,13 +259,12 @@ def test_reader_equals_the_line_parser_on_valid_files(tmp_path, case, data):
     assert got == _read(read_density_file_lines, path, _space_for(n, dim))
 
 
-# Defects the per-line parser shares with the production reader.  Lines that
-# drop every coordinate, bare index lines, bad coordinate tokens and positive
-# densities are left out: the oracle misreads or words them differently
-# (regressions in test_measures.py).
+# Defects the per-line parser shares with the production reader.  Bad
+# coordinate tokens and positive densities have their own regressions in
+# test_measures.py.
 LINE_MUTATIONS = (
     "bad index", "out of range", "duplicate", "bad value", "extra column",
-    "drop one coordinate", "nan coordinate",
+    "drop one coordinate", "drop every coordinate", "bare index", "nan coordinate",
 )
 FILE_MUTATIONS = ("missing line", "extra line", "header", "whitespace line", "line break")
 
@@ -288,6 +288,10 @@ def _mutate(draw, lines, n, dim):
         toks.insert(draw(st.integers(1, len(toks) - 1)), "0.5")
     elif kind == "drop one coordinate" and len(toks) >= 4:  # one coordinate stays
         del toks[draw(st.integers(1, len(toks) - 2))]
+    elif kind == "drop every coordinate" and len(toks) >= 3:
+        toks = [toks[0], toks[-1]]
+    elif kind == "bare index":
+        toks = toks[:1]
     elif kind == "nan coordinate" and len(toks) >= 3:
         toks[draw(st.integers(1, len(toks) - 2))] = "nan"
     elif kind == "missing line":
@@ -464,6 +468,74 @@ def test_batched_line_d1_equals_the_threshold_search_and_each_pair_alone(case):
         # the same distances as a matrix go through the off-line route
         c1, c2 = (mp.IdempotentMeasure(exact, m.density) for m in (m1, m2))
         assert d == mp.coupling_distance(c1, c2)
+
+
+# --- feasibility and Hausdorff distance through d1 ---------------------------------
+
+SPACE_KINDS = ("line", "unsorted line", "2-D", "3-D", "4-D", "matrix", "product")
+
+
+@st.composite
+def coupling_cases(draw):
+    """Two measures on a line (sorted or not), 2-D, 3-D or 4-D points, a
+    random matrix space or a product, with integer or continuous levels,
+    Dirac measures among them, and two nonempty point sets."""
+    kind = draw(st.sampled_from(SPACE_KINDS))
+    n = draw(st.integers(1, 14))
+    if kind == "matrix":
+        space = random_matrix_space(np.random.default_rng(draw(st.integers(0, 999))), n)
+    elif kind == "product":
+        left = mp.build_grid([0.0], [1.0], [draw(st.integers(1, 4))])
+        right = random_matrix_space(np.random.default_rng(draw(st.integers(0, 999))), 3)
+        space = mp.product(left, right)
+    else:
+        dim = {"2-D": 2, "3-D": 3, "4-D": 4}.get(kind, 1)
+        if draw(st.booleans()):  # small integers: many tied distances
+            ints = draw(st.lists(st.integers(-4, 4), min_size=n * dim, max_size=n * dim))
+            x = np.array(ints, dtype=float).reshape(n, dim) * draw(st.sampled_from([1.0, 0.1]))
+        else:
+            flat = draw(st.lists(st.floats(-10.0, 10.0), min_size=n * dim, max_size=n * dim))
+            x = np.array(flat).reshape(n, dim)
+        if kind == "line":
+            x = np.sort(x, axis=0)
+        try:
+            space = mp.FiniteMetricSpace.from_coords(x)
+        except ValueError:  # coincident points
+            assume(False)
+    n = space.n_points
+    integer = draw(st.booleans())
+
+    def measure():
+        if draw(st.integers(0, 4)) == 0:
+            return mp.dirac(space, draw(st.integers(0, n - 1)))
+        finite = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+        if integer:
+            vals = [-float(v) for v in draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))]
+        else:
+            vals = draw(st.lists(st.floats(-3.0, 0.0), min_size=n, max_size=n))
+        raw = np.where(finite, vals, NEG)
+        raw[draw(st.integers(0, n - 1))] = 0.0
+        return mp.normalize(space, raw)
+
+    def point_set():
+        return draw(st.sets(st.integers(0, n - 1), min_size=1))
+
+    m1, m2 = measure(), measure()
+    table = space.distance_submatrix(m1.support(), m2.support()).ravel()
+    entry = float(table[draw(st.integers(0, table.size - 1))])
+    return space, m1, m2, entry, point_set(), point_set()
+
+
+@PROPERTY
+@given(coupling_cases())
+def test_feasibility_and_hausdorff_through_d1_equal_the_dense_sweeps(case):
+    space, m1, m2, entry, a, b = case
+    d1 = mp.coupling_distance(m1, m2)
+    for t in (d1, np.nextafter(d1, np.inf), np.nextafter(d1, -np.inf), 0.0, entry):
+        assert mp.coupling_feasible(m1, m2, float(t)) == feasible_sweep(m1, m2, float(t))
+    d = space.distance_submatrix(sorted(a), sorted(b))
+    want = max(float(d.min(axis=1).max()), float(d.min(axis=0).max()))
+    assert mp.hausdorff(a, b, space) == want == mp.hausdorff(b, a, space)
 
 
 # --- the coincidence check off the line ---------------------------------------

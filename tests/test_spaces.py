@@ -284,6 +284,24 @@ def test_diameter_equals_the_blocked_sweep():
     assert line.diameter().hex() == diameter_sweep(line).hex() == (1.0).hex()
 
 
+def test_row_blocks_cover_index_sets_within_the_budget(monkeypatch):
+    # rows in their given order, against the given columns, as many rows
+    # per block as the budget of distances holds, and one row at least
+    rng = np.random.default_rng(36)
+    for space in (random_euclidean_space(rng, 40), random_matrix_space(rng, 40)):
+        rows, cols = rng.permutation(40)[:25], rng.permutation(40)[:13]
+        for budget in (1, 13, 40, 1 << 18):
+            monkeypatch.setattr(mp.spaces, "_BLOCK_ELEMS", budget)
+            blocks = list(space._row_blocks(rows, cols))
+            sizes, step = [r.size for r, _ in blocks], max(1, budget // 13)
+            assert sizes[:-1] == [step] * (len(sizes) - 1) and 0 < sizes[-1] <= step
+            np.testing.assert_array_equal(np.concatenate([r for r, _ in blocks]), rows)
+            got = np.concatenate([d for _, d in blocks])
+            np.testing.assert_array_equal(got, space.distance_submatrix(rows, cols))
+        whole = np.concatenate([d for _, d in space._row_blocks()])
+        np.testing.assert_array_equal(whole, space.distance_submatrix(range(40), range(40)))
+
+
 def test_diameter_examples():
     assert mp.build_grid([0], [1], [3]).diameter() == 1.0
     single = mp.FiniteMetricSpace.from_coords([[0.25]])
@@ -401,8 +419,9 @@ def test_line_space_owns_its_stable_point_order():
 
 
 def test_hausdorff_reads_row_blocks_of_the_sweep_budget(monkeypatch):
-    # the full 2000 x 2000 table would take 32 MB; row blocks of at most 2^18
-    # distances with running column minima give the same value bit for bit
+    # the full 2000 x 2000 table would take 32 MB; hausdorff is d1 of the set
+    # indicators, whose kernels read bounded blocks, and gives the same value
+    # bit for bit
     import tracemalloc
 
     rng = np.random.default_rng(34)
@@ -416,11 +435,14 @@ def test_hausdorff_reads_row_blocks_of_the_sweep_budget(monkeypatch):
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
     assert got == want and peak < 5 << 20  # a block and the next one being built
+    # off the line the sources left by the ring search, and every source on a
+    # matrix space, go through the table sweep in blocks of the patched budget
     plane = random_euclidean_space(rng, 300)
+    matrix = random_matrix_space(rng, 300)
     sets = [rng.choice(300, size, replace=False) for size in (1, 7, 120, 300)]
-    for sa, sb in itertools.product(sets, repeat=2):
-        d = plane.distance_submatrix(sa, sb)
+    for space, (sa, sb) in itertools.product((plane, matrix), itertools.product(sets, repeat=2)):
+        d = space.distance_submatrix(sa, sb)
         want = float(max(d.min(axis=1).max(), d.min(axis=0).max()))
         for budget in (1, 1000, 1 << 18):
-            monkeypatch.setattr(mp.spaces, "_BLOCK_ELEMS", budget)
-            assert mp.hausdorff(sa, sb, plane) == want
+            monkeypatch.setattr(mp.metrics, "_TABLE_ELEMS", budget)
+            assert mp.hausdorff(sa, sb, space) == want

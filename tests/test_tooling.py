@@ -2,7 +2,9 @@
 
 ``perfbench/tracing.py`` wraps each ``TARGETS`` entry by name.  A class
 method that is gone is skipped, but a module-level function that is gone
-makes ``Tracer.install`` raise, so every traced run would fail.
+makes ``Tracer.install`` raise, so every traced run would fail.  Every
+name in ``maxplus_ifs.__all__`` is listed once and resolves, also after a
+name moves between modules.
 
 scipy is imported inside the one function that needs it, so start-up,
 1-D runs, 2-D reads and ring-search ``d1`` never pay for it; a
@@ -34,6 +36,15 @@ def test_tracer_targets_resolve():
         module = importlib.import_module(f"maxplus_ifs.{mod_name}")
         owner = attr.split(".")[0]  # the class of a "Class.method" entry
         assert callable(getattr(module, owner, None)), span
+
+
+def test_public_names_resolve():
+    import maxplus_ifs
+
+    names = maxplus_ifs.__all__
+    assert len(names) == len(set(names))
+    for name in names:
+        assert hasattr(maxplus_ifs, name), name
 
 
 def _import_time_imports(node):
