@@ -419,7 +419,7 @@ def attractor(ifs: MaxPlusIFS, start) -> frozenset[int]:
     raises after the iteration cap.
     """
     mask = np.zeros(ifs.space.n_points, dtype=bool)
-    idx = np.fromiter(start, dtype=int)
+    idx = ifs.space.point_indices(start, "attractor")
     if idx.size == 0:
         raise ValueError("attractor iteration needs a nonempty start set")
     mask[idx] = True

@@ -123,10 +123,8 @@ def normalize(space: FiniteMetricSpace, raw) -> IdempotentMeasure:
 
 def dirac(space: FiniteMetricSpace, point: int) -> IdempotentMeasure:
     """Unit mass at one point: density 0 there, -inf elsewhere."""
-    if not 0 <= point < space.n_points:
-        raise ValueError(f"point {point} out of range")
     d = np.full(space.n_points, NEG_INF)
-    d[point] = 0.0
+    d[space.point_indices([point], "dirac")] = 0.0
     return IdempotentMeasure(space, d)
 
 

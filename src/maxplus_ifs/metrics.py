@@ -4,7 +4,7 @@
   pointwise-maximal coupling meets both marginals, in closed form as the
   directed level-set value, for a batch of pairs on one space: on the
   line by binary lifting over range-maximum tables of the target levels
-  (O(m log m) per pair on the m points of the batch's supports), on 2-D
+  (O(m log m) per pair on the m points of the pair's merged supports), on 2-D
   and 3-D Euclidean spaces by one ring search per direction over a
   uniform grid of the targets, capped at _RING_WORK cell visits and
   target reads per point, else (and for the sources left past that cap)
@@ -29,14 +29,15 @@
   form with certified tails; series_distances takes a batch of pairs in
   one kernel call.
 
-Ragged blocks, of the table sweep and of the line dual kernel, come from
-one packer (_packed).  Slower exact routes (threshold search over the
-dense feasibility sweep, subset enumeration, the dense per-level dual
-formula, the per-pair line kernel) are test oracles; sampled
-inf-convolution certificates validate the dual closed form.  scipy is
-never imported here; off the line the distance table loads it for cdist,
-so 1-D runs, and ring-search d1 that leaves no source to the table sweep,
-never do.
+Both line kernels read one layout of each pair's merged supports
+(_line_layout), and ragged blocks, of the table sweep and of the line
+dual kernel, come from one packer (_packed).  Slower exact routes
+(threshold search over the dense feasibility sweep, subset enumeration,
+the dense per-level dual formula, the per-pair line kernel) are test
+oracles; sampled inf-convolution certificates validate the dual closed
+form.  scipy is never imported here; off the line the distance table
+loads it for cdist, so 1-D runs, and ring-search d1 that leaves no source
+to the table sweep, never do.
 """
 
 from __future__ import annotations
@@ -84,8 +85,8 @@ class Coupling:
         ps = self.measure.space
         if not isinstance(ps, ProductSpace):
             raise ValueError("a coupling lives on a product space")
-        if ps.left is not self.left.space or ps.right is not self.right.space:
-            raise ValueError("product space factors do not match the marginals")
+        if not (ps.left is ps.right is self.left.space is self.right.space):
+            raise ValueError("a coupling lives on X x X, for the one space X of both marginals")
         lam1 = pushforward(self.measure, ps.proj_left, ps.left).density
         lam2 = pushforward(self.measure, ps.proj_right, ps.right).density
         if not np.array_equal(lam1, self.left.density):
@@ -280,58 +281,76 @@ def _ring_d1(space, s_from, l_from, s_to, l_to) -> float:
     return value
 
 
-def _line_nearest(x, table, rows, pos, level) -> np.ndarray:
-    """Per source i, min |x[pos[i]] - x[j]| over j with table[0, rows[i], j] >= level[i].
+def _line_layout(space, pairs, depth):
+    """Chunks of line pairs, each pair on its merged supports in the space's point order.
 
-    x is sorted; table[0] holds target levels (-inf off a support), and
-    table[k] is overwritten with the maxima over windows of 2^k positions.
-    Each source lifts left and right past the windows below its level,
-    largest first (Bender and Farach-Colton, 2000); rounding is monotone, so
-    the nearer of its two nearest targets gives the least |x - y| exactly.
+    A chunk is the most pairs (one at least) whose depth rows of both
+    densities over all n points fit _TABLE_ELEMS entries.  Yields, in pair
+    order, the pair pid of each merged point, each pair's run [starts, ends),
+    a table (rows: the coordinate shifted by the run's first point, the
+    coordinate, l1, l2; a last column of levels -inf at 0) and a buffer of
+    the budget, reused by every chunk and free once the table is built.
     """
-    m = x.size
+    n = space.n_points
+    step = max(1, _TABLE_ELEMS // (2 * depth * n))
+    buf = np.empty(2 * depth * min(step, len(pairs)) * n)
+    for lo in range(0, len(pairs), step):
+        chunk = [mu.density for pair in pairs[lo : lo + step] for mu in pair]
+        dens = np.stack(chunk, out=buf[: len(chunk) * n].reshape(-1, n))
+        merged = (dens[0::2] > NEG_INF) | (dens[1::2] > NEG_INF)
+        pid, point = np.divmod(np.flatnonzero(merged[:, space.order]), n)
+        point, size = space.order[point], pid.size
+        starts = np.searchsorted(pid, np.arange(len(chunk) // 2))
+        table = np.empty((4, size + 1))
+        table[:, size] = (0.0, 0.0, NEG_INF, NEG_INF)
+        np.take(space.coords[:, 0], point, out=table[1, :size], mode="clip")
+        np.subtract(table[1, :size], table[1, starts][pid], out=table[0, :size])
+        point += 2 * n * pid  # the point in row 2 pid of dens
+        np.take(dens, point, out=table[2, :size], mode="clip")
+        np.take(dens, point + n, out=table[3, :size], mode="clip")
+        yield pid, starts, np.append(starts[1:], size), table, buf
+
+
+def _line_nearest(x, table, pos, level, first, end) -> np.ndarray:
+    """Per source i, min |x[pos[i]] - x[j]| over j in [first[i], end[i]) with
+    table[0, j] >= level[i], or inf.  x is sorted on each run, 2^depth
+    exceeds every run, and table[k] becomes the maxima of table[0] over
+    windows of 2^k positions: each source lifts left and right past the
+    windows below its level, largest first and never out of its run (Bender
+    and Farach-Colton, 2000).  Rounding is monotone, so the nearer of its two
+    nearest targets gives the least |x - y| exactly.
+    """
     for k in range(1, table.shape[0]):
         w = 1 << (k - 1)
-        table[k] = table[k - 1]
-        np.maximum(table[k, :, :-w], table[k - 1, :, w:], out=table[k, :, :-w])
-    flat = table.reshape(table.shape[0], -1)
-    base = rows * m
+        np.maximum(table[k - 1, :-w], table[k - 1, w:], out=table[k, :-w])
     lo, hi = pos + 1, pos.copy()  # qualifying targets: below lo, at or above hi
-    for k in reversed(range(flat.shape[0])):
+    for k in reversed(range(table.shape[0])):
         w = 1 << k
-        lo -= w * ((lo >= w) & (flat[k, base + np.maximum(lo - w, 0)] < level))
-        hi += w * ((hi < m) & (flat[k, base + np.minimum(hi, m - 1)] < level))
+        below = lo - w
+        free = (below >= first) & (table[k].take(below, mode="clip") < level)
+        np.subtract(lo, w, out=lo, where=free)
+        np.add(hi, w, out=hi, where=(hi + w <= end) & (table[k].take(hi, mode="clip") < level))
     xs = x[pos]
-    left = np.where(lo > 0, xs - x[np.maximum(lo - 1, 0)], np.inf)
-    return np.minimum(left, np.where(hi < m, x[np.minimum(hi, m - 1)] - xs, np.inf))
+    left = np.where(lo > first, xs - x.take(lo - 1, mode="clip"), np.inf)
+    return np.minimum(left, np.where(hi < end, x.take(hi, mode="clip") - xs, np.inf))
 
 
 def _line_d1(space, pairs) -> np.ndarray:
-    """d1 of each pair on the line, over the union of the supports in point order.
-
-    A pair is two table rows, mu1 and mu2, and each row's support is
-    searched against the other row.  Chunks of pairs fill one buffer of at
-    most 2^18 table entries (the spaces' row-block budget).
-    """
-    finite = np.zeros(space.n_points, dtype=bool)
-    for pair in pairs:
-        for mu in pair:
-            finite |= mu.density > NEG_INF
-    u = space.order[finite[space.order]]
-    x = space.coords[u, 0]
-    depth = u.size.bit_length()
-    step = min(len(pairs), max(1, _TABLE_ELEMS // (2 * depth * u.size)))
-    buf = np.empty(depth * 2 * step * u.size)
+    """d1 of each pair on the line: the sources of each level row, in turn, search the other
+    row inside their pair's run, through a range-maximum table in the layout's buffer."""
     out = []
-    for lo in range(0, len(pairs), step):
-        chunk = [mu for pair in pairs[lo : lo + step] for mu in pair]
-        table = buf[: depth * len(chunk) * u.size].reshape(depth, len(chunk), u.size)
-        for row, mu in zip(table[0], chunk):
-            mu.density.take(u, out=row)
-        rows, pos = np.nonzero(table[0] > NEG_INF)
-        near = _line_nearest(x, table, rows ^ 1, pos, table[0, rows, pos])
-        starts = np.flatnonzero(np.diff(rows, prepend=-1))  # every row has support
-        out.append(np.maximum.reduceat(near, starts).reshape(-1, 2).max(axis=1))
+    for pid, starts, ends, table, buf in _line_layout(space, pairs, space.n_points.bit_length()):
+        size, depth = pid.size, int((ends - starts).max()).bit_length()
+        rmq = buf[: depth * size].reshape(depth, size)
+        out.append(np.zeros(starts.size))
+        for source, target in ((2, 3), (3, 2)):
+            rmq[0] = table[target, :size]
+            pos = np.flatnonzero(table[source, :size] > NEG_INF)
+            run = np.searchsorted(pos, starts)  # every support has a point
+            count = np.diff(run, append=pos.size)
+            first, end = np.repeat(starts, count), np.repeat(ends, count)
+            near = _line_nearest(table[1, :size], rmq, pos, table[source, pos], first, end)
+            np.maximum(out[-1], np.maximum.reduceat(near, run), out=out[-1])
     return np.concatenate(out)
 
 
@@ -384,15 +403,13 @@ def hausdorff(set_a, set_b, space: FiniteMetricSpace) -> float:
     d1 of the set indicators (density 0 on the set, -inf off it): with one
     level, each directed term is the farthest point of one set from the other.
     """
-    sets = []
-    for members in (set_a, set_b):
-        idx = np.fromiter(members, dtype=int)
+    indicators = np.full((2, space.n_points), NEG_INF)
+    for row, members in zip(indicators, (set_a, set_b)):
+        idx = space.point_indices(members, "hausdorff")
         if idx.size == 0:
             raise ValueError("hausdorff distance needs nonempty sets")
-        density = np.full(space.n_points, NEG_INF)
-        density[idx] = 0.0
-        sets.append(IdempotentMeasure(space, density))
-    return coupling_distance(*sets)
+        row[idx] = 0.0
+    return coupling_distance(*IdempotentMeasure.from_rows(space, indicators))
 
 
 # ---------------------------------------------------------------------------
@@ -413,15 +430,13 @@ def _check_level(a: float, diam: float, depth: float) -> None:
         )
 
 
-def _line_frames(both, x, starts, pid, levels):
+def _line_frames(both, x, starts, ends, pid, levels):
     """The kind of each (pair, level) of the line kernel, and the frames of its blocks.
 
-    both (l1 and l2) and x hold the merged supports of a chunk of pairs in
-    point order, pair after pair (x shifted by each pair's first point),
-    starts their offsets and pid their pair.  A (pair, level) is steep when
-    a gmin > 2 spread and flat when at most a quarter of the points reach
-    -a D (gmin the least gap, D the span, spread the depth of both
-    densities), with margins of 2^-40 relative and 2^-1000 absolute.
+    both (l1, l2), x (shifted), starts, ends and pid come from _line_layout.
+    A (pair, level) is steep when a gmin > 2 spread and flat when at most a
+    quarter of the points reach -a D (gmin the least gap, D the span, spread
+    the depth of both densities), with margins of 2^-40 and 2^-1000.
     Every other level is middle.  A middle frame is all points of its
     pair, a flat frame the points of its pair at or above its own level's
     reach -a D, built once per pair for the flat levels that every point
@@ -432,8 +447,7 @@ def _line_frames(both, x, starts, pid, levels):
     scan maximum and the finishing maximum is in _line_deltas.  A pair
     whose D and spread fail _check_level at the largest level is refused.
     """
-    k, m = starts.size, np.diff(np.append(starts, x.size))
-    ends = starts + m
+    k, m = starts.size, ends - starts
     span = x[ends - 1]
     spread = -np.minimum.reduceat(np.where(both > NEG_INF, both, 0.0), starts, axis=1).min(axis=0)
     with np.errstate(over="ignore"):  # an overflow here is refused just below
@@ -473,7 +487,7 @@ def _line_frames(both, x, starts, pid, levels):
     return elements, np.cumsum(length) - length, length, frame, spread, span
 
 
-def _line_steep(both, x, coord, starts, pid, levels, steep, spread, span) -> np.ndarray:
+def _line_steep(both, x, coord, starts, ends, pid, levels, steep, spread, span) -> np.ndarray:
     """(delta12, delta21) of each steep (pair, level), pair-major: a (2, cells) array.
 
     both holds l1 and l2 of the chunk, x and coord the shifted and the
@@ -494,7 +508,7 @@ def _line_steep(both, x, coord, starts, pid, levels, steep, spread, span) -> np.
     """
     size = x.size
     idx = np.arange(size)
-    first_of, end_of = starts[pid], np.append(starts[1:], size)[pid]
+    first_of, end_of = starts[pid], ends[pid]
     xs = np.append(x, 0.0)  # position size: no target
     sp, sl = np.nonzero(steep)
     out = np.empty((2, sp.size))
@@ -576,39 +590,19 @@ def _line_deltas(space, pairs, levels) -> np.ndarray:
     scratch buffer, grown only when a chunk of pairs needs more: block
     temporaries never meet the allocator's thresholds.
     """
-    n = space.n_points
-    out = np.empty((2, len(pairs), levels.size))
-    step = max(1, _TABLE_ELEMS // (2 * n))
-    buf = np.empty(2 * min(step, len(pairs)) * n)  # one buffer for every chunk
+    out = []
     index, scratch = np.empty(0, dtype=np.intp), np.empty(0)
-    line = space.coords[space.order, 0]
-    for lo in range(0, len(pairs), step):
-        chunk = [mu.density for pair in pairs[lo : lo + step] for mu in pair]
-        dens = buf[: len(chunk) * n].reshape(len(chunk), n)
-        np.take(np.stack(chunk), space.order, axis=1, out=dens, mode="clip")
-        merged = np.flatnonzero((dens[0::2] > NEG_INF) | (dens[1::2] > NEG_INF))
-        pid, pos = np.divmod(merged, n)
-        starts = np.searchsorted(pid, np.arange(len(chunk) // 2))
-        size = pid.size
-        # rows: x, coordinate, l1, l2, so rows 3 - d and 2 + d hold the target
-        # and source levels of direction d; the padding element past the end
-        # has -inf levels at 0
-        table = np.empty((4, size + 1))
-        table[:, size] = (0.0, 0.0, NEG_INF, NEG_INF)
+    for pid, starts, ends, table, _ in _line_layout(space, pairs, 1):
+        size = pid.size  # rows 3 - d and 2 + d: target and source levels of direction d
         shift, coord, both = table[0, :size], table[1, :size], table[2:, :size]
-        np.take(line, pos, out=coord, mode="clip")
-        np.subtract(coord, coord[starts][pid], out=shift)
-        at = merged + pid * n  # row 2 pid of dens
-        np.take(dens, at, out=both[0], mode="clip")
-        np.take(dens, at + n, out=both[1], mode="clip")
         elements, first, length, frame, spread, span = _line_frames(
-            both, shift, starts, pid, levels
+            both, shift, starts, ends, pid, levels
         )
         steep = frame < 0
         delta = np.empty((2, starts.size, levels.size))
         if steep.any():
             delta[:, steep] = _line_steep(
-                both, shift, coord, starts, pid, levels, steep, spread, span
+                both, shift, coord, starts, ends, pid, levels, steep, spread, span
             )
         elements = np.append(elements, size)
         # frames by length, and the rows of every non-steep (pair, level) by
@@ -669,8 +663,8 @@ def _line_deltas(space, pairs, levels) -> np.ndarray:
                 s *= a
             np.subtract(g, s, out=s)
             delta[r] = lf[row, best] - s.max(axis=1)
-        out[:, lo : lo + step] = delta.reshape(2, starts.size, levels.size)
-    return out
+        out.append(delta.reshape(2, starts.size, levels.size))
+    return np.concatenate(out, axis=1)
 
 
 def _directed_deltas(space, lam1, lam2, levels) -> tuple[np.ndarray, np.ndarray]:

@@ -58,21 +58,11 @@ def random_measures(
     without a hit the block stops, that measure takes its randint/uniform
     fallback from the stream, and the next block starts after it.
     """
-    candidates = np.arange(space.n_points) if points is None else np.asarray(points)
+    candidates = space.point_indices(
+        np.arange(space.n_points) if points is None else points, "random_measure"
+    )
     if candidates.size == 0:
         raise ValueError("random_measure needs at least one candidate point")
-    if candidates.dtype.kind not in "iu":
-        candidates = np.asarray(points, dtype=object)  # each entry keeps its own type
-        for p in candidates.ravel():
-            if isinstance(p, bool) or not isinstance(p, (int, np.integer)):
-                raise ValueError(f"random_measure: point index {p!r} is not an integer")
-    outside = np.asarray((candidates < 0) | (candidates >= space.n_points), dtype=bool)
-    if outside.any():
-        raise ValueError(
-            f"random_measure: point index {candidates[outside][0]} is out of range "
-            f"for a space of {space.n_points} points"
-        )
-    candidates = candidates.astype(np.intp, copy=False)
     c = candidates.size
     most = max(1, _BLOCK_DRAWS // (2 * c))
     # A^k and C (1 + A + ... + A^(k-1)) for the largest block

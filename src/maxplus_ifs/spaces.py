@@ -98,6 +98,23 @@ class FiniteMetricSpace:
         """Euclidean on one coordinate axis, where distances are |x - y|."""
         return self.euclidean and self.coords.shape[1] == 1
 
+    def point_indices(self, points, caller: str) -> np.ndarray:
+        """The point indices in an iterable, as intp; ValueError naming the caller unless each
+        is an integer, not a bool, in [0, n_points): numpy would wrap, truncate or mask."""
+        entries = points if isinstance(points, np.ndarray) else list(points)
+        idx = np.asarray(entries)
+        if idx.dtype.kind not in "iu":
+            for p in np.asarray(entries, dtype=object).ravel():  # each keeps its own type
+                if isinstance(p, bool) or not isinstance(p, (int, np.integer)):
+                    raise ValueError(f"{caller}: point index {p!r} is not an integer")
+        outside = np.asarray((idx < 0) | (idx >= self.n_points), dtype=bool)
+        if outside.any():
+            raise ValueError(
+                f"{caller}: point index {idx[outside][0]} is out of range "
+                f"for a space of {self.n_points} points"
+            )
+        return idx.astype(np.intp, copy=False)
+
     def dist(self, i: int, j: int) -> float:
         return float(self.distance_submatrix([i], [j])[0, 0])
 

@@ -112,6 +112,15 @@ def test_coupling_class_checks_marginals():
         mp.Coupling(mp.IdempotentMeasure(ps, bad), m1, m2)
 
 
+def test_coupling_pairs_two_measures_on_one_space():
+    # max_support_distance reads the left space's metric at right-space
+    # indices: a Dirac coupling on 3 x 5 points raised a bare IndexError
+    three, five = mp.build_grid([0.0], [1.0], [2]), mp.build_grid([0.0], [1.0], [4])
+    ps = mp.product(three, five)
+    with pytest.raises(ValueError, match="one space"):
+        mp.Coupling(mp.dirac(ps, ps.pair_index(0, 4)), mp.dirac(three, 0), mp.dirac(five, 4))
+
+
 def test_maximal_coupling_dominates_feasible_subsets():
     # any oracle-style subset coupling is pointwise below eta_t at its own
     # max distance
@@ -415,41 +424,82 @@ def test_ring_d1_hands_what_passes_its_budget_to_the_prefix_route(monkeypatch):
         assert sources_handed(m1, m2) == 0, name
 
 
-def _line_kernel(space, rows, cols, width):
-    """_line_nearest with target cols[j] at level -j and source rows[i] at level 1 - width[i].
+def _line_kernel(space, cases):
+    """_line_nearest on runs side by side, one per case (rows, cols, width).
 
-    Source i qualifies exactly the targets cols[:width[i]]; each source has
-    its own table row.
+    A run holds the points of its case in point order.  Target cols[j] sits
+    at level -j, so source rows[i], at level 1 - width[i], qualifies exactly
+    cols[:width[i]].  One guard position on either end of the table, at
+    level +inf and at the coordinate of its neighbour, qualifies every
+    source that reads past the ends.
     """
-    u = np.union1d(rows, cols)
-    u = u[np.argsort(space.coords[u, 0])]
-    at = np.empty(space.n_points, dtype=int)
-    at[u] = np.arange(u.size)
-    table = np.full((u.size.bit_length(), rows.size, u.size), NEG)
-    table[0][:, at[cols]] = -np.arange(cols.size, dtype=float)
-    return _line_nearest(space.coords[u, 0], table, np.arange(rows.size), at[rows], 1.0 - width)
+    xs, levels, sources, bounds = [], [np.array([np.inf])], [], []
+    first = 1
+    for rows, cols, width in cases:
+        u = np.union1d(rows, cols)
+        u = u[np.argsort(space.coords[u, 0])]
+        at = np.empty(space.n_points, dtype=int)
+        at[u] = first + np.arange(u.size)
+        level = np.full(u.size, NEG)
+        level[at[cols] - first] = -np.arange(cols.size, dtype=float)
+        xs.append(space.coords[u, 0])
+        levels.append(level)
+        sources.append((at[rows], 1.0 - width))
+        bounds.append(np.full((2, rows.size), [[first], [first + u.size]]))
+        first += u.size
+    x = np.concatenate([xs[0][:1], *xs, xs[-1][-1:]])
+    levels.append(np.array([np.inf]))
+    depth = max(u.size for u in levels).bit_length()
+    table = np.empty((depth, first + 1))
+    table[0] = np.concatenate(levels)
+    pos, level = (np.concatenate(v) for v in zip(*sources))
+    lo, hi = np.concatenate(bounds, axis=1)
+    return _line_nearest(x, table, pos, level, lo, hi)
 
 
 def test_line_nearest_neighbours_equal_the_distance_table_minimum():
     # the range-maximum lift of the line d1 kernel gives each source the
-    # least distance to the targets at or above its level: bit for bit the
-    # masked distance table minimum, with rows inside and outside cols, at
-    # the ends, on tied gaps, and inf where no target qualifies (width 0)
+    # least distance to the targets at or above its level inside its own
+    # run: bit for bit the masked distance table minimum, with runs of
+    # several cases side by side in one table, rows inside and outside cols,
+    # at the ends, on tied gaps, and inf where no target qualifies (width 0)
     rng = np.random.default_rng(22)
     spaces = [mp.build_grid([0.0], [1.0], [300]), mp.build_grid([-3.0], [5.0], [7])]
     for scale in (1e-155, 1e-3, 1.0, 1e150):
         spaces.append(mp.FiniteMetricSpace.from_coords(rng.uniform(-scale, scale, 400)))
     n_none = 0
     for s in spaces:
-        for _ in range(20):
-            cols = rng.choice(s.n_points, int(rng.integers(1, s.n_points)), replace=False)
-            rows = rng.integers(0, s.n_points, int(rng.integers(1, 60)))
-            table = s.distance_submatrix(rows, cols)
-            for width in (np.full(rows.size, cols.size), rng.integers(0, cols.size + 1, rows.size)):
+        for _ in range(8):
+            cases, want = [], []
+            for _ in range(int(rng.integers(1, 5))):
+                cols = rng.choice(s.n_points, int(rng.integers(1, s.n_points)), replace=False)
+                rows = rng.integers(0, s.n_points, int(rng.integers(1, 60)))
+                table = s.distance_submatrix(rows, cols)
+                if rng.random() < 0.5:
+                    width = np.full(rows.size, cols.size)
+                else:
+                    width = rng.integers(0, cols.size + 1, rows.size)
                 masked = np.where(np.arange(cols.size) < width[:, None], table, np.inf)
-                assert np.array_equal(_line_kernel(s, rows, cols, width), masked.min(axis=1))
+                cases.append((rows, cols, width))
+                want.append(masked.min(axis=1))
                 n_none += np.sum(width == 0)
+            assert np.array_equal(_line_kernel(s, cases), np.concatenate(want))
     assert n_none > 0
+
+
+def test_line_nearest_never_reads_a_neighbouring_run():
+    # the last source of the first run and the first source of the last run
+    # each have a nearer qualifying target just across the edge of their run,
+    # in the middle run, than inside their own: a lift that leaves its run
+    # finds that one (0.1 and 0.5 here)
+    line = mp.FiniteMetricSpace.from_coords([0.0, 1.0, 1.1, 1.5, 1.6, 8.0])
+    one = np.array([1])
+    cases = [
+        (np.array([1]), np.array([0]), one),  # 1.0 against 0.0, not 1.1
+        (np.array([3]), np.array([2]), one),  # 1.5 against 1.1
+        (np.array([4]), np.array([5]), one),  # 1.6 against 8.0, not 1.1
+    ]
+    assert _line_kernel(line, cases).tolist() == [1.0, 1.5 - 1.1, 8.0 - 1.6]
 
 
 def test_line_d1_chunks_stay_inside_the_table_budget(monkeypatch):
@@ -1068,7 +1118,7 @@ def test_steep_rows_never_enter_the_block_loop(monkeypatch):
     steep_route = mp.metrics._line_steep
 
     def spy(*args):
-        steep_masks.append(args[6].copy())
+        steep_masks.append(args[7].copy())
         return steep_route(*args)
 
     monkeypatch.setattr(mp.metrics, "np", CountedNumpy())

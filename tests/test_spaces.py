@@ -10,6 +10,44 @@ from conftest import np_random_measure, random_euclidean_space, random_matrix_sp
 from oracles import coincident_pair_kdtree, diameter_sweep, threshold_d1
 
 
+def _five_point_calls():
+    g = mp.build_grid([0.0], [1.0], [4])
+    ifs = mp.MaxPlusIFS(g, (mp.ContractionMap(g, [2] * 5),), [0.0])
+    return {
+        "hausdorff": lambda p: mp.hausdorff(p, [0], g),
+        "attractor": lambda p: mp.attractor(ifs, p),
+        "dirac": lambda p: mp.dirac(g, p[0]),
+        "random_measure": lambda p: mp.random_measure(g, mp.Lcg64(0), points=p),
+    }
+
+
+@pytest.mark.parametrize("caller", ["hausdorff", "attractor", "dirac", "random_measure"])
+@pytest.mark.parametrize(
+    "points, message",
+    [
+        ([-1], "point index -1 is out of range for a space of 5 points"),  # numpy wraps it
+        ([5], "point index 5 is out of range"),  # a bare IndexError
+        ([0.5], "point index 0.5 is not an integer"),  # truncated to 0
+        ([1.5], "point index 1.5 is not an integer"),
+        ([True], "point index True is not an integer"),  # a mask: every point
+    ],
+)
+def test_point_indices_refuse_what_numpy_would_misread(caller, points, message):
+    # hausdorff([-1], [4]) and hausdorff([0.5], [0]) used to return 0.0, and
+    # dirac(g, True) the uniform measure; one check in spaces refuses them all
+    call = _five_point_calls()[caller]
+    with pytest.raises(ValueError, match=f"^{caller}: {message}"):
+        call(points)
+
+
+def test_point_indices_keep_numpy_integers():
+    calls = _five_point_calls()
+    assert calls["hausdorff"]([np.int64(4)]) == 1.0
+    assert calls["attractor"](np.array([3, 4])) == frozenset([2])
+    assert calls["dirac"]([np.int64(3)]).support().tolist() == [3]
+    assert calls["random_measure"](np.array([1], dtype=np.uint8)).support().tolist() == [1]
+
+
 def test_grid_unit_interval():
     g = mp.build_grid([0], [1], [3])
     assert g.n_points == 4

@@ -10,12 +10,20 @@ scipy is imported inside the one function that needs it, so start-up,
 1-D runs, 2-D reads and ring-search ``d1`` never pay for it; a
 module-level import must not come back, and a lazy one may sit only in
 ``spaces._euclidean_table``, for ``cdist``.
+
+Both line kernels, ``d1`` and the dual series, lay their chunks of pairs
+out through one helper, ``metrics._line_layout``; a second layout must not
+come back beside it.
 """
 
 import ast
 import importlib
 import importlib.util
 from pathlib import Path
+
+import numpy as np
+
+import maxplus_ifs as mp
 
 ROOT = Path(__file__).resolve().parent.parent
 TRACING = ROOT / "perfbench" / "tracing.py"
@@ -91,3 +99,28 @@ def test_no_module_imports_scipy_at_import_time():
     assert list(_import_time_imports(lazy)) == []
     method = ast.parse("class A:\n    def f(self):\n        if x:\n            import scipy.linalg\n")
     assert list(_scipy_sites(method)) == [("f", "scipy.linalg")]
+
+
+def test_both_line_kernels_read_one_layout(monkeypatch):
+    # at a budget of 40 000 entries d1 takes chunks of 3 pairs, and at 5 000
+    # the series chunks of 4; at 1 both take one pair per chunk
+    line = mp.build_grid([0.0], [1.0], [600])
+    measures = mp.random_measures(line, mp.Lcg64(5), 24, support_prob=0.4)
+    pairs = list(zip(measures[::2], measures[1::2]))
+    params = mp.SeriesParams(alpha=1 / 3, q=0.5, tol=1e-6)
+
+    def run():
+        d1 = mp.coupling_distances(pairs)
+        return d1, [s.value for s in mp.series_distances(pairs, params)]
+
+    want = run()
+    layout, calls = mp.metrics._line_layout, []
+    monkeypatch.setattr(
+        mp.metrics, "_line_layout", lambda *a: calls.append(a[2]) or layout(*a)
+    )
+    assert run() == want
+    assert calls == [line.n_points.bit_length(), 1]  # d1, then the series
+    for budget in (1, 5_000, 40_000, 1 << 22):
+        monkeypatch.setattr(mp.metrics, "_TABLE_ELEMS", budget)
+        assert run() == want
+    assert np.all(np.array(want) > 0.0)
