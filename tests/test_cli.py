@@ -304,6 +304,49 @@ def test_verify_golden_report(tmp_path, capsys):
     assert captured.err == ""  # a passing check names no replay pair
 
 
+PLANE_VERIFY_CFG = """
+[space]
+kind = grid
+lower = 0 0
+upper = 1 1
+cells = 12 12
+
+[ifs]
+map = affine 0.5 0 0 0.5 0 0
+map = affine 0.5 0 0 0.5 0.5 0
+map = affine 0.5 0 0 0.5 0 0.5
+weights = 0 -1 -2
+
+[metric]
+alpha = 0.5
+q = 0.75
+tol = 1e-6
+
+[verify]
+pairs = 30
+"""
+
+# Full `verify` report of a 2-D grid, recorded before the off-line dual kernel
+# was replaced: both of its checks read d1 and the dual metrics off the line.
+GOLDEN_VERIFY_PLANE = """verify: {cfg}
+space: 169 points
+maps: 3, discrete Lipschitz max 1, declared max 0.5
+certificates: declared factor 0.5; sampling restricted to 49 exactly-mapped points (discrete factor on the full space is 1)
+pairs: 30, seed 0, mode declared
+check d1: max ratio 0.5, max excess over bound 1.11022302463e-16 (30 usable pairs) PASS
+check dtilde(alpha=0.5, q=0.75): max ratio 0.584829826856 vs factor 0.666666666667, max certified excess -0.318279235377 (30 usable pairs) PASS
+verify: PASS
+"""
+
+
+def test_verify_golden_report_on_a_plane(tmp_path, capsys):
+    cfg = _write(tmp_path, "plane.cfg", PLANE_VERIFY_CFG)
+    assert main(["verify", str(cfg)]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == GOLDEN_VERIFY_PLANE.format(cfg=cfg)
+    assert captured.err == ""
+
+
 GOLDEN_LADDER = """verify: {cfg}
 space: 6 points
 maps: 2, discrete Lipschitz max 0.333333333333, declared max n/a
