@@ -22,9 +22,9 @@
   similar length; on steep levels only the sources that can win, each
   against its two nearest targets, with no block.  Every value is
   bit-equal to the same arithmetic over all merged points (O(levels * n)
-  per pair at most).  Elsewhere,
-  pair by pair, blocks of the support distance table holding all levels
-  are read by both directions (O(levels * |s1| |s2|), bounded memory);
+  per pair at most).  Elsewhere one pass per pair and direction over the
+  support distance table marks each source's staircase, and every level
+  reads it alone (O(|s1| |s2| + levels * entries), bounded memory);
 * two-sided weighted and harmonic series of the d_a, truncated in closed
   form with certified tails; series_distances takes a batch of pairs in
   one kernel call.
@@ -59,9 +59,6 @@ Pair = tuple[IdempotentMeasure, IdempotentMeasure]
 # cell visits plus targets read by the 2-D and 3-D d1 ring search, per point of both
 # supports, before the table sweep takes the sources left
 _RING_WORK = 32
-# level x row x column elements per dual-kernel block, apart from the 2^18 table
-# budget: at 2^18 a series on two 6561-point 2-D files took 4.1 s, not 3.3-3.6 s
-_DUAL_ELEMS = 1 << 20
 # frame cells (rows x padded frame length) per block of the line dual kernel
 _LINE_CELLS = 1 << 15
 # relative and absolute slack of the line kernel's frame bounds, far above rounding
@@ -308,6 +305,7 @@ def _line_layout(space, pairs, depth):
         point += 2 * n * pid  # the point in row 2 pid of dens
         np.take(dens, point, out=table[2, :size], mode="clip")
         np.take(dens, point + n, out=table[3, :size], mode="clip")
+        del merged, point  # dead once the table is built: not held across the yield
         yield pid, starts, np.append(starts[1:], size), table, buf
 
 
@@ -667,33 +665,36 @@ def _line_deltas(space, pairs, levels) -> np.ndarray:
     return np.concatenate(out, axis=1)
 
 
-def _directed_deltas(space, lam1, lam2, levels) -> tuple[np.ndarray, np.ndarray]:
-    """(delta12, delta21) at every level a, delta12 = max_x [lam1(x) - max_y (lam2(y) - a d)].
+def _directed_deltas(space, lam_from, lam_to, levels) -> np.ndarray:
+    """max_x [lam_from(x) - max_y (lam_to(y) - a d(x, y))] at every level a, in one pass.
 
-    delta21 is the mirror term, and d = d(x, y).  Rows are evaluated by the
-    dense formula's own arithmetic, in blocks of the support distance table
-    holding a chunk of levels.  Each block d(rows of s1, s2) is built once
-    for both directions: delta12 reads its rows, delta21 keeps the running
-    column maximum max_x (lam1(x) - a d(x, y)) across the row blocks.
-    Every row is evaluated, so values are bit-identical to the dense
-    formula.  The line takes _line_deltas instead.
+    Targets by level, descending (stable): an earlier target at most as far
+    is at least as high, and rounding is monotone, so at any a only those
+    nearer than all earlier ones, the source's staircase (Kung, Luccio and
+    Preparata, 1975), can reach its inner maximum.  A running minimum per
+    source over the row blocks of d(targets, sources) marks them; every
+    level reads them alone, by the dense formula's own arithmetic in chunks
+    of _TABLE_ELEMS values: bit-equal, O(|s_from| |s_to| + levels * entries).
     """
-    s1, s2 = np.flatnonzero(lam1 > NEG_INF), np.flatnonzero(lam2 > NEG_INF)
-    d12 = np.full(levels.size, NEG_INF)
-    d21 = np.full(levels.size, NEG_INF)
-    step = max(1, _DUAL_ELEMS // (s1.size + s2.size))
-    for lo in range(0, levels.size, step):
-        a = levels[lo : lo + step, None, None]
-        r = max(1, _DUAL_ELEMS // (a.size * s2.size))
-        cols = np.full((a.shape[0], s2.size), NEG_INF)
-        for i in range(0, s1.size, r):
-            rows = s1[i : i + r]
-            ad = a * space.distance_submatrix(rows, s2)
-            vals = np.max(lam1[rows] - np.max(lam2[s2] - ad, axis=2), axis=1)
-            d12[lo : lo + step] = np.maximum(d12[lo : lo + step], vals)
-            np.maximum(cols, np.max(lam1[rows, None] - ad, axis=1), out=cols)
-        d21[lo : lo + step] = np.max(lam2[s2] - cols, axis=1)
-    return d12, d21
+    s_from, s_to = np.flatnonzero(lam_from > NEG_INF), np.flatnonzero(lam_to > NEG_INF)
+    targets = s_to[np.argsort(-lam_to[s_to], kind="stable")]
+    low, inner = np.full(s_from.size, np.inf), np.full((levels.size, s_from.size), NEG_INF)
+    for rows, d in space._row_blocks(targets, s_from):
+        on = np.empty(d.shape, dtype=bool)
+        for k, row in enumerate(d):
+            np.less(row, low, out=on[k])
+            np.minimum(low, row, out=low)
+        at = np.flatnonzero(on)
+        at = at[np.argsort(at % s_from.size, kind="stable")]  # by source, then by target
+        cols, first = np.unique(at % s_from.size, return_index=True)
+        dist, lam = d.reshape(-1)[at], lam_to[rows[at // s_from.size]]
+        step = max(1, _TABLE_ELEMS // (at.size + 1))  # + 1: a block can hold no staircase entry
+        for lo in range(0, levels.size, step):
+            best = np.maximum.reduceat(lam - levels[lo : lo + step, None] * dist, first, axis=1)
+            np.maximum(best, inner[lo : lo + step, cols], out=best)
+            inner[lo : lo + step, cols] = best
+    np.subtract(lam_from[s_from], inner, out=inner)
+    return inner.max(axis=1)
 
 
 def _dual_distances(pairs: Sequence[Pair], levels) -> np.ndarray:
@@ -702,19 +703,18 @@ def _dual_distances(pairs: Sequence[Pair], levels) -> np.ndarray:
     The inner maximum of delta12 = max_x [lambda1(x) - max_y (lambda2(y) -
     a d(x, y))] is a distance transform of lambda2 with cone slope a.  On
     the line the whole batch is one _line_deltas call; elsewhere each pair
-    goes through _directed_deltas, after _check_level on the space's
-    diameter and the pair's depth (the line kernel checks its own span).
+    takes one _directed_deltas pass per direction, after _check_level on the
+    space's diameter and the deepest pair (the line kernel checks its own span).
     """
     levels = np.asarray(levels, dtype=float)
     space = _batch_space(pairs)
     if space.line:
         d12, d21 = _line_deltas(space, pairs, levels)
     else:
-        for pair in pairs:
-            depth = -min(float(mu.density[mu.support()].min()) for mu in pair)
-            _check_level(float(levels.max()), space.diameter(), depth)
-        deltas = [_directed_deltas(space, m1.density, m2.density, levels) for m1, m2 in pairs]
-        d12, d21 = np.array(deltas).transpose(1, 0, 2)
+        depth = -min(float(mu.density[mu.support()].min()) for pair in pairs for mu in pair)
+        _check_level(float(levels.max()), space.diameter(), depth)
+        d12 = np.array([_directed_deltas(space, m.density, n.density, levels) for m, n in pairs])
+        d21 = np.array([_directed_deltas(space, n.density, m.density, levels) for m, n in pairs])
     return np.maximum(np.maximum(d12, d21), 0.0)
 
 

@@ -7,6 +7,8 @@ import numpy as np
 import maxplus_ifs as mp
 
 NEG = float("-inf")
+# Lipschitz levels at both ends of the float range, and between
+EXTREME_LEVELS = np.array([1e-300, 3.0**-43, 1.0, 3.0**43, 1e300])
 
 
 def ladder_space(n: int = 10) -> mp.FiniteMetricSpace:

@@ -15,6 +15,7 @@ from maxplus_ifs.metrics import (
     _packed,
 )
 from conftest import (
+    EXTREME_LEVELS,
     NEG,
     cantor_ifs,
     np_random_measure,
@@ -786,14 +787,13 @@ def test_lipschitz_delta_matches_brute_max():
         l2[j] - max(l1[i] - a * d[i, j] for i in range(s1.size))
         for j in range(s2.size)
     )
-    d12, d21 = _directed_deltas(s, m1.density, m2.density, np.array([a]))
+    d12 = _directed_deltas(s, m1.density, m2.density, np.array([a]))
+    d21 = _directed_deltas(s, m2.density, m1.density, np.array([a]))
     assert d12[0] == pytest.approx(want, abs=1e-15)
     assert d21[0] == pytest.approx(want_rev, abs=1e-15)
 
 
 # --- dual kernel against the per-level dense oracle -------------------------------
-
-EXTREME_LEVELS = np.array([1e-300, 3.0**-43, 1.0, 3.0**43, 1e300])
 
 
 def _line_cases(rng):
@@ -898,24 +898,26 @@ def test_levels_past_the_float_range_are_refused_and_levels_below_match_the_dens
     assert refused >= 300
 
 
-def test_block_kernel_is_bit_identical_to_dense_oracle():
+def test_staircase_kernel_is_bit_identical_to_dense_oracle():
     rng = np.random.default_rng(23)
     levels = np.concatenate([EXTREME_LEVELS, rng.uniform(0.1, 10.0, 40)])
-    for make, n in [(random_matrix_space, 6), (random_matrix_space, 150), (random_euclidean_space, 400)]:
+    for make, n in [(random_matrix_space, 6), (random_matrix_space, 150), (random_euclidean_space, 700)]:
         s = make(rng, n)
         for _ in range(3):
             m1 = np_random_measure(s, rng, p_finite=0.8)
             m2 = np_random_measure(s, rng, p_finite=0.8)
-            d12, d21 = _directed_deltas(s, m1.density, m2.density, levels)
+            d12 = _directed_deltas(s, m1.density, m2.density, levels)
+            d21 = _directed_deltas(s, m2.density, m1.density, levels)
             for k, a in enumerate(levels):
                 assert (d12[k], d21[k]) == dense_deltas(m1, m2, a)
-            # the largest case spans several row blocks
-            assert levels.size * m1.support().size * m2.support().size > (1 << 20) or n < 400
+            # the largest case spans several row blocks of the support table
+            assert m1.support().size * m2.support().size > 1 << 18 or n < 700
 
 
-def test_dual_kernel_makes_one_distance_pass_per_level_block(monkeypatch):
-    # off the line each block d(rows of s1, s2) serves both directions: per
-    # block of levels the calls cover s1 once, always against all of s2
+def test_staircase_kernel_reads_the_level_ordered_targets_once_per_direction(monkeypatch):
+    # off the line each direction reads the table d(targets, sources) once:
+    # the rows of its calls are the target support in level order, descending
+    # and stable, each read once, always against the whole source support
     rng = np.random.default_rng(27)
     levels = np.concatenate([EXTREME_LEVELS, rng.uniform(0.1, 10.0, 20)])
     calls = []
@@ -929,18 +931,50 @@ def test_dual_kernel_makes_one_distance_pass_per_level_block(monkeypatch):
     for s in (random_euclidean_space(rng, 60), random_matrix_space(rng, 40)):
         m1 = np_random_measure(s, rng, p_finite=0.8)
         m2 = np_random_measure(s, rng, p_finite=0.8)
-        s1, s2 = m1.support(), m2.support()
-        for block in (1 << 20, 1000, 64):
-            monkeypatch.setattr(mp.metrics, "_DUAL_ELEMS", block)
-            calls.clear()
-            d12, d21 = _directed_deltas(s, m1.density, m2.density, levels)
-            n_level_blocks = -(-levels.size // max(1, block // (s1.size + s2.size)))
-            assert all(np.array_equal(cols, s2) for _, cols in calls)
-            assert np.array_equal(np.concatenate([rows for rows, _ in calls]), np.tile(s1, n_level_blocks))
-            assert len(calls) >= n_level_blocks and (block < 1 << 20 or len(calls) == 1)
-            monkeypatch.setattr(mp.metrics, "_DUAL_ELEMS", 1 << 20)
-            for k, a in enumerate(levels):
-                assert (d12[k], d21[k]) == dense_deltas(m1, m2, a)
+        for budget in (1 << 18, 1000, 64, 1):
+            monkeypatch.setattr(mp.spaces, "_BLOCK_ELEMS", budget)
+            for mu, nu in ((m1, m2), (m2, m1)):
+                sources, targets = mu.support(), nu.support()
+                ordered = targets[np.argsort(-nu.density[targets], kind="stable")]
+                calls.clear()
+                got = _directed_deltas(s, mu.density, nu.density, levels)
+                assert all(np.array_equal(cols, sources) for _, cols in calls)
+                assert np.array_equal(np.concatenate([rows for rows, _ in calls]), ordered)
+                assert len(calls) == -(-targets.size // max(1, budget // sources.size))
+                for k, a in enumerate(levels):
+                    assert got[k] == dense_deltas(mu, nu, a)[0]
+
+
+def test_staircase_kernel_memory_is_bounded():
+    # supports of about 2400 and 3000 2-D points: a 58 MB support table, read
+    # in 23 or more row blocks.  What the kernel holds at once is bounded by
+    # the 2^18-entry budget of the blocks and of the level chunks, 65 bytes
+    # an entry: a block of distances and its mask (9 bytes), and at most as
+    # many staircase entries, either being sorted (at most 56 bytes with the
+    # sort's scratch) or sorted, with their flat indices, distances, levels,
+    # columns and segment starts (40 bytes), beside two arrays of a chunk of
+    # level values, or one and the next block being built (16 bytes).  To
+    # that come the running maxima, 8 bytes per source and level, and index
+    # and level arrays of every point (128 bytes a point).  The dense kernel
+    # held 8 MB arrays of level x row x column values, two or three at once.
+    import tracemalloc
+
+    rng = np.random.default_rng(29)
+    s = random_euclidean_space(rng, 3000)
+    s.diameter()  # imports scipy for cdist before the measurement
+    x = s.coords
+    cone = -np.sqrt(np.sum((x - [5.0, 5.0]) ** 2, axis=1))  # far from the points: long staircases
+    levels = 2.0 ** np.arange(-22, 23)
+    for m1 in (np_random_measure(s, rng, p_finite=0.8), mp.normalize(s, cone)):
+        m2 = np_random_measure(s, rng, p_finite=0.8)
+        tracemalloc.start()
+        got = _dual_distances([(m1, m2)], levels)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        sources = max(m1.support().size, m2.support().size)
+        assert peak < 65 * (1 << 18) + 8 * sources * levels.size + 128 * s.n_points
+        for k in (0, 22, 44):
+            assert got[0, k] == dense_dual(m1, m2, levels[k])
 
 
 def test_batched_d1_off_the_line_equals_each_pair_and_checks_its_space():
@@ -956,18 +990,20 @@ def test_batched_d1_off_the_line_equals_each_pair_and_checks_its_space():
 
 
 def test_kernel_blocking_does_not_change_values(monkeypatch):
-    # tiny blocks force many level chunks and one-row blocks
+    # tiny budgets force one-row table blocks and one level per chunk
     rng = np.random.default_rng(26)
     levels = np.concatenate([EXTREME_LEVELS, rng.uniform(0.1, 10.0, 20)])
     cases = [mp.build_grid([0.0], [1.0], [60]), random_euclidean_space(rng, 40), random_matrix_space(rng, 30)]
     for s in cases:
         m1, m2 = np_random_measure(s, rng), np_random_measure(s, rng)
         want = _dual_distances([(m1, m2)], levels)
-        monkeypatch.setattr(mp.metrics, "_DUAL_ELEMS", 64)
-        monkeypatch.setattr(mp.metrics, "_LINE_CELLS", 64)
-        got = _dual_distances([(m1, m2)], levels)
-        monkeypatch.undo()
-        np.testing.assert_array_equal(got, want)
+        for budget in (1, 64, 1 << 18):
+            monkeypatch.setattr(mp.metrics, "_TABLE_ELEMS", budget)
+            monkeypatch.setattr(mp.spaces, "_BLOCK_ELEMS", budget)
+            monkeypatch.setattr(mp.metrics, "_LINE_CELLS", 64)
+            got = _dual_distances([(m1, m2)], levels)
+            monkeypatch.undo()
+            np.testing.assert_array_equal(got, want)
 
 
 def test_dual_metrics_vanish_exactly_on_equal_measures():

@@ -1,8 +1,9 @@
 """Property tests: the array code of the seeded stream, the stacked Markov
-step, the density files, the line d1 and dual kernels, feasibility and
-Hausdorff distance through d1, and the off-line coincidence check against
-the slower routes kept in `oracles.py`; the density reader on tokens
-outside numpy's grammar, and `metric` on mutated density files.
+step, the density files, the line d1 and dual kernels, the off-line dual
+kernel, feasibility and Hausdorff distance through d1, and the off-line
+coincidence check against the slower routes kept in `oracles.py`; the
+density reader on tokens outside numpy's grammar, and `metric` on mutated
+density files.
 
 Hypothesis runs derandomized with a bounded number of examples, so every
 run checks the same cases.
@@ -17,11 +18,12 @@ from hypothesis import strategies as st
 
 import maxplus_ifs as mp
 from maxplus_ifs.cli import main
-from maxplus_ifs.metrics import _line_deltas
+from maxplus_ifs.metrics import _dual_distances, _line_deltas
 from maxplus_ifs.spaces import _coincident_pair
-from conftest import random_matrix_space
+from conftest import EXTREME_LEVELS, random_matrix_space
 from oracles import (
     coincident_pair_kdtree,
+    dense_deltas,
     feasible_sweep,
     line_deltas_per_pair,
     random_measure_scalar,
@@ -476,11 +478,11 @@ SPACE_KINDS = ("line", "unsorted line", "2-D", "3-D", "4-D", "matrix", "product"
 
 
 @st.composite
-def coupling_cases(draw):
+def coupling_cases(draw, kinds=SPACE_KINDS):
     """Two measures on a line (sorted or not), 2-D, 3-D or 4-D points, a
-    random matrix space or a product, with integer or continuous levels,
-    Dirac measures among them, and two nonempty point sets."""
-    kind = draw(st.sampled_from(SPACE_KINDS))
+    random matrix space or a product (of the kinds given), with integer or
+    continuous levels, Dirac measures among them, and two nonempty point sets."""
+    kind = draw(st.sampled_from(kinds))
     n = draw(st.integers(1, 14))
     if kind == "matrix":
         space = random_matrix_space(np.random.default_rng(draw(st.integers(0, 999))), n)
@@ -706,3 +708,25 @@ def test_batched_line_dual_kernel_equals_the_per_pair_kernel(case):
         want = line_deltas_per_pair(space, m1.density, m2.density, levels)
         hexes = [v.hex() for v in np.ravel(want).tolist()]
         assert [v.hex() for v in got[:, k].ravel().tolist()] == hexes
+
+
+# --- the off-line dual kernel against the dense formula --------------------------
+
+@PROPERTY
+@given(
+    coupling_cases(kinds=SPACE_KINDS[2:]),
+    st.lists(st.floats(1e-300, 1e300), max_size=4),
+    st.sampled_from([1, 7, 64, None]),
+)
+def test_off_line_dual_kernel_equals_the_dense_formula(case, drawn, budget):
+    # the extreme levels, powers of 3 and drawn levels, with row blocks and
+    # level chunks of one entry, a few, or the default budget
+    _, m1, m2 = case[:3]
+    levels = np.concatenate([EXTREME_LEVELS, [3.0**k for k in range(-3, 4)], drawn])
+    with pytest.MonkeyPatch.context() as patch:
+        if budget is not None:
+            patch.setattr(mp.spaces, "_BLOCK_ELEMS", budget)
+            patch.setattr(mp.metrics, "_TABLE_ELEMS", budget)
+        got = _dual_distances([(m1, m2), (m2, m1)], levels)
+    want = [float.hex(max(*dense_deltas(m1, m2, a), 0.0)) for a in levels.tolist()]
+    assert _hex(got[0]) == _hex(got[1]) == want
