@@ -15,16 +15,18 @@
   point sets is d1 of their indicators: both read these kernels;
 * the Lipschitz-dual pseudometrics d_a = sup {|mu(f) - nu(f)| : Lip f <= a},
   in closed form through cone test functions; one kernel returns d_a for
-  a batch of pairs and an array of levels.  On the line every (pair,
-  direction, level) row runs cone envelopes over the pair's merged
-  supports in point order: all of them on middle levels and the points
+  a batch of pairs and an array of levels, each value the dense
+  formula's maximum, bit for bit.  On the line every (pair, direction,
+  level) row ranks the sources of the pair's merged supports by cone
+  envelopes in point order: all of them on middle levels and the points
   near the top, per level, on flat levels, in padded blocks of frames of
-  similar length; on steep levels only the sources that can win, each
-  against its two nearest targets, with no block.  Every value is
-  bit-equal to the same arithmetic over all merged points (O(levels * n)
-  per pair at most).  Elsewhere one pass per pair and direction over the
-  support distance table marks each source's staircase, and every level
-  reads it alone (O(|s1| |s2| + levels * entries), bounded memory);
+  similar length, and the dense formula finishes the sources ranked near
+  the top; on steep levels the dense formula evaluates the sources that
+  can win, each against its two nearest targets, with no block
+  (O(levels * n) per pair, and a frame more per finished source).
+  Elsewhere one pass per pair and direction over the support distance
+  table marks each source's staircase, and every level reads it alone
+  (O(|s1| |s2| + levels * entries), bounded memory);
 * two-sided weighted and harmonic series of the d_a, truncated in closed
   form with certified tails; series_distances takes a batch of pairs in
   one kernel call.
@@ -33,9 +35,9 @@ Both line kernels read one layout of each pair's merged supports
 (_line_layout), and ragged blocks, of the table sweep and of the line
 dual kernel, come from one packer (_packed).  Slower exact routes
 (threshold search over the dense feasibility sweep, subset enumeration,
-the dense per-level dual formula, the per-pair line kernel) are test
-oracles; sampled inf-convolution certificates validate the dual closed
-form.  scipy is never imported here; off the line the distance table
+the dense per-level dual formula) are test oracles; sampled
+inf-convolution certificates validate the dual closed form.  scipy is
+never imported here; off the line the distance table
 loads it for cdist, so 1-D runs, and ring-search d1 that leaves no source
 to the table sweep, never do.
 """
@@ -441,9 +443,10 @@ def _line_frames(both, x, starts, ends, pid, levels):
     of the pair's loosest flat frame reaches; steep rows read no frame
     (_line_steep).  Returns the frames as runs of elements (elements,
     first, length), the frame of each (pair, level), -1 where steep, and
-    spread and D per pair.  Why a frame holds the row's argmax source, its
-    scan maximum and the finishing maximum is in _line_deltas.  A pair
-    whose D and spread fail _check_level at the largest level is refused.
+    spread and D per pair.  Why a frame holds every source that can win
+    and every target that can reach its inner maximum is in _line_deltas.
+    A pair whose D and spread fail _check_level at the largest level is
+    refused.
     """
     k, m = starts.size, ends - starts
     span = x[ends - 1]
@@ -491,18 +494,16 @@ def _line_steep(both, x, coord, starts, ends, pid, levels, steep, spread, span) 
     both holds l1 and l2 of the chunk, x and coord the shifted and the
     plain coordinates, as in _line_frames.  At a steep level every target
     beyond a nearer one on the same side trails it by at least
-    a gmin - spread > spread at every point, so the forward scan maximum
-    at a source is the forward term of its nearest target on the left,
-    the backward one that of its nearest target on the right, and a
-    source that is a target scans to its own level; rounding is monotone
-    (fl(max v - c) = max fl(v - c)), so these are bit-equal to the scan
-    over all points.  A source's value lies within spread of a near, near
-    its distance to its nearest target, so a source with
+    a gmin - spread > spread at every point, so the inner maximum of a
+    source is the larger of the dense formula's terms of its nearest target
+    on either side, and a source that is a target is its own nearest, at
+    distance 0.  A source's value lies within spread of a near, near its
+    distance to its nearest target, so a source with
     a (far - near) > 2 spread, far the largest near, never wins: the
-    sources kept at each level are evaluated directly, one entry per
-    (row, source), in point order, and the first argmax is finished
-    against the same nearest targets.  Entries go in chunks of about
-    _LINE_CELLS.
+    sources kept at each level are evaluated by the dense formula's own
+    arithmetic against their two nearest targets, one entry per (row,
+    source), and each row is the maximum of its entries, the dense maximum
+    over all merged points.  Entries go in chunks of about _LINE_CELLS.
     """
     size = x.size
     idx = np.arange(size)
@@ -546,43 +547,51 @@ def _line_steep(both, x, coord, starts, ends, pid, levels, steep, spread, span) 
             a = levels[sl[cell]]
             keep = a * (far[sp[cell]] - near[i]) <= bound(a, sp[cell])
             i, cell, a = i[keep], cell[keep], a[keep]
-            ax = a * x[i]
-            fwd = g[left[i]] + a * xs[left[i]]
-            fwd -= ax
-            bwd = g[right[i]] - a * xs[right[i]]
-            bwd += ax
-            value = lf[i] - np.where(is_to[i], g[i], np.maximum(fwd, bwd))
-            n_in = np.bincount(cell - lo, minlength=hi - lo)  # at least the farthest source
-            best = np.maximum.reduceat(value, np.cumsum(n_in) - n_in)
-            hit = np.flatnonzero(value == np.repeat(best, n_in))
-            win = hit[np.diff(cell[hit], prepend=-1) != 0]  # the first argmax of each row
-            b, a = i[win], a[win]
-            fin = []
-            for t in (left[b], right[b]):
+            inner = []
+            for t in (left[i], right[i]):
                 # a missing target reads the source's own coordinate: a * 0, at level -inf
-                fin.append(g[t] - a * np.abs(coord[b] - coord[np.where(t < size, t, b)]))
-            out[d, lo:hi] = lf[b] - np.maximum(*fin)
+                inner.append(g[t] - a * np.abs(coord[i] - coord[np.where(t < size, t, i)]))
+            n_in = np.bincount(cell - lo, minlength=hi - lo)  # at least the farthest source
+            value = lf[i] - np.maximum(*inner)
+            out[d, lo:hi] = np.maximum.reduceat(value, np.cumsum(n_in) - n_in)
             lo = hi
     return out
+
+
+def _dense_inner(x, c, g, a, work) -> np.ndarray:
+    """max_j (g[i, j] - a[i] |x[i] - c[i, j]|) of each row i, by the dense formula's own
+    arithmetic, worked in the first rows of work."""
+    w = work[: c.shape[0]]
+    np.subtract(x[:, None], c, out=w)
+    np.abs(w, out=w)
+    with np.errstate(over="ignore"):  # only padding, at coordinate 0: every |x - y| <= D
+        w *= a
+    np.subtract(g, w, out=w)
+    return w.max(axis=1)
 
 
 def _line_deltas(space, pairs, levels) -> np.ndarray:
     """(delta12, delta21) of each pair at each level on the line: a (2, P, L) array.
 
-    Each (pair, direction, level) row runs the envelope arithmetic of the
-    dense formula's ranking on a frame of the pair's merged supports in
-    point order, shifted by the first point of those supports: a forward
-    fmax.accumulate(g + a x) - a x over the targets' levels g, its mirror,
-    and the y = x term give max_y (lam_to(y) - a |x - y|) at every source
-    x; the first argmax of lam_from(x) minus that is the row's source, and
-    the dense formula's own arithmetic over the frame's targets finishes
-    it.  The frame is all merged points on middle levels.  On flat levels
-    it is the points at or above the level's own reach -a D: every other
-    target stays below the top target's term at every point, and every
-    other source stays below 0, which the top source reaches.  Steep rows
-    take no frame: _line_steep reads each kept source's two nearest
-    targets.  The margins cover every rounding these bounds skip, so each
-    row is bit-equal to the same arithmetic over all merged points.
+    Each (pair, direction, level) row ranks the sources of a frame of the
+    pair's merged supports, in point order and shifted by the first point
+    of those supports, by cone envelopes: a forward fmax.accumulate(g +
+    a x) - a x over the targets' levels g, its mirror, and the y = x term
+    give max_y (lam_to(y) - a |x - y|) at every source x, and lam_from(x)
+    minus that ranks x.  A rank lies within _MARGIN (a D + spread) + _TINY
+    of the dense formula's value of its source (D the span and spread the
+    depth of the pair), far past the rounding of the shifted a x, of the
+    scans and of the dense arithmetic, so the source of the dense maximum
+    ranks within twice that of the row's top rank.  Every source ranked
+    in that band is finished by the dense formula's own arithmetic over
+    the frame's targets, and the row is the largest of them.  The frame
+    is all merged points on middle levels.  On flat levels it is the
+    points at or above the level's own reach -a D: every other target
+    stays below the top target's term at every point, and every other
+    source stays below 0, which the top source reaches.  Steep rows take
+    no frame: _line_steep reads each kept source's two nearest targets.
+    The margins cover every rounding these bounds skip, so each row is the
+    dense maximum over all merged points, bit for bit.
     Frames of similar length share a block of at most _LINE_CELLS cells,
     padded past their ends with -inf levels, and every block works in one
     scratch buffer, grown only when a chunk of pairs needs more: block
@@ -652,15 +661,19 @@ def _line_deltas(space, pairs, levels) -> np.ndarray:
             t[:, 1:] += ax[:, :-1]
             np.maximum(inner[:, :-1], t[:, 1:], out=inner[:, :-1])
             np.subtract(lf, inner, out=s)
-            best = np.argmax(s, axis=1)
-            row = np.arange(nr)
+            row, best = np.arange(nr), np.argmax(s, axis=1)
+            p = r % steep.size // levels.size
+            band = s[row, best] - 2.0 * (_MARGIN * (a[:, 0] * span[p] + spread[p]) + _TINY)
+            near = s >= band[:, None]
+            near[row, best] = False  # the other sources ranked in the band: few
+            e_row, e_col = np.divmod(np.flatnonzero(near), cols)
             c = np.take(frame_rows, nf + local, axis=0, out=ax, mode="clip")  # ax is spent
-            np.subtract(c[row, best][:, None], c, out=s)
-            np.abs(s, out=s)
-            with np.errstate(over="ignore"):  # only padding, at coordinate 0: every |x - y| <= D
-                s *= a
-            np.subtract(g, s, out=s)
-            delta[r] = lf[row, best] - s.max(axis=1)
+            delta[r] = lf[row, best] - _dense_inner(c[row, best], c, g, a, s)
+            for e0 in range(0, e_row.size, nr):  # at most nr rows of buffers at once
+                e, col = e_row[e0 : e0 + nr], e_col[e0 : e0 + nr]
+                ce = np.take(c, e, axis=0, out=t[: e.size])
+                ge = np.take(g, e, axis=0, out=inner[: e.size])
+                np.maximum.at(delta, r[e], lf[e, col] - _dense_inner(c[e, col], ce, ge, a[e], s))
         out.append(delta.reshape(2, starts.size, levels.size))
     return np.concatenate(out, axis=1)
 
@@ -697,6 +710,11 @@ def _directed_deltas(space, lam_from, lam_to, levels) -> np.ndarray:
     return inner.max(axis=1)
 
 
+def _depth(pairs: Sequence[Pair]) -> float:
+    """Minus the lowest finite density of the pairs' measures."""
+    return -min(float(mu.density[mu.support()].min()) for pair in pairs for mu in pair)
+
+
 def _dual_distances(pairs: Sequence[Pair], levels) -> np.ndarray:
     """d_a = max(0, delta12, delta21) of each pair (rows) at each level a (columns).
 
@@ -711,8 +729,7 @@ def _dual_distances(pairs: Sequence[Pair], levels) -> np.ndarray:
     if space.line:
         d12, d21 = _line_deltas(space, pairs, levels)
     else:
-        depth = -min(float(mu.density[mu.support()].min()) for pair in pairs for mu in pair)
-        _check_level(float(levels.max()), space.diameter(), depth)
+        _check_level(float(levels.max()), space.diameter(), _depth(pairs))
         d12 = np.array([_directed_deltas(space, m.density, n.density, levels) for m, n in pairs])
         d21 = np.array([_directed_deltas(space, n.density, m.density, levels) for m, n in pairs])
     return np.maximum(np.maximum(d12, d21), 0.0)
@@ -866,11 +883,12 @@ def series_distances(pairs: Sequence[Pair], params: SeriesParams) -> list[Series
 
     All measures live on one space.  Each term is bounded by q^|n| * diam
     (the dual distance at level a is at most a * diam), so truncating at
-    N = params.n_terms(diam) certifies the tail 2 * diam * q^(N+1) / (1 - q)
-    <= tol.  The partial sum is a lower estimate; the true value lies
-    within [value, value + tail_bound].  All 2N+1 levels of every pair come
-    from one _dual_distances call; terms are accumulated in ascending |n|
-    for determinism.
+    N = params.n_terms(diam, depth), depth minus the lowest finite density
+    of the batch, certifies the tail 2 * diam * q^(N+1) / (1 - q) <= tol,
+    and refuses levels that the kernels cannot take.  The partial sum is a
+    lower estimate; the true value lies within [value, value + tail_bound].
+    All 2N+1 levels of every pair come from one _dual_distances call;
+    terms are accumulated in ascending |n| for determinism.
     """
     if not pairs:
         return []
@@ -879,7 +897,7 @@ def series_distances(pairs: Sequence[Pair], params: SeriesParams) -> list[Series
     if diam == 0.0:
         return [SeriesValue(0.0, 0.0, 0) for _ in pairs]
     q, alpha = params.q, params.alpha
-    n_terms = params.n_terms(diam)
+    n_terms = params.n_terms(diam, _depth(pairs))
     tail = 2.0 * diam * q ** (n_terms + 1) / (1.0 - q)
     order = [0] + [n for k in range(1, n_terms + 1) for n in (-k, k)]
     levels = [alpha**n for n in order]

@@ -252,42 +252,6 @@ def random_measure_scalar(space, rng, support_prob=0.7, depth=3.0, points=None):
     return mp.normalize(space, raw)
 
 
-def _envelope_rows(lam_from, lam_to, u, ax):
-    """Per level row of ax, the point of u ranked first by cone envelopes.
-
-    u is the merged supports in point order and ax[k] = a[k] * (x - x[0]);
-    max_y (lam_to(y) - a |x - y|) is the larger of the forward pass
-    fmax.accumulate(g + a x) - a x, its mirror, and the y = x term.
-    """
-    g = lam_to[u]
-    inner = np.broadcast_to(g, ax.shape).copy()
-    fwd = np.fmax.accumulate(g[:-1] + ax[:, :-1], axis=1) - ax[:, 1:]
-    bwd = np.fmax.accumulate((g - ax)[:, :0:-1], axis=1)[:, ::-1] + ax[:, :-1]
-    np.maximum(inner[:, 1:], fwd, out=inner[:, 1:])
-    np.maximum(inner[:, :-1], bwd, out=inner[:, :-1])
-    return u[np.argmax(lam_from[u] - inner, axis=1)]
-
-
-def line_deltas_per_pair(space, lam1, lam2, levels) -> tuple[np.ndarray, np.ndarray]:
-    """(delta12, delta21) at every level on the line, one pair at a time.
-
-    Both directions share the frame of the merged supports; each evaluates
-    the dense formula only at the row its envelope ranks first.
-    """
-    f1, f2 = lam1 > NEG, lam2 > NEG
-    s1, s2 = np.flatnonzero(f1), np.flatnonzero(f2)
-    u = space.order[(f1 | f2)[space.order]]
-    x = space.coords[u, 0] - space.coords[u[0], 0]
-    a = np.asarray(levels, dtype=float)[:, None, None]
-    ax = a[:, :, 0] * x
-    out = []
-    for lf, lt, s_to in ((lam1, lam2, s2), (lam2, lam1, s1)):
-        rows = _envelope_rows(lf, lt, u, ax)
-        d = space.distance_submatrix(rows, s_to)[:, None, :]
-        out.append(lf[rows] - np.max(lt[s_to] - a * d, axis=2)[:, 0])
-    return out[0], out[1]
-
-
 def diameter_sweep(space) -> float:
     """Largest entry of the distance table, read in blocks of rows."""
     return max(float(d.max()) for _, d in space._row_blocks())

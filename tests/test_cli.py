@@ -243,6 +243,21 @@ def test_series_outside_float_range_is_a_config_error(tmp_path, capsys):
     assert "[metric]" in err and "alpha=0.5, q=0.99, tol=1e-09" in err
 
 
+def test_series_refusal_names_the_depth_of_the_files(tmp_path, capsys):
+    # the series refusal names the depth the files reach, and files 1e308
+    # deep are refused by the series check, not by the check of one level
+    for deep, spec, words in (
+        ("-2", "dtilde:alpha=1e-300,q=0.5,tol=1e-300", "densities 2 deep"),
+        ("-1e308", "dtilde:alpha=0.5,q=0.5,tol=1e-6", "densities 1e+308 deep"),
+    ):
+        fa, fb = tmp_path / "a.density", tmp_path / "b.density"
+        fa.write_text(f"space 2\n0 0 0 0\n1 1 0 {deep}\n")
+        fb.write_text(f"space 2\n0 0 0 {deep}\n1 1 0 0\n")
+        assert main(["metric", str(fa), str(fb), spec]) == 2
+        err = capsys.readouterr().err
+        assert "series metric alpha=" in err and words in err
+
+
 def test_coordinates_outside_the_float_range_are_config_errors(tmp_path, capsys):
     # squared distances that overflow (or a grid step that squares to 0)
     # are refused when the space is built; before, verify and solve reported

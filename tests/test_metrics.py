@@ -26,7 +26,6 @@ from oracles import (
     coupling_distance_bruteforce,
     dense_deltas,
     dense_dual,
-    line_deltas_per_pair,
     threshold_d1,
 )
 
@@ -828,27 +827,15 @@ def _line_cases(rng):
         yield x, pair[0], pair[1]
 
 
-def test_line_kernel_matches_dense_oracle_within_stated_ulps():
-    # Each directed value of the envelope route is the dense formula's value
-    # at the row its envelope ranks first, so it never exceeds the dense
-    # maximum, and falls short of it by at most 8 ulps of a * span + max|l|
-    # (the rounding of a * x in the ranking; the measured worst is ~1.1).
-    # Relative to the value itself the worst measured shortfall here is 191
-    # ulps, at near-tied rows under a = 3^43 and 1e300.
+def test_line_kernel_is_bit_identical_to_dense_oracle():
+    # every directed value is the dense formula's maximum over the sources,
+    # also at the near-tied rows under a = 3^43 and 1e300, where the dense
+    # value of the source the envelopes rank first can be 191 ulps below it
     rng = np.random.default_rng(22)
-    n_levels = n_exact = 0
-    for x, m1, m2 in _line_cases(rng):
+    for _, m1, m2 in _line_cases(rng):
         got = _line_deltas(m1.space, [(m1, m2)], EXTREME_LEVELS)[:, 0]
-        both = np.union1d(m1.support(), m2.support())
-        span = float(np.ptp(x[both]))
-        lam = np.abs(np.concatenate([m1.density[m1.support()], m2.density[m2.support()]]))
         for k, a in enumerate(EXTREME_LEVELS):
-            bound = 8.0 * np.spacing(a * span + lam.max())
-            for g, w in zip((got[0][k], got[1][k]), dense_deltas(m1, m2, a)):
-                n_levels += 1
-                n_exact += g == w
-                assert w - bound <= g <= w
-    assert n_exact >= 0.95 * n_levels
+            assert got[:, k].tolist() == list(dense_deltas(m1, m2, a))
 
 
 def _top_level(diam, depth):
@@ -890,11 +877,7 @@ def test_levels_past_the_float_range_are_refused_and_levels_below_match_the_dens
             for a in (top, np.nextafter(top, 0.0), top / 3.0, 1e306, 1.0):
                 if a > top:
                     continue
-                got, want = mp.lipschitz_distance(m1, m2, a), dense_dual(m1, m2, a)
-                if space.line:  # the stated bound of the line kernel
-                    assert want - 8.0 * np.spacing(a * diam + lam.max()) <= got <= want
-                else:
-                    assert got == want
+                assert mp.lipschitz_distance(m1, m2, a) == dense_dual(m1, m2, a)
     assert refused >= 300
 
 
@@ -1132,32 +1115,21 @@ def _steep_by_definition(pair, levels):
 
 
 def test_steep_rows_never_enter_the_block_loop(monkeypatch):
-    # the block loop ranks each block's rows with one argmax over axis 1; the
-    # rows it ranks are the middle and flat ones, and _line_steep answers
+    # the block loop packs the rows of its blocks in one _packed call; the
+    # rows it packs are the middle and flat ones, and _line_steep answers
     # every row that is steep by the kernel's definition
     rng = np.random.default_rng(42)
     line = mp.build_grid([0.0], [1.0], [242])
     pairs = [(np_random_measure(line, rng), np_random_measure(line, rng)) for _ in range(8)]
     levels = np.array([3.0**k for k in range(-10, 11)])
-    ranked, steep_masks = [], []
-
-    class CountedNumpy:
-        def __getattr__(self, name):
-            return getattr(np, name)
-
-        @staticmethod
-        def argmax(a, axis=None, **kwargs):
-            if axis == 1:
-                ranked.append(a.shape[0])
-            return np.argmax(a, axis=axis, **kwargs)
-
-    steep_route = mp.metrics._line_steep
+    packed, steep_masks = [], []
+    pack, steep_route = mp.metrics._packed, mp.metrics._line_steep
 
     def spy(*args):
         steep_masks.append(args[7].copy())
         return steep_route(*args)
 
-    monkeypatch.setattr(mp.metrics, "np", CountedNumpy())
+    monkeypatch.setattr(mp.metrics, "_packed", lambda w, b: packed.append(w.size) or pack(w, b))
     monkeypatch.setattr(mp.metrics, "_line_steep", spy)
     got = _line_deltas(line, pairs, levels)
     monkeypatch.undo()
@@ -1165,16 +1137,16 @@ def test_steep_rows_never_enter_the_block_loop(monkeypatch):
     want = np.array([_steep_by_definition(pair, levels) for pair in pairs])
     assert np.array_equal(steep, want)
     assert 0 < steep.sum() < steep.size
-    assert sum(ranked) == 2 * (~steep).sum()
+    assert packed == [2 * (~steep).sum()]
     for k, (m1, m2) in enumerate(pairs):
-        want = line_deltas_per_pair(line, m1.density, m2.density, levels)
-        assert np.array_equal(got[:, k], np.array(want))
+        for j, a in enumerate(levels):
+            assert got[:, k, j].tolist() == list(dense_deltas(m1, m2, a))
 
 
-def test_steep_rows_take_the_first_of_tied_sources():
+def test_steep_rows_of_tied_sources_take_the_dense_maximum():
     # at every level here (a gmin > 2 spread) several sources of the pair tie
-    # in the envelope ranking; their finishing values differ in the last
-    # bits, and the first in point order gives the per-pair kernel's value
+    # in the envelope ranking; their dense values differ in the last bits,
+    # and the row is the largest of them, not the first in point order
     x = [1.4, 8.399999999999999, 20.299999999999997, 21.0, 29.4, 31.499999999999996, 32.9, 34.3,
          36.4]
     space = mp.FiniteMetricSpace.from_coords(np.array(x))
@@ -1183,7 +1155,7 @@ def test_steep_rows_take_the_first_of_tied_sources():
     levels = np.array([10.0, 100.0, 1e4, 1e5 / 3])
     assert _steep_by_definition((m1, m2), levels).all()
     got = _line_deltas(space, [(m1, m2)], levels)[:, 0]
-    want = np.array(line_deltas_per_pair(space, m1.density, m2.density, levels))
+    want = np.array([dense_deltas(m1, m2, a) for a in levels]).T
     assert [v.hex() for v in got.ravel().tolist()] == [v.hex() for v in want.ravel().tolist()]
 
 
@@ -1212,8 +1184,11 @@ def test_steep_entries_stay_inside_a_memory_budget(monkeypatch):
         tracemalloc.stop()
     assert peaks[0] < 6 << 20 < peaks[1]
     assert np.array_equal(values[0], values[1])
-    want = line_deltas_per_pair(line, pair[0].density, pair[1].density, levels)
-    assert np.array_equal(values[0][:, 0], np.array(want))
+    # every source is its own nearest target, and every other target trails
+    # it: the dense formula reads lambda_from(x) - lambda_to(x) at each x
+    l1, l2 = (mu.density[support] for mu in pair)
+    want = np.array([[np.max(l1 - l2)], [np.max(l2 - l1)]])
+    assert np.array_equal(values[0][:, 0], np.broadcast_to(want, (2, levels.size)))
 
 
 def test_far_coordinates_overflow_nothing_in_the_line_kernel():
@@ -1263,7 +1238,5 @@ def test_line_dual_frames_keep_the_winning_source_at_each_bound():
     for (space, m1, m2), levels in cases:
         levels = np.array(levels)
         got = _line_deltas(space, [(m1, m2)], levels)[:, 0]
-        want = line_deltas_per_pair(space, m1.density, m2.density, levels)
-        assert np.array_equal(got, np.array(want))
         for k, a in enumerate(levels):
             assert got[:, k].tolist() == list(dense_deltas(m1, m2, a))

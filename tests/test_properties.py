@@ -25,7 +25,6 @@ from oracles import (
     coincident_pair_kdtree,
     dense_deltas,
     feasible_sweep,
-    line_deltas_per_pair,
     random_measure_scalar,
     read_density_file_lines,
     threshold_d1,
@@ -701,13 +700,65 @@ def line_dual_batches(draw):
 
 @settings(PROPERTY, max_examples=200)
 @given(line_dual_batches())
-def test_batched_line_dual_kernel_equals_the_per_pair_kernel(case):
+def test_batched_line_dual_kernel_equals_the_dense_formula(case):
     space, pairs, levels = case
     got = _line_deltas(space, pairs, levels)
     for k, (m1, m2) in enumerate(pairs):
-        want = line_deltas_per_pair(space, m1.density, m2.density, levels)
-        hexes = [v.hex() for v in np.ravel(want).tolist()]
-        assert [v.hex() for v in got[:, k].ravel().tolist()] == hexes
+        want = np.array([dense_deltas(m1, m2, a) for a in levels.tolist()]).T
+        # + 0.0 drops the sign of a zero, which numpy's max takes from its
+        # reduction order: index order here, point order in the kernel
+        assert _hex(got[:, k] + 0.0) == _hex(want + 0.0)
+
+
+@st.composite
+def grid_line_batches(draw):
+    """Pairs on two copies of up to 10 points of an unsorted grid, with levels
+    tied integers or continuous.
+
+    The second copy of each measure repeats the first, lowered by a level
+    that both measures of the pair share, as the two halves of a Markov
+    image under two maps do: sources of the two copies tie in exact
+    arithmetic and round apart.  Grid steps that floats do not hold
+    exactly (0.7, 1/729, 0.1, 3^-20) and offsets widen the rounding.
+    """
+    ints = np.array(draw(st.lists(st.integers(0, 19), min_size=1, max_size=10, unique=True)))
+    step = draw(st.sampled_from([0.7, 1 / 729, 0.1, 3.0**-20, 1.0]))
+    ints = np.concatenate([ints, ints + draw(st.integers(20, 59))])
+    space = mp.FiniteMetricSpace.from_coords(ints * step + draw(st.sampled_from([0.0, 0.5, 1e3])))
+    n = ints.size // 2
+    integer = draw(st.booleans())
+    level = st.integers(0, 3).map(float) if integer else st.floats(0.0, 3.0)
+
+    def measure(lower):
+        finite = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+        raw = np.where(finite, [-v for v in draw(st.lists(level, min_size=n, max_size=n))], NEG)
+        raw[draw(st.integers(0, n - 1))] = 0.0
+        return mp.normalize(space, np.concatenate([raw, raw - lower]))
+
+    pairs = []
+    for _ in range(draw(st.integers(1, 5))):
+        lower = draw(level)
+        pairs.append((measure(lower), measure(lower)))
+    return space, pairs
+
+
+@settings(PROPERTY, max_examples=200)
+@given(grid_line_batches())
+def test_line_dual_metrics_equal_those_of_the_same_points_as_a_matrix(case):
+    # the line kernel and the staircase kernel of an explicit matrix space
+    # both give the dense formula's maximum, also where sources tie in the
+    # line kernel's envelope ranking and differ in the last bits when dense
+    space, pairs = case
+    x = space.coords[:, 0]
+    exact = mp.FiniteMetricSpace(matrix=np.abs(x[:, None] - x[None, :]), validate=False)
+    same = [tuple(mp.IdempotentMeasure(exact, m.density) for m in pair) for pair in pairs]
+    levels = np.array([3.0**k for k in range(-21, 22)])
+    assert _hex(_dual_distances(pairs, levels)) == _hex(_dual_distances(same, levels))
+    params = mp.SeriesParams(alpha=1 / 3, q=0.5, tol=1e-6 * space.diameter())  # 21 terms a side
+    got, want = (
+        [(s.value.hex(), s.terms) for s in mp.series_distances(batch, params)] for batch in (pairs, same)
+    )
+    assert got == want
 
 
 # --- the off-line dual kernel against the dense formula --------------------------

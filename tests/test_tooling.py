@@ -14,6 +14,9 @@ module-level import must not come back, and a lazy one may sit only in
 Both line kernels, ``d1`` and the dual series, lay their chunks of pairs
 out through one helper, ``metrics._line_layout``; a second layout must not
 come back beside it.
+
+Every public function of ``tests/oracles.py`` is imported by a test module,
+so a reference route that no test reads any more goes with its last test.
 """
 
 import ast
@@ -124,3 +127,19 @@ def test_both_line_kernels_read_one_layout(monkeypatch):
         monkeypatch.setattr(mp.metrics, "_TABLE_ELEMS", budget)
         assert run() == want
     assert np.all(np.array(want) > 0.0)
+
+
+def test_every_oracle_is_imported_by_a_test_module():
+    tree = ast.parse((ROOT / "tests" / "oracles.py").read_text())
+    public = {
+        node.name
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+    }
+    assert len(public) > 5
+    imported = set()
+    for path in sorted((ROOT / "tests").glob("test_*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ImportFrom) and node.module == "oracles":
+                imported |= {alias.name for alias in node.names}
+    assert public - imported == set()
