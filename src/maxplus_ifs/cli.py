@@ -190,7 +190,8 @@ def cmd_verify(args) -> int:
     run_series = alpha <= params.alpha * (1 + 1e-12) and params.alpha < params.q
     if run_series:
         with reported(f"{cfg.path}: [metric]"):
-            params.n_terms(space.diameter(), vp.depth)  # the sampled densities' bound
+            # the Markov images lie up to -min(weights) below the sampled densities' depth
+            params.n_terms(space.diameter(), vp.depth - float(ifs.weights.min()))
 
     measures = random_measures(
         space, Lcg64(run.seed), 2 * vp.pairs, vp.support_prob, vp.depth, points=candidates

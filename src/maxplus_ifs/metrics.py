@@ -21,9 +21,10 @@
   envelopes in point order: all of them on middle levels and the points
   near the top, per level, on flat levels, in padded blocks of frames of
   similar length, and the dense formula finishes the sources ranked near
-  the top; on steep levels the dense formula evaluates the sources that
-  can win, each against its two nearest targets, with no block
-  (O(levels * n) per pair, and a frame more per finished source).
+  the top; each steep level takes one vector pass of the dense formula
+  over the sources that can win, kept once per pair, each against its two
+  nearest targets, with no block (O(levels * n) per pair, and a frame more
+  per finished source).
   Elsewhere one pass per pair and direction over the support distance
   table marks each source's staircase, and every level reads it alone
   (O(|s1| |s2| + levels * entries), bounded memory);
@@ -458,7 +459,7 @@ def _line_frames(both, x, starts, ends, pid, levels):
     gap[ends - 1] = np.inf
     gmin = np.where(m > 1, np.minimum.reduceat(gap, starts), 0.0)[:, None]
     a, d, w = levels[None, :], spread[:, None], span[:, None]
-    steep = a * gmin > 2.0 * d + _MARGIN * (d + a * w) + _TINY
+    steep = a * gmin > _steep_bound(a, d, w)
     reach = a * w * (1.0 + _MARGIN) + _TINY
     # the (m // 4 + 1)-th largest of max(l1, l2), by a sort of padded rows
     top = np.maximum(both[0], both[1])
@@ -488,8 +489,14 @@ def _line_frames(both, x, starts, ends, pid, levels):
     return elements, np.cumsum(length) - length, length, frame, spread, span
 
 
-def _line_steep(both, x, coord, starts, ends, pid, levels, steep, spread, span) -> np.ndarray:
-    """(delta12, delta21) of each steep (pair, level), pair-major: a (2, cells) array.
+def _steep_bound(a, spread, span):
+    """2 spread, past every rounding of the line kernel's values at level a and of
+    its point gaps: a (pair, level) is steep when a gmin exceeds it."""
+    return 2.0 * spread + _MARGIN * (spread + a * span) + _TINY
+
+
+def _line_steep(both, x, coord, starts, ends, pid, levels, steep, spread, span, delta) -> None:
+    """Fill delta[:, p, l] with (delta12, delta21) of each steep (pair p, level l).
 
     both holds l1 and l2 of the chunk, x and coord the shifted and the
     plain coordinates, as in _line_frames.  At a steep level every target
@@ -499,28 +506,24 @@ def _line_steep(both, x, coord, starts, ends, pid, levels, steep, spread, span) 
     on either side, and a source that is a target is its own nearest, at
     distance 0.  A source's value lies within spread of a near, near its
     distance to its nearest target, so a source with
-    a (far - near) > 2 spread, far the largest near, never wins: the
-    sources kept at each level are evaluated by the dense formula's own
-    arithmetic against their two nearest targets, one entry per (row,
-    source), and each row is the maximum of its entries, the dense maximum
-    over all merged points.  Entries go in chunks of about _LINE_CELLS.
+    a (far - near) > _steep_bound, far the largest near, never wins.  That
+    bound over a falls as a grows, so the sources kept once per pair, at
+    its least steep level, hold every steep level's winners.  Each steep
+    level takes one vector pass over the kept sources of the chunk, by the
+    dense formula's own arithmetic against their two nearest targets, and
+    one maximum per pair: the dense maximum over all merged points.
     """
     size = x.size
     idx = np.arange(size)
     first_of, end_of = starts[pid], ends[pid]
     xs = np.append(x, 0.0)  # position size: no target
-    sp, sl = np.nonzero(steep)
-    out = np.empty((2, sp.size))
-
-    def bound(a, p):  # 2 spread, past every rounding of the values and of near
-        return 2.0 * spread[p] + _MARGIN * (spread[p] + a * span[p]) + _TINY
-
-    # bound / a falls as a grows, so a pair's least steep level keeps the most
-    # sources: far - near at most this slack, widened past its own rounding
     has = steep.any(axis=1)
+    pairs = np.flatnonzero(has)
+    # far - near at most the bound over a at the pair's least steep level,
+    # widened past its own rounding
     amin = np.min(np.where(steep[has], levels, np.inf), axis=1)
     slack = np.full(starts.size, -1.0)
-    slack[has] = bound(amin, np.flatnonzero(has)) / amin * (1.0 + _MARGIN)
+    slack[has] = _steep_bound(amin, spread[has], span[has]) / amin * (1.0 + _MARGIN)
     for d in (0, 1):
         lf, g = both[d], np.append(both[1 - d], NEG_INF)
         is_to = g[:-1] > NEG_INF
@@ -535,27 +538,16 @@ def _line_steep(both, x, coord, starts, ends, pid, levels, steep, spread, span) 
         )
         far = np.maximum.reduceat(np.where(lf > NEG_INF, near, -np.inf), starts)
         src = np.flatnonzero((lf > NEG_INF) & (far[pid] - near <= slack[pid]))
-        per_pair = np.bincount(pid[src], minlength=starts.size)
-        first, count = (np.cumsum(per_pair) - per_pair)[sp], per_pair[sp]
-        cum = np.cumsum(count)
-        lo = 0
-        while lo < sp.size:
-            hi = max(lo + 1, int(np.searchsorted(cum, cum[lo] - count[lo] + _LINE_CELLS, "right")))
-            n_in = count[lo:hi]
-            cell = np.repeat(np.arange(lo, hi), n_in)
-            i = src[_runs(first[lo:hi], n_in)]
-            a = levels[sl[cell]]
-            keep = a * (far[sp[cell]] - near[i]) <= bound(a, sp[cell])
-            i, cell, a = i[keep], cell[keep], a[keep]
-            inner = []
-            for t in (left[i], right[i]):
-                # a missing target reads the source's own coordinate: a * 0, at level -inf
-                inner.append(g[t] - a * np.abs(coord[i] - coord[np.where(t < size, t, i)]))
-            n_in = np.bincount(cell - lo, minlength=hi - lo)  # at least the farthest source
-            value = lf[i] - np.maximum(*inner)
-            out[d, lo:hi] = np.maximum.reduceat(value, np.cumsum(n_in) - n_in)
-            lo = hi
-    return out
+        seg = np.searchsorted(pid[src], pairs)  # each steep pair keeps its farthest source
+        # the level and distance of the nearest target on each side; a missing
+        # target reads distance 0 at level -inf
+        lf_src, t = lf[src], np.stack([left[src], right[src]])
+        gt, dt = g[t], np.abs(coord[src] - coord[np.where(t < size, t, src)])
+        best = np.empty((pairs.size, levels.size))
+        for k in np.flatnonzero(steep.any(axis=0)):
+            value = lf_src - (gt - levels[k] * dt).max(axis=0)
+            np.maximum.reduceat(value, seg, out=best[:, k])
+        delta[d, pairs] = np.where(steep[has], best, delta[d, pairs])
 
 
 def _dense_inner(x, c, g, a, work) -> np.ndarray:
@@ -589,7 +581,8 @@ def _line_deltas(space, pairs, levels) -> np.ndarray:
     points at or above the level's own reach -a D: every other target
     stays below the top target's term at every point, and every other
     source stays below 0, which the top source reaches.  Steep rows take
-    no frame: _line_steep reads each kept source's two nearest targets.
+    no frame: _line_steep keeps the sources that can win once per pair and
+    reads, per steep level, each kept source's two nearest targets.
     The margins cover every rounding these bounds skip, so each row is the
     dense maximum over all merged points, bit for bit.
     Frames of similar length share a block of at most _LINE_CELLS cells,
@@ -608,9 +601,7 @@ def _line_deltas(space, pairs, levels) -> np.ndarray:
         steep = frame < 0
         delta = np.empty((2, starts.size, levels.size))
         if steep.any():
-            delta[:, steep] = _line_steep(
-                both, shift, coord, starts, ends, pid, levels, steep, spread, span
-            )
+            _line_steep(both, shift, coord, starts, ends, pid, levels, steep, spread, span, delta)
         elements = np.append(elements, size)
         # frames by length, and the rows of every non-steep (pair, level) by
         # frame, through sorted integer keys; row (d, p, l) is d * k * L + p * L + l

@@ -214,6 +214,21 @@ def test_series_levels_past_the_float_range_of_the_verify_depth_are_refused(tmp_
     assert main(["verify", str(cfg)]) == 0
 
 
+def test_series_levels_past_the_float_range_of_the_markov_images_are_refused(tmp_path, capsys):
+    # the images lie up to the lowest weight below the sampled densities: at
+    # depth 4e307 with weights 0 -1e307 they reach 5e307, past what the series
+    # levels allow, and the kernel's ValueError escaped after the d1 check
+    cfg = tmp_path / "cantor.cfg"
+    cfg.write_text(
+        BASE_CFG.replace("cells = 9", "cells = 27")
+        .replace("weights = 0 -1", "weights = 0 -1e307")
+        .replace("pairs = 5", "pairs = 4")
+        .replace("depth = 3", "depth = 4e307")
+    )
+    err = _config_error("verify", cfg, capsys, "[metric]", "a * diam + depth past 2^1022")
+    assert "densities 5e+307 deep" in err
+
+
 def test_solve_output_in_a_missing_directory_is_a_config_error(tmp_path, capsys):
     out = tmp_path / "missing" / "c.density"
     cfg = _cantor(tmp_path, "out = cantor.density", f"out = {out}")

@@ -761,6 +761,66 @@ def test_line_dual_metrics_equal_those_of_the_same_points_as_a_matrix(case):
     assert got == want
 
 
+@st.composite
+def mixed_steep_batches(draw):
+    """Line batches whose pairs turn steep at different levels of one chunk.
+
+    Up to 30 points of a grid, with steps that floats do not all hold
+    exactly, and two or three points far past it, 10^3 to 10^6 steps apart,
+    in any index order.  A pair on the far points turns steep about a factor
+    10^3 below a pair on the grid.  The far gaps differ by at most 4 steps,
+    so sources of a far pair lie at near-equal distances from their nearest
+    targets, and one that is not the farthest wins at the pair's low steep
+    levels only; pairs of equal supports keep every source, and integer
+    levels make their values tie.
+    """
+    n = draw(st.integers(2, 30))
+    step = draw(st.sampled_from([1.0, 0.7, 1 / 729, 3.0**-20]))
+    base = draw(st.integers(10**3, 10**6))
+    gaps = [base + g for g in draw(st.lists(st.integers(-2, 2), min_size=2, max_size=3))]
+    x = np.concatenate([np.arange(n), n - 1 + np.cumsum(gaps)]) * step
+    perm = np.array(draw(st.permutations(range(x.size))))
+    space = mp.FiniteMetricSpace.from_coords(x[perm])
+    grid = perm < n
+    integer = draw(st.booleans())
+    level = st.integers(0, 3).map(float) if integer else st.floats(0.0, 3.0)
+
+    def measure(support):
+        raw = np.full(x.size, NEG)
+        size = int(support.sum())
+        raw[support] = [-v for v in draw(st.lists(level, min_size=size, max_size=size))]
+        raw[draw(st.sampled_from(np.flatnonzero(support).tolist()))] = 0.0
+        return mp.normalize(space, raw)
+
+    def support(within):
+        drawn = within & np.array(draw(st.lists(st.booleans(), min_size=x.size, max_size=x.size)))
+        return drawn if drawn.any() else within
+
+    more = draw(st.lists(st.sampled_from(["far", "grid", "equal", "all"]), max_size=4))
+    pairs = []
+    for kind in draw(st.permutations(["far", "grid"] + more)):
+        within = {"far": ~grid, "grid": grid}.get(kind, np.ones(x.size, dtype=bool))
+        if kind == "equal":
+            first = measure(support(draw(st.sampled_from([grid, ~grid, within]))))
+            pairs.append((first, measure(first.density > NEG)))
+        else:
+            pairs.append((measure(support(within)), measure(support(within))))
+    return space, pairs
+
+
+@settings(PROPERTY, max_examples=100)
+@given(mixed_steep_batches())
+def test_pairs_steep_at_different_levels_of_one_chunk_equal_the_dense_formula(case):
+    # each steep row reads its own level, though the pairs of its chunk turn
+    # steep at levels up to a factor 10^6 apart
+    space, pairs = case
+    levels = np.concatenate([EXTREME_LEVELS, [3.0**k for k in range(-21, 22)]])
+    got = _dual_distances(pairs, levels)
+    for k, (m1, m2) in enumerate(pairs):
+        want = np.array([max(*dense_deltas(m1, m2, a), 0.0) for a in levels.tolist()])
+        assert _hex(got[k] + 0.0) == _hex(want + 0.0)
+
+
 # --- the off-line dual kernel against the dense formula --------------------------
 
 @PROPERTY

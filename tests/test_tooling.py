@@ -11,6 +11,10 @@ scipy is imported inside the one function that needs it, so start-up,
 module-level import must not come back, and a lazy one may sit only in
 ``spaces._euclidean_table``, for ``cdist``.
 
+``np.unique`` called with no ``return_*`` flag imports ``numpy.ma`` on its
+first call (10-14 ms in a cold interpreter), so every call in ``src/``
+passes one.
+
 Both line kernels, ``d1`` and the dual series, lay their chunks of pairs
 out through one helper, ``metrics._line_layout``; a second layout must not
 come back beside it.
@@ -102,6 +106,18 @@ def test_no_module_imports_scipy_at_import_time():
     assert list(_import_time_imports(lazy)) == []
     method = ast.parse("class A:\n    def f(self):\n        if x:\n            import scipy.linalg\n")
     assert list(_scipy_sites(method)) == [("f", "scipy.linalg")]
+
+
+def test_every_unique_call_asks_for_an_index_inverse_or_count():
+    flags = {"return_index", "return_inverse", "return_counts"}
+    calls = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            func = node.func if isinstance(node, ast.Call) else None
+            if isinstance(func, ast.Attribute) and func.attr == "unique":
+                calls.append((path.name, node.lineno, {k.arg for k in node.keywords} & flags))
+    assert len(calls) > 1
+    assert [call for call in calls if not call[2]] == []
 
 
 def test_both_line_kernels_read_one_layout(monkeypatch):
