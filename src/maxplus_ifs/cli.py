@@ -12,6 +12,7 @@ worst pair on stderr (`replay: d1 worst pair is #k of seed s`).
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 import numpy as np
@@ -285,7 +286,9 @@ def cmd_render(args) -> int:
 # entry point
 # ---------------------------------------------------------------------------
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="maxplus-ifs",
         description="Invariant idempotent measures of max-plus IFSs and metrics between them",
@@ -314,8 +317,11 @@ def main(argv=None) -> int:
     p.add_argument("density_file")
     p.add_argument("out")
     p.add_argument("--floor", type=float, required=True, help="density mapped to black")
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     handlers = {
         "solve": cmd_solve,
         "metric": cmd_metric,

@@ -178,11 +178,16 @@ def weighted_oplus(weights, measures) -> IdempotentMeasure:
 
 def write_density_file(path, mu: IdempotentMeasure) -> None:
     """All point lines in one `%d %.17g ...` format call (`-inf` for bottom)."""
-    space = mu.space
-    coords = () if space.coords is None else (space.coords,)
-    table = np.column_stack([np.arange(space.n_points), *coords, mu.density])
-    line = " ".join(["%d"] + ["%.17g"] * (table.shape[1] - 1)) + "\n"
-    text = (line * space.n_points) % tuple(table.ravel().tolist())
+    space, n = mu.space, mu.space.n_points
+    columns = [] if space.coords is None else list(space.coords.T)
+    columns.append(mu.density)
+    width = len(columns) + 1
+    values = [0] * (n * width)  # row by row: the index as an int, then the floats
+    values[::width] = range(n)
+    for k, column in enumerate(columns, 1):
+        values[k::width] = column.tolist()
+    line = " ".join(["%d"] + ["%.17g"] * (width - 1)) + "\n"
+    text = (line * n) % tuple(values)
     with open(path, "w") as fh:
         fh.write(f"space {space.n_points}\n{text}")
 

@@ -5,12 +5,14 @@
   directed level-set value, for a batch of pairs on one space: on the
   line by binary lifting over range-maximum tables of the target levels
   (O(m log m) per pair on the m points of the pair's merged supports), on 2-D
-  and 3-D Euclidean spaces by one ring search per direction over a
-  uniform grid of the targets, capped at _RING_WORK cell visits and
-  target reads per point, else (and for the sources left past that cap)
-  by one sweep of the support distance table, sources sorted by the
-  width of their level-ordered target prefix, in masked row blocks of at
-  most 2^18 entries (O(|s1| |s2|) time, bounded memory).  Feasibility of
+  and 3-D Euclidean spaces, for pairs whose support table passes one block
+  of 2^18 entries, by one grid of both supports per pair: a cell-block
+  cover test bounds most sources at once, and a ring search, capped at
+  _RING_WORK cell visits and target reads per point, finishes only the
+  sources that can set the maximum; else (and for the sources left past
+  that cap) by one sweep of the support distance table, sources sorted by
+  the width of their level-ordered target prefix, in masked row blocks of
+  at most 2^18 entries (O(|s1| |s2|) time, bounded memory).  Feasibility of
   the maximal coupling at t is d1 <= t, and the Hausdorff distance of two
   point sets is d1 of their indicators: both read these kernels;
 * the Lipschitz-dual pseudometrics d_a = sup {|mu(f) - nu(f)| : Lip f <= a},
@@ -39,7 +41,7 @@ dual kernel, come from one packer (_packed).  Slower exact routes
 the dense per-level dual formula) are test oracles; sampled
 inf-convolution certificates validate the dual closed form.  scipy is
 never imported here; off the line the distance table
-loads it for cdist, so 1-D runs, and ring-search d1 that leaves no source
+loads it for cdist, so 1-D runs, and plane-kernel d1 that leaves no source
 to the table sweep, never do.
 """
 
@@ -59,8 +61,8 @@ from .spaces import FiniteMetricSpace, ProductSpace
 
 Pair = tuple[IdempotentMeasure, IdempotentMeasure]
 
-# cell visits plus targets read by the 2-D and 3-D d1 ring search, per point of both
-# supports, before the table sweep takes the sources left
+# cell visits plus targets read by a group of sources of the 2-D and 3-D d1 ring
+# search, per point of both supports, before the table sweep takes the sources left
 _RING_WORK = 32
 # frame cells (rows x padded frame length) per block of the line dual kernel
 _LINE_CELLS = 1 << 15
@@ -181,103 +183,131 @@ def _ring_offsets(dim: int, r: int) -> np.ndarray:
     return cube[:, np.abs(cube).max(axis=0) == r]
 
 
-def _ring_d1(space, s_from, l_from, s_to, l_to) -> float:
-    """_directed_d1 on Euclidean 2-D and 3-D spaces, by one ring search over a grid.
-
-    The targets go into a uniform grid of about 2 per cell (Bentley, Weide
-    and Yao, 1980), sorted by cell and then by level, descending, so the
-    first target of a cell gives its maximum.  Every source still
-    unresolved visits the next Chebyshev ring of cells around its own,
-    reads the targets at or above its level in the cells whose maximum
-    reaches it, and is resolved once its least squared distance is at most
-    the squared distance to the edge of the searched block, less a margin
-    for the rounding of the cell indices.  Squared distances are the
-    table's own arithmetic (the gaps squared and summed in axis order), so
-    the value is bit-equal.  When the next ring's cell visits, or the
-    targets it would read, take the work past _RING_WORK per point of both
-    supports, the sources left go through the table sweep of _directed_d1:
-    crowded cells and far targets cost no more than a bounded detour.
-    """
-    x = space.coords[s_from].T.copy()  # one contiguous row per axis
-    y = space.coords[s_to].T.copy()
-    dim = x.shape[0]
-    lo = np.minimum(x.min(axis=1), y.min(axis=1))
-    span = np.maximum(x.max(axis=1), y.max(axis=1)) - lo
-    # cell width h for about 2 targets per cell, over the axes at least h wide
+def _cell_width(span, count: int) -> float:
+    """Cell width h for about 2 of count points per cell, over the axes at least h wide."""
     wide, h = span > 0.0, 1.0
     while wide.any():
-        h = math.exp((np.log(span[wide]).sum() - math.log(max(1.0, s_to.size / 2))) / wide.sum())
+        h = math.exp((np.log(span[wide]).sum() - math.log(max(1.0, count / 2))) / wide.sum())
         if np.all(span[wide] >= h):
             break
         wide &= span >= h
+    return h
+
+
+def _plane_d1(space, s1, l1, s2, l2) -> float:
+    """d1 of one pair on a Euclidean 2-D or 3-D space, each source searched only
+    while it can raise the maximum.
+
+    Both supports go into one uniform grid of about 2 points per cell of the
+    larger (Bentley, Weide and Yao, 1980).  Per direction the targets are
+    sorted by cell and then by level, descending, so the first target of a
+    cell gives its maximum, and a source is covered when some target of its
+    3^dim block of cells reaches its level: then its distance is at most
+    cover.  The uncovered sources go first.  Each visits the next Chebyshev
+    ring of cells around its own, reads the targets at or above its level in
+    the cells whose maximum reaches it, and is settled once its least
+    squared distance is at most the squared distance to the edge of the
+    searched block, less a margin for the rounding of the cell indices; it
+    leaves earlier once that least distance cannot raise the value (early
+    break; Taha and Hanbury, 2015).  Then, only while the value is below
+    cover, the covered sources search the same way; the second direction
+    starts from the first one's value.  Squared distances are the table's
+    own arithmetic (the gaps squared and summed in axis order), so the value
+    is bit-equal.  When the next ring's cell visits, or the targets it would
+    read, take the work of a group past _RING_WORK per point of both
+    supports, its sources left go through the table sweep of _directed_d1 at
+    once: crowded cells and far targets cost no more than a bounded detour.
+    """
+    pts = [space.coords[s1].T.copy(), space.coords[s2].T.copy()]  # one contiguous row per axis
+    dim = pts[0].shape[0]
+    lo = np.minimum(pts[0].min(axis=1), pts[1].min(axis=1))
+    span = np.maximum(pts[0].max(axis=1), pts[1].max(axis=1)) - lo
+    h = _cell_width(span, max(s1.size, s2.size))
     k = np.maximum(np.ceil(span / h), 1).astype(np.intp)  # cells per axis
     stride = np.cumprod(np.concatenate(([1], k[:0:-1])))[::-1]
     n_cells = int(k.prod())
-
-    def cells(p):
-        u = p - lo[:, None]
-        return u, np.minimum(np.floor(u / h), k[:, None] - 1).astype(np.intp)
-
-    levels, rank = np.unique(-l_to, return_inverse=True)  # rank 0: the highest level
-    key = stride @ cells(y)[1] * levels.size + rank
-    by = np.argsort(key, kind="stable")
-    y, rank = y[:, by], rank[by]
-    first = np.searchsorted(key[by], np.arange(n_cells + 1) * levels.size)
-    top = np.full(n_cells + 1, levels.size)  # rank of each cell's first target; the last
-    full = first[:-1] < first[1:]  # entry stands for every cell off the grid
-    top[:-1][full] = rank[first[:-1][full]]
-
-    u, c = cells(x)
-    # distance to the lower and upper edge of the own cell on each axis, and
-    # the rings after which that side of the block is the edge of the grid;
-    # the margin exceeds the rounding of u / h and of these sums, so a target
-    # outside the block has a gap of at least the edge on some axis, and as
-    # rounding is monotone its squared distance is at least reach * reach
+    # the margin exceeds the rounding of u / h and of the sums below, so a
+    # point's gap to the edges of its own cell on each axis is at least its
+    # side; a target outside the searched block has a gap of at least the
+    # edge on some axis, and as rounding is monotone its squared distance is
+    # at least reach * reach.  A target of a covered source lies in the next
+    # cell on each axis at most, so its gap is at most 2h + margin there and
+    # its distance at most cover, again by monotone rounding
     margin = 2.0**-40 * (span + h)
-    side = np.concatenate([u - c * h, (c + 1) * h - u]) - np.tile(margin, 2)[:, None]
-    last = np.concatenate([c, k[:, None] - 1 - c])
-    need = np.searchsorted(levels, -l_from, side="right")  # target ranks below this qualify
-    home = stride @ c
-    best = np.full(s_from.size, np.inf)  # least squared distance found
-    active = np.arange(s_from.size)
-    budget, work, r = _RING_WORK * (s_from.size + s_to.size), 0, 0
-    while active.size:
-        ring = _ring_offsets(dim, r)
-        work += active.size * ring.shape[1]
-        if work > budget:
-            break
-        cell = home[active, None] + stride @ ring
+    cover = math.sqrt(sum(g * g for g in (2.0 * h + margin).tolist()))  # summed in axis order
+    grid = []
+    for p in pts:
+        u = p - lo[:, None]
+        c = np.minimum(np.floor(u / h), k[:, None] - 1).astype(np.intp)
+        # distance to the lower and upper edge of the own cell on each axis, and
+        # the rings after which that side of the block is the edge of the grid
+        side = np.concatenate([u - c * h, (c + 1) * h - u]) - np.tile(margin, 2)[:, None]
+        grid.append((c, stride @ c, side, np.concatenate([c, k[:, None] - 1 - c])))
+    directions = []
+    for i, s_from, l_from, s_to, l_to in ((0, s1, l1, s2, l2), (1, s2, l2, s1, l1)):
+        levels, rank = np.unique(-l_to, return_inverse=True)  # rank 0: the highest level
+        key = grid[1 - i][1] * levels.size + rank
+        by = np.argsort(key)  # the order inside a (cell, rank) run changes no minimum
+        y, rank = pts[1 - i][:, by], rank[by]
+        first = np.searchsorted(key[by], np.arange(n_cells + 1) * levels.size)
+        top = np.full(n_cells + 1, levels.size)  # rank of each cell's first target; the last
+        full = first[:-1] < first[1:]  # entry stands for every cell off the grid
+        top[:-1][full] = rank[first[:-1][full]]
+        block = top[:-1].reshape(k)  # the best rank of each cell's 3^dim block, axis by axis
         for a in range(dim):
-            off = c[a, active, None] + ring[a]
-            cell[off.view(np.uintp) >= int(k[a])] = n_cells  # off the grid on axis a
-        src, pos = np.nonzero(top[cell] < need[active, None])
-        cell = cell[src, pos]
-        count = first[cell + 1] - first[cell]
-        work += int(count.sum())
-        if work > budget:
-            break
-        pos = _runs(first[cell], count)
-        src = np.repeat(active[src], count)
-        keep = rank[pos] < need[src]
-        src, pos = src[keep], pos[keep]
-        gap = x[0, src] - y[0, pos]
-        sq = gap * gap
-        for a in range(1, dim):
-            gap = x[a, src] - y[a, pos]
-            sq += gap * gap
-        if src.size:
-            seg = np.flatnonzero(np.diff(src, prepend=-1))
-            best[src[seg]] = np.minimum(best[src[seg]], np.minimum.reduceat(sq, seg))
-        edge = np.full(active.size, np.inf)
-        for to_edge, rings in zip(side, last):
-            np.minimum(edge, np.where(rings[active] > r, to_edge[active] + r * h, np.inf), out=edge)
-        reach = np.maximum(edge, 0.0)
-        active = active[best[active] > reach * reach]
-        r += 1
-    best[active] = 0.0  # the table sweep measures these
-    value = math.sqrt(best.max())
-    if active.size:
-        value = max(value, _directed_d1(space, s_from[active], l_from[active], s_to, l_to))
+            was = np.moveaxis(block, a, 0)
+            near = was.copy()
+            np.minimum(near[1:], was[:-1], out=near[1:])
+            np.minimum(near[:-1], was[1:], out=near[:-1])
+            block = np.moveaxis(near, 0, a)
+        need = np.searchsorted(levels, -l_from, side="right")  # target ranks below this qualify
+        covered = block.reshape(-1)[grid[i][1]] < need
+        directions.append((pts[i], *grid[i], y, rank, first, top, need, covered, s_from, l_from, s_to, l_to))
+    budget, value = _RING_WORK * (s1.size + s2.size), 0.0
+    for group in (False, True):  # the uncovered sources of both directions, then the covered
+        for x, c, home, side, last, y, rank, first, top, need, covered, s_from, l_from, s_to, l_to in directions:
+            if group and value >= cover:
+                return value
+            active = np.flatnonzero(covered == group)
+            best = np.full(s_from.size, np.inf)  # least squared distance found
+            work, r = 0, 0 if group else 2  # no target of an uncovered source lies within ring 1
+            while active.size:
+                ring = _ring_offsets(dim, r)
+                work += active.size * ring.shape[1]
+                if work > budget:
+                    break
+                cell = home[active, None] + stride @ ring
+                for a in range(dim):
+                    off = c[a, active, None] + ring[a]
+                    cell[off.view(np.uintp) >= int(k[a])] = n_cells  # off the grid on axis a
+                src, pos = np.nonzero(top[cell] < need[active, None])
+                cell = cell[src, pos]
+                count = first[cell + 1] - first[cell]
+                work += int(count.sum())
+                if work > budget:
+                    break
+                pos = _runs(first[cell], count)
+                src = np.repeat(active[src], count)
+                keep = rank[pos] < need[src]
+                src, pos = src[keep], pos[keep]
+                gap = x[0, src] - y[0, pos]
+                sq = gap * gap
+                for a in range(1, dim):
+                    gap = x[a, src] - y[a, pos]
+                    sq += gap * gap
+                if src.size:
+                    seg = np.flatnonzero(np.diff(src, prepend=-1))
+                    best[src[seg]] = np.minimum(best[src[seg]], np.minimum.reduceat(sq, seg))
+                edge = np.full(active.size, np.inf)
+                for to_edge, rings in zip(side, last):
+                    np.minimum(edge, np.where(rings[active] > r, to_edge[active] + r * h, np.inf), out=edge)
+                reach = np.maximum(edge, 0.0)
+                b = best[active]
+                value = max(value, math.sqrt(np.max(b, where=b <= reach * reach, initial=0.0)))
+                active = active[np.sqrt(b) > value]  # the settled, and those that cannot raise it, leave
+                r += 1
+            if active.size:
+                value = max(value, _directed_d1(space, s_from[active], l_from[active], s_to, l_to))
     return value
 
 
@@ -363,22 +393,26 @@ def coupling_distances(pairs: Sequence[Pair]) -> list[float]:
     lambda2(y) >= lambda1(x)}, and the mirror term); it is a realized
     support-pair distance, so also the largest distance in the support of
     the optimal maximal coupling.  On the line the batch is one exact kernel
-    (_line_d1).  On 2-D and 3-D Euclidean spaces each term is a ring search
-    over a grid of the targets (_ring_d1), numpy only.  Elsewhere, and for
-    the sources left past the ring budget, it is one sweep of the support
-    distance table over level-ordered prefixes (_directed_d1): at most one
-    pass over the table, in row blocks of at most _TABLE_ELEMS entries.
+    (_line_d1).  On 2-D and 3-D Euclidean spaces a pair whose support table
+    has more than _TABLE_ELEMS entries takes the plane kernel (_plane_d1),
+    numpy only.  Elsewhere, for smaller pairs, and for the sources left past
+    the ring budget, each term is one sweep of the support distance table
+    over level-ordered prefixes (_directed_d1): at most one pass over the
+    table, in row blocks of at most _TABLE_ELEMS entries.
     """
     if not pairs:
         return []
     space = _batch_space(pairs)
     if space.line:
         return _line_d1(space, pairs).tolist()
-    directed = _ring_d1 if space.euclidean and space.coords.shape[1] in (2, 3) else _directed_d1
+    plane = space.euclidean and space.coords.shape[1] in (2, 3)
     out = []
     for mu1, mu2 in pairs:
         s1, s2, l1, l2 = _supports(mu1, mu2)
-        out.append(max(directed(space, s1, l1, s2, l2), directed(space, s2, l2, s1, l1)))
+        if plane and s1.size * s2.size > _TABLE_ELEMS:
+            out.append(_plane_d1(space, s1, l1, s2, l2))
+        else:
+            out.append(max(_directed_d1(space, s1, l1, s2, l2), _directed_d1(space, s2, l2, s1, l1)))
     return out
 
 

@@ -99,6 +99,39 @@ def test_solve_round_trip_restarts_at_fixed_point(tmp_path, capsys):
     assert "residual (sup_density): 0" in text
 
 
+def test_main_builds_its_parser_once_per_process(tmp_path, capsys, monkeypatch):
+    # a pass of several commands in one process parses each with the same
+    # parser; a bad argument still exits 2 with argparse's usage message
+    import argparse
+    from types import SimpleNamespace
+
+    from maxplus_ifs import cli
+
+    built = []
+
+    class Counted(argparse.ArgumentParser):
+        def __init__(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "argparse", SimpleNamespace(ArgumentParser=Counted))
+    cli._parser.cache_clear()
+    try:
+        out = tmp_path / "fixed.density"
+        cfg = _write(tmp_path, "two.cfg", TWO_POINT_CFG.format(out=out))
+        assert main(["solve", str(cfg)]) == 0
+        assert main(["attractor", str(cfg)]) == 0
+        assert built.count("maxplus-ifs") == 1
+        assert len(built) == 6  # and its five subparsers
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", str(cfg), "--no-such-flag"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --no-such-flag" in capsys.readouterr().err
+        assert len(built) == 6
+    finally:
+        cli._parser.cache_clear()  # the next call builds an uncounted parser
+
+
 BOUND_CFG = """
 [space]
 kind = matrix

@@ -7,12 +7,14 @@ from scipy.spatial.distance import cdist
 import maxplus_ifs as mp
 from maxplus_ifs.metrics import (
     SeriesParams,
+    _cell_width,
     _directed_d1,
     _directed_deltas,
     _dual_distances,
     _line_deltas,
     _line_nearest,
     _packed,
+    _plane_d1,
 )
 from conftest import (
     EXTREME_LEVELS,
@@ -269,7 +271,8 @@ def test_table_sweep_equals_threshold_search(monkeypatch, budget):
 
 def test_table_sweep_memory_is_bounded_on_a_crowded_cell():
     # 3000 points in one cell of the grid that 100 spread points span: the
-    # ring search hands every source to the table sweep, which holds row
+    # plane kernel settles the crowd by its cover test, and the table sweep
+    # alone, which every source would take past the ring budget, holds row
     # blocks of 2^18 distances (2 MiB), not the 73 MiB table
     import tracemalloc
 
@@ -287,14 +290,27 @@ def test_table_sweep_memory_is_bounded_on_a_crowded_cell():
         tracemalloc.stop()
     assert got == _prefix_d1(m1, m2)
     assert peak < 8 << 20
+    tracemalloc.start()
+    try:
+        _prefix_d1(m1, m2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20
 
 
 def _prefix_d1(m1, m2):
-    """d1 by the table sweep over level-ordered prefixes alone: the ring search's finishing step."""
+    """d1 by the table sweep over level-ordered prefixes alone: the plane kernel's finishing step."""
     s1, s2 = m1.support(), m2.support()
     l1, l2 = m1.density[s1], m2.density[s2]
     space = m1.space
     return max(_directed_d1(space, s1, l1, s2, l2), _directed_d1(space, s2, l2, s1, l1))
+
+
+def _plane(m1, m2):
+    """d1 by the plane kernel, whatever the size of the supports."""
+    s1, s2 = m1.support(), m2.support()
+    return _plane_d1(m1.space, s1, m1.density[s1], s2, m2.density[s2])
 
 
 def _ring_cases(space, rng):
@@ -333,12 +349,13 @@ def test_packed_blocks_take_the_most_rows_within_the_budget():
     assert _packed(np.array([], dtype=int), 10) == []
 
 
-def test_ring_d1_equals_the_threshold_search_and_the_prefix_route():
+def test_plane_d1_equals_the_threshold_search_and_the_prefix_route():
     # bit for bit, on 2-D and 3-D grids from 1e-150 to 1e150 and shifted off
     # the origin, on a 2-D grid at 1e-160, where squared distances are
-    # subnormal, on random 3-D points, and on supports of 2 m^dim targets in
-    # [0, 1]^dim, where the cell width is 1 / m and every lattice point sits
-    # on cell edges
+    # subnormal, on random 3-D points, and on supports of 2 m^dim lattice
+    # points of [0, 1]^dim against larger random supports; the plane kernel
+    # is called directly, as coupling_distance sends pairs this small to the
+    # table sweep
     rng = np.random.default_rng(38)
     spaces = [
         mp.build_grid([-scale, 2 * scale], [scale, 3 * scale], [20, 20])
@@ -352,7 +369,7 @@ def test_ring_d1_equals_the_threshold_search_and_the_prefix_route():
     for space in spaces:
         for name, m1, m2 in _ring_cases(space, rng):
             want = threshold_d1(m1, m2)
-            assert mp.coupling_distance(m1, m2) == _prefix_d1(m1, m2) == want, name
+            assert _plane(m1, m2) == _prefix_d1(m1, m2) == want, name
     for dim, cells, m in ((2, 20, 10), (3, 8, 4)):
         space = mp.build_grid([0.0] * dim, [1.0] * dim, [cells] * dim)
         for _ in range(3):
@@ -363,14 +380,15 @@ def test_ring_d1_equals_the_threshold_search_and_the_prefix_route():
             m1 = mp.normalize(space, lam)
             m2 = mp.normalize(space, np.floor(np_random_measure(space, rng, depth=4.0).density))
             want = threshold_d1(m1, m2)
-            assert mp.coupling_distance(m1, m2) == mp.coupling_distance(m2, m1) == want
+            assert _plane(m1, m2) == _plane(m2, m1) == want
             assert _prefix_d1(m1, m2) == want
 
 
-def test_ring_d1_equals_the_prefix_route_on_small_random_sets():
+def test_plane_d1_equals_the_prefix_route_on_small_random_sets():
     # stretched 2-D and 3-D point sets of up to 150 points, where few
     # targets reach the top levels: sources near the edges of the grid stop
     # at the edge of their block on one side and at the grid's on the other
+    # (the plane kernel called directly, as in the test above)
     rng = np.random.default_rng(41)
     for trial in range(300):
         dim = 2 + trial % 2
@@ -381,10 +399,10 @@ def test_ring_d1_equals_the_prefix_route_on_small_random_sets():
         m1, m2 = (np_random_measure(space, rng, p_finite=rng.uniform(0.05, 1.0)) for _ in "ab")
         if trial % 3 == 0:  # integer levels: ties at every level
             m1, m2 = (mp.normalize(space, np.floor(m.density)) for m in (m1, m2))
-        assert mp.coupling_distance(m1, m2) == _prefix_d1(m1, m2), trial
+        assert _plane(m1, m2) == _prefix_d1(m1, m2), trial
 
 
-def test_ring_d1_hands_what_passes_its_budget_to_the_prefix_route(monkeypatch):
+def test_plane_d1_hands_what_passes_its_budget_to_the_prefix_route(monkeypatch):
     # on 6561 points of the plane the benchmark's integer levels and
     # continuous levels resolve inside the ring budget; cones toward opposite
     # corners, and one top point, would need hundreds to thousands of cell
@@ -411,17 +429,91 @@ def test_ring_d1_hands_what_passes_its_budget_to_the_prefix_route(monkeypatch):
         else:
             assert sources_handed(m1, m2) > 3000, name
     # 3000 points in one cell of the grid that 100 spread points span: every
-    # source there would read them all, so the search hands them over at once
-    crowd = mp.FiniteMetricSpace.from_coords(
-        np.concatenate([rng.uniform(0.0, 1e-3, (3000, 2)), rng.uniform(0.0, 1.0, (100, 2))])
-    )
-    m1, m2 = (mp.normalize(crowd, -rng.integers(0, 8, 3100).astype(float)) for _ in range(2))
-    assert sources_handed(m1, m2) == 2 * 3100
+    # crowd source would read them all, but the spread sources set a value
+    # past the cover bound, so the covered crowd is never searched
+    crowd = rng.uniform(0.0, 1e-3, (3000, 2))
+    space = mp.FiniteMetricSpace.from_coords(np.concatenate([crowd, rng.uniform(0.0, 1.0, (100, 2))]))
+    m1, m2 = (mp.normalize(space, -rng.integers(0, 8, 3100).astype(float)) for _ in range(2))
+    assert sources_handed(m1, m2) == 0
+    # the spread points reach their own level only in the crowd's cell: each
+    # spread source would read the crowd, so the budget hands most over
+    lam = np.zeros((2, 3100))
+    lam[1, 3000:] = -1.0
+    m1, m2 = (mp.IdempotentMeasure(space, row) for row in lam)
+    assert 50 < sources_handed(m1, m2) <= 100
+    # a far point sets the value in the first direction; in the second, 100
+    # sources on an arc around the crowd find their targets farther out
+    # before the crowd's ring, and leave then: searched on to settle, or from
+    # a value of 0, they would read the crowd, and the budget would hand
+    # them over
+    theta = rng.uniform(np.radians(40.0), np.radians(50.0), 100)
+    ray = np.stack([np.cos(theta), np.sin(theta)], axis=1)
+    space = mp.FiniteMetricSpace.from_coords(np.concatenate([crowd, [[1.0, 1.0]], 0.375 * ray, 0.675 * ray]))
+    lam = np.full((2, space.n_points), NEG)
+    lam[:, :3000] = 0.0
+    lam[0, 3000], lam[0, 3101:], lam[1, 3001:3101] = 0.0, 0.0, 0.0
+    m1, m2 = (mp.IdempotentMeasure(space, row) for row in lam)
+    assert sources_handed(m1, m2) == 0
     # without a budget the cones search out to the edges of the grid
     monkeypatch.setattr(mp.metrics, "_RING_WORK", 10**9)
     square = mp.build_grid([0.0, 0.0], [1.0, 1.0], [30, 30])
     for name, m1, m2 in _ring_cases(square, rng):
         assert sources_handed(m1, m2) == 0, name
+
+
+def _cover_edge_case():
+    """A pair whose d1 is set by a covered source just past 2h on both axes.
+
+    Lattice points outside [-0.5, 0.5]^2, at level -1 in both measures,
+    settle at 0 and set the cell width h.  The corner (-1, -1) puts the cell
+    edges in u = x + 1, whose rounding is coarser than that of x inside the
+    box: the least x of cell c and the greatest of cell c + 1 lie further
+    than 2h apart for some c.  That pair, on the diagonal, sets d1; an
+    uncovered pair exactly 2h apart on both axes, in cells 2 apart, gives a
+    value of exactly 2h on both axes before the covered sources are
+    searched.  Returns the two measures, h and the edge gap.
+    """
+    for m in range(24, 40):
+        axis = np.linspace(-1.0, 1.0, m + 1)
+        fill = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
+        fill = fill[np.abs(fill).max(axis=1) > 0.5]
+        h = _cell_width(np.array([2.0, 2.0]), fill.shape[0] + 2)
+        k = int(np.ceil(2.0 / h))
+
+        def cell(x):
+            return min(int(np.floor((x + 1.0) / h)), k - 1)
+
+        far = np.array([0.25, -0.4]) - h / 3
+        if np.any(far + 2 * h - far != 2 * h) or max(cell(v + 2 * h) - cell(v) for v in far) < 2:
+            continue
+        for c in range(int(np.ceil(0.55 / h)), int(1.45 / h) - 1):
+            lo = c * h - 1.0  # the least x of cell c
+            while cell(np.nextafter(lo, -2.0)) == c:
+                lo = np.nextafter(lo, -2.0)
+            while cell(lo) != c:
+                lo = np.nextafter(lo, 2.0)
+            hi = (c + 2) * h - 1.0  # the greatest x of cell c + 1
+            while cell(hi) != c + 1:
+                hi = np.nextafter(hi, -2.0)
+            if hi - lo > 2 * h + np.spacing(2 * h):
+                points = np.concatenate([fill, [[lo, lo], far, [hi, hi], far + 2 * h]])
+                space = mp.FiniteMetricSpace.from_coords(points)
+                lam = np.full((2, space.n_points), -1.0)
+                lam[:, -4:] = NEG
+                lam[0, -4:-2] = lam[1, -2:] = 0.0
+                m1, m2 = (mp.IdempotentMeasure(space, row) for row in lam)
+                return m1, m2, h, hi - lo
+    raise AssertionError("no lattice puts a covered pair past 2h")
+
+
+def test_plane_d1_searches_a_covered_source_just_past_2h():
+    # a covered source has its target in the next cell on each axis, at most
+    # 2h apart there up to the rounding of the cell indices: the cover bound
+    # needs its margin, or the search would stop at the uncovered pair's value
+    m1, m2, h, gap = _cover_edge_case()
+    want = _prefix_d1(m1, m2)
+    assert want == np.sqrt(2 * gap**2) > np.sqrt((2 * h) ** 2 + (2 * h) ** 2)
+    assert _plane(m1, m2) == _plane(m2, m1) == want == threshold_d1(m1, m2)
 
 
 def _line_kernel(space, cases):

@@ -1,7 +1,8 @@
 """Property tests: the array code of the seeded stream, the stacked Markov
-step, the density files, the line d1 and dual kernels, the off-line dual
-kernel, feasibility and Hausdorff distance through d1, and the off-line
-coincidence check against the slower routes kept in `oracles.py`; the
+step, the density files, the line d1 and dual kernels, the plane d1
+kernel, the off-line dual kernel, feasibility and Hausdorff distance
+through d1, and the off-line coincidence check against the slower routes
+kept in `oracles.py`; the
 density reader on tokens outside numpy's grammar, and `metric` on mutated
 density files.
 
@@ -18,7 +19,7 @@ from hypothesis import strategies as st
 
 import maxplus_ifs as mp
 from maxplus_ifs.cli import main
-from maxplus_ifs.metrics import _dual_distances, _line_deltas
+from maxplus_ifs.metrics import _cell_width, _directed_d1, _dual_distances, _line_deltas, _plane_d1
 from maxplus_ifs.spaces import _coincident_pair
 from conftest import EXTREME_LEVELS, random_matrix_space
 from oracles import (
@@ -469,6 +470,79 @@ def test_batched_line_d1_equals_the_threshold_search_and_each_pair_alone(case):
         # the same distances as a matrix go through the off-line route
         c1, c2 = (mp.IdempotentMeasure(exact, m.density) for m in (m1, m2))
         assert d == mp.coupling_distance(c1, c2)
+
+
+# --- d1 on the plane and in space ---------------------------------------------------
+
+@st.composite
+def plane_pairs(draw):
+    """Two measures on 2-D or 3-D points scaled from 1e-150 to 1e150.
+
+    Grids, shifted off the origin, and random points, with integer,
+    continuous or equal levels, one one-point support, or cones toward
+    opposite corners; or lattices at half the cell width h of the plane
+    kernel, on the cell edges, where the cell indices round either way:
+    level-0 sources sit on every 8th column and level-0 targets halfway
+    between, 2h away on axis 0, the edge of the cover bound.
+    """
+    dim = draw(st.integers(2, 3))
+    scale = 10.0 ** draw(st.integers(-150, 150))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["grid", "random", "edge"]))
+    if kind == "edge":
+        n = draw(st.integers(*{2: (16, 200), 3: (40, 120)}[dim]))  # |s1|: 5 lattice steps or more
+        h = _cell_width(np.full(dim, scale), n)
+        steps = np.arange(int(2.0 * scale / h)) * (h / 2)  # all below the corner
+        axes = np.meshgrid(*[steps] * dim, indexing="ij")
+        x = np.concatenate([np.stack([a.ravel() for a in axes], axis=1), np.full((1, dim), scale)])
+        col = np.append(np.rint(axes[0].ravel() / (h / 2)).astype(int) % 8, 0)
+        space = mp.FiniteMetricSpace.from_coords(x)
+        picks = []
+        for at in (0, 4):
+            first = np.unique([x.shape[0] - 1, 0, np.flatnonzero(col == at)[0]])
+            rest = rng.permutation(np.setdiff1d(np.arange(x.shape[0]), first))
+            picks.append(np.concatenate([first, rest])[: n if at == 0 else draw(st.integers(2, n))])
+        lam = np.full((2, x.shape[0]), NEG)
+        for row, at, pick in zip(lam, (0, 4), picks):
+            row[pick] = np.where(col[pick] == at, 0.0, -1.0)
+        return tuple(mp.normalize(space, row) for row in lam)
+    if kind == "grid":
+        cells = draw(st.integers(1, {2: 14, 3: 5}[dim]))
+        shift = draw(st.sampled_from([0.0, -0.5, 2.0])) * scale
+        space = mp.build_grid([shift] * dim, [shift + scale] * dim, [cells] * dim)
+    else:
+        n = draw(st.integers(1, 150))
+        x = rng.uniform(-1.0, 1.0, (n, dim)) * 10.0 ** rng.uniform(-2.0, 2.0, dim) * scale
+        space = mp.FiniteMetricSpace.from_coords(x)
+    x, n = space.coords, space.n_points
+    levels = draw(st.sampled_from(["integer", "continuous", "equal", "one point", "cone"]))
+    if levels == "cone":
+        lo, hi = x.min(axis=0), x.max(axis=0)
+        return tuple(
+            mp.normalize(space, -np.sqrt(((x - corner) ** 2).sum(axis=1))) for corner in (lo, hi)
+        )
+    keep = rng.random((2, n)) < draw(st.sampled_from([0.3, 0.7, 1.0]))
+    keep[:, rng.integers(n)] = True
+    if levels == "integer":
+        raw = -rng.integers(0, 4, (2, n)).astype(float)
+    else:
+        raw = -rng.uniform(0.0, 3.0, (2, n))
+    m1, m2 = (mp.normalize(space, np.where(k, r, NEG)) for k, r in zip(keep, raw))
+    if levels == "one point":
+        m1 = mp.dirac(space, int(rng.integers(n)))
+    return m1, (m1 if levels == "equal" else m2)
+
+
+@settings(PROPERTY, max_examples=200)
+@given(plane_pairs())
+def test_plane_kernel_equals_the_threshold_search_on_drawn_pairs(case):
+    m1, m2 = case
+    space = m1.space
+    s1, s2 = m1.support(), m2.support()
+    l1, l2 = m1.density[s1], m2.density[s2]
+    prefix = max(_directed_d1(space, s1, l1, s2, l2), _directed_d1(space, s2, l2, s1, l1))
+    got = [_plane_d1(space, s1, l1, s2, l2), _plane_d1(space, s2, l2, s1, l1), prefix]
+    assert [float.hex(d) for d in got] == [float.hex(threshold_d1(m1, m2))] * 3
 
 
 # --- feasibility and Hausdorff distance through d1 ---------------------------------

@@ -19,6 +19,11 @@ Both line kernels, ``d1`` and the dual series, lay their chunks of pairs
 out through one helper, ``metrics._line_layout``; a second layout must not
 come back beside it.
 
+Off the line, a 2-D or 3-D pair takes the plane kernel ``metrics._plane_d1``
+only when its support table would pass one block of ``_TABLE_ELEMS``
+entries, and the table sweep in both directions otherwise; the per-direction
+ring search the plane kernel replaced must not come back beside it.
+
 Every public function of ``tests/oracles.py`` is imported by a test module,
 so a reference route that no test reads any more goes with its last test.
 """
@@ -143,6 +148,32 @@ def test_both_line_kernels_read_one_layout(monkeypatch):
         monkeypatch.setattr(mp.metrics, "_TABLE_ELEMS", budget)
         assert run() == want
     assert np.all(np.array(want) > 0.0)
+
+
+def test_plane_pairs_take_the_plane_kernel_by_support_size(monkeypatch):
+    # the plane kernel has a fixed cost of a grid per pair, so a pair whose
+    # support table fits one block of _TABLE_ELEMS entries takes the table
+    # sweep in both directions instead; the ring search has no second route
+    plane = mp.build_grid([0.0, 0.0], [1.0, 1.0], [80, 80])
+    rng = np.random.default_rng(71)
+    big = [
+        mp.normalize(plane, np.where(rng.random(plane.n_points) < 0.7, -rng.integers(0, 8, plane.n_points), -np.inf))
+        for _ in "ab"
+    ]
+    small = [mp.normalize(plane, np.where(np.arange(plane.n_points) % 40 == k, 0.0, -np.inf)) for k in (0, 1)]
+    assert big[0].support().size * big[1].support().size > mp.metrics._TABLE_ELEMS
+    assert small[0].support().size * small[1].support().size <= mp.metrics._TABLE_ELEMS
+    calls = []
+    for name in ("_plane_d1", "_directed_d1"):
+        kernel = getattr(mp.metrics, name)
+        monkeypatch.setattr(
+            mp.metrics, name, lambda *a, name=name, kernel=kernel: calls.append(name) or kernel(*a)
+        )
+    for pair, want in ((big, ["_plane_d1"]), (small, ["_directed_d1"] * 2)):
+        calls.clear()
+        assert mp.coupling_distance(*pair) > 0.0
+        assert calls == want
+    assert not hasattr(mp.metrics, "_ring_d1")
 
 
 def test_every_oracle_is_imported_by_a_test_module():
