@@ -261,22 +261,29 @@ def markov_many(ifs: MaxPlusIFS, measures) -> list[IdempotentMeasure]:
     images in the running maximum: the values of weighted_oplus of the
     pushforwards, bit for bit (a weight added to a fiber's maximum is the
     maximum of the weighted fiber).  Rows go in chunks of at most
-    _BLOCK_ELEMS / 4 entries.
+    _BLOCK_ELEMS / 4 entries.  The call has one workspace, made once: the
+    index rows and the weighted rows (the density stack, plus the map's
+    weight) at the first chunk's size, which every chunk writes into, and
+    the running maximum of all rows, which one from_rows call copies out.
     """
     space = ifs.space
     n = space.n_points
     if any(mu.space is not space for mu in measures):
         raise ValueError("measure lives on a different space")
-    out = []
     step = max(1, _BLOCK_ELEMS // (4 * n))
+    rows = min(step, len(measures))
+    weighted, index = np.empty((rows, n)), np.empty((rows, n), dtype=np.intp)
+    base = np.arange(0, rows * n, n)[:, None]
+    new = np.full((len(measures), n), NEG_INF)
     for lo in range(0, len(measures), step):
-        dens = np.stack([mu.density for mu in measures[lo : lo + step]])
-        new = np.full(dens.shape, NEG_INF)
-        base = np.arange(0, dens.size, n)[:, None]
+        chunk = [mu.density for mu in measures[lo : lo + step]]
+        k = len(chunk)
         for w, m in zip(ifs.weights, ifs.maps):
-            np.maximum.at(new.reshape(-1), (base + m.target).reshape(-1), (dens + w).reshape(-1))
-        out.extend(IdempotentMeasure.from_rows(space, new))
-    return out
+            np.add(base[:k], m.target, out=index[:k])
+            np.stack(chunk, out=weighted[:k])
+            weighted[:k] += w
+            np.maximum.at(new[lo : lo + k].reshape(-1), index[:k].reshape(-1), weighted[:k].reshape(-1))
+    return IdempotentMeasure.from_rows(space, new)
 
 
 def markov(ifs: MaxPlusIFS, mu: IdempotentMeasure) -> IdempotentMeasure:

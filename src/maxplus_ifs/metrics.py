@@ -36,7 +36,14 @@
 
 Both line kernels read one layout of each pair's merged supports
 (_line_layout), and ragged blocks, of the table sweep and of the line
-dual kernel, come from one packer (_packed).  Slower exact routes
+dual kernel, come from one packer (_packed).  Workspace rule: a batch
+call has one workspace (_Workspace), sized once from the chunk budget the
+call already uses, and every chunk-sized temporary of its chunk loop is a
+view of it, written through out=; no chunk-sized temporary is allocated
+inside a chunk loop.  Arrays that numpy makes without out= (index
+compaction, sorts) stay a fraction of a chunk.  A fresh array of 128 KB or
+more is mapped by glibc and faulted in page by page on each use, and
+whether it is depends on what was freed before.  Slower exact routes
 (threshold search over the dense feasibility sweep, subset enumeration,
 the dense per-level dual formula) are test oracles; sampled
 inf-convolution certificates validate the dual closed form.  scipy is
@@ -311,35 +318,97 @@ def _plane_d1(space, s1, l1, s2, l2) -> float:
     return value
 
 
-def _line_layout(space, pairs, depth):
+class _Workspace:
+    """One buffer for the chunk-sized temporaries of a batch call.
+
+    take() hands out views of it in stack order, and a `with` block gives
+    back what was taken inside it: each step of a chunk reuses the memory
+    of the step before, and each chunk the pages of the chunk before.  A
+    take past the end of the buffer gets an array of its own.
+    """
+
+    def __init__(self, entries: int):
+        self._buf = np.empty(entries)
+        self._top, self._marks = 0, []
+
+    def take(self, shape, dtype=float) -> np.ndarray:
+        dtype = np.dtype(dtype)
+        count = math.prod(shape) if isinstance(shape, tuple) else shape
+        words = -(-count * dtype.itemsize // 8)
+        if self._top + words > self._buf.size:
+            return np.empty(shape, dtype)
+        view = self._buf[self._top : self._top + words].view(np.uint8)
+        self._top += words
+        return view[: count * dtype.itemsize].view(dtype).reshape(shape)
+
+    def __enter__(self):
+        self._marks.append(self._top)
+
+    def __exit__(self, *exc):
+        self._top = self._marks.pop()
+
+
+def _count_up(out) -> np.ndarray:
+    """Fill an integer array with 0, 1, 2, ... in place."""
+    out[:1] = 0
+    out[1:] = 1
+    return np.add.accumulate(out, out=out)
+
+
+def _line_layout(space, pairs, depth, work):
     """Chunks of line pairs, each pair on its merged supports in the space's point order.
 
     A chunk is the most pairs (one at least) whose depth rows of both
-    densities over all n points fit _TABLE_ELEMS entries.  Yields, in pair
-    order, the pair pid of each merged point, each pair's run [starts, ends),
-    a table (rows: the coordinate shifted by the run's first point, the
-    coordinate, l1, l2; a last column of levels -inf at 0) and a buffer of
-    the budget, reused by every chunk and free once the table is built.
+    densities over all n points fit _TABLE_ELEMS entries, so it has at most
+    cap = (pairs per chunk) * n merged points.  The call has one
+    _Workspace: five rows of cap + 1 entries for pid and the table, then
+    the larger of the six rows that building a chunk's table takes and the
+    work(cap) entries that the caller takes per chunk.  Yields, in pair
+    order, the pair pid of each merged point, each pair's run [starts,
+    ends), a table (rows: the coordinate shifted by the run's first point,
+    the coordinate, l1, l2; a last column of levels -inf at 0) and the
+    workspace; what the caller takes from it for a chunk is given back at
+    the next chunk.  Index compaction, which numpy gives no out= for, reads
+    the chunk's support mask in pieces of _LINE_CELLS / 4 entries (a row at
+    least), so that no index array of its own meets the mmap threshold.
     """
     n = space.n_points
     step = max(1, _TABLE_ELEMS // (2 * depth * n))
-    buf = np.empty(2 * depth * min(step, len(pairs)) * n)
+    cap = min(step, len(pairs)) * n
+    ws = _Workspace(5 * (cap + 1) + max(6 * (cap + 1), work(cap)))
+    pid_rows, table_rows = ws.take(cap, np.intp), ws.take(4 * (cap + 1))
+    piece = max(1, _LINE_CELLS // 4 // n)  # rows of the support mask per compaction
     for lo in range(0, len(pairs), step):
         chunk = [mu.density for pair in pairs[lo : lo + step] for mu in pair]
-        dens = np.stack(chunk, out=buf[: len(chunk) * n].reshape(-1, n))
-        merged = (dens[0::2] > NEG_INF) | (dens[1::2] > NEG_INF)
-        pid, point = np.divmod(np.flatnonzero(merged[:, space.order]), n)
-        point, size = space.order[point], pid.size
-        starts = np.searchsorted(pid, np.arange(len(chunk) // 2))
-        table = np.empty((4, size + 1))
-        table[:, size] = (0.0, 0.0, NEG_INF, NEG_INF)
-        np.take(space.coords[:, 0], point, out=table[1, :size], mode="clip")
-        np.subtract(table[1, :size], table[1, starts][pid], out=table[0, :size])
-        point += 2 * n * pid  # the point in row 2 pid of dens
-        np.take(dens, point, out=table[2, :size], mode="clip")
-        np.take(dens, point + n, out=table[3, :size], mode="clip")
-        del merged, point  # dead once the table is built: not held across the yield
-        yield pid, starts, np.append(starts[1:], size), table, buf
+        k = len(chunk) // 2
+        with ws:
+            dens = np.stack(chunk, out=ws.take((2 * k, n)))
+            merged, other = ws.take((k, n), bool), ws.take((k, n), bool)
+            np.greater(dens[0::2], NEG_INF, out=merged)
+            np.logical_or(merged, np.greater(dens[1::2], NEG_INF, out=other), out=merged)
+            np.take(merged, space.order, axis=1, out=other, mode="clip")
+            size = int(np.count_nonzero(other))
+            flat, point = ws.take(size, np.intp), ws.take(size, np.intp)
+            done = 0
+            for r in range(0, k, piece):
+                at = np.flatnonzero(other[r : r + piece])
+                np.add(at, r * n, out=flat[done : done + at.size])
+                done += at.size
+            pid = pid_rows[:size]
+            np.divmod(flat, n, out=(pid, flat))
+            np.take(space.order, flat, out=point, mode="clip")
+            starts = np.searchsorted(pid, np.arange(k))
+            table = table_rows[: 4 * (size + 1)].reshape(4, size + 1)
+            table[:, size] = (0.0, 0.0, NEG_INF, NEG_INF)
+            np.take(space.coords[:, 0], point, out=table[1, :size], mode="clip")
+            np.take(table[1, starts], pid, out=table[0, :size], mode="clip")
+            np.subtract(table[1, :size], table[0, :size], out=table[0, :size])
+            point += np.multiply(pid, 2 * n, out=flat)  # the point in row 2 pid of dens
+            np.take(dens, point, out=table[2, :size], mode="clip")
+            point += n
+            np.take(dens, point, out=table[3, :size], mode="clip")
+        with ws:
+            yield pid, starts, np.append(starts[1:], size), table, ws
 
 
 def _line_nearest(x, table, pos, level, first, end) -> np.ndarray:
@@ -368,12 +437,13 @@ def _line_nearest(x, table, pos, level, first, end) -> np.ndarray:
 
 def _line_d1(space, pairs) -> np.ndarray:
     """d1 of each pair on the line: the sources of each level row, in turn, search the other
-    row inside their pair's run, through a range-maximum table in the layout's buffer."""
-    out = []
-    for pid, starts, ends, table, buf in _line_layout(space, pairs, space.n_points.bit_length()):
+    row inside their pair's run, through a range-maximum table in the layout's workspace."""
+    out, lo, bits = np.zeros(len(pairs)), 0, space.n_points.bit_length()
+    for pid, starts, ends, table, ws in _line_layout(space, pairs, bits, lambda cap: bits * cap):
         size, depth = pid.size, int((ends - starts).max()).bit_length()
-        rmq = buf[: depth * size].reshape(depth, size)
-        out.append(np.zeros(starts.size))
+        rmq = ws.take((depth, size))
+        value = out[lo : lo + starts.size]
+        lo += starts.size
         for source, target in ((2, 3), (3, 2)):
             rmq[0] = table[target, :size]
             pos = np.flatnonzero(table[source, :size] > NEG_INF)
@@ -381,8 +451,8 @@ def _line_d1(space, pairs) -> np.ndarray:
             count = np.diff(run, append=pos.size)
             first, end = np.repeat(starts, count), np.repeat(ends, count)
             near = _line_nearest(table[1, :size], rmq, pos, table[source, pos], first, end)
-            np.maximum(out[-1], np.maximum.reduceat(near, run), out=out[-1])
-    return np.concatenate(out)
+            np.maximum(value, np.maximum.reduceat(near, run), out=value)
+    return out
 
 
 def coupling_distances(pairs: Sequence[Pair]) -> list[float]:
@@ -465,62 +535,89 @@ def _check_level(a: float, diam: float, depth: float) -> None:
         )
 
 
-def _line_frames(both, x, starts, ends, pid, levels):
+def _line_frames(both, x, starts, ends, pid, levels, ws):
     """The kind of each (pair, level) of the line kernel, and the frames of its blocks.
 
-    both (l1, l2), x (shifted), starts, ends and pid come from _line_layout.
-    A (pair, level) is steep when a gmin > 2 spread and flat when at most a
-    quarter of the points reach -a D (gmin the least gap, D the span, spread
-    the depth of both densities), with margins of 2^-40 and 2^-1000.
-    Every other level is middle.  A middle frame is all points of its
-    pair, a flat frame the points of its pair at or above its own level's
-    reach -a D, built once per pair for the flat levels that every point
-    of the pair's loosest flat frame reaches; steep rows read no frame
-    (_line_steep).  Returns the frames as runs of elements (elements,
-    first, length), the frame of each (pair, level), -1 where steep, and
-    spread and D per pair.  Why a frame holds every source that can win
-    and every target that can reach its inner maximum is in _line_deltas.
-    A pair whose D and spread fail _check_level at the largest level is
-    refused.
+    both (l1, l2), x (shifted), starts, ends, pid and the workspace ws come
+    from _line_layout.  A (pair, level) is steep when a gmin > 2 spread and
+    flat when at most a quarter of the points reach -a D (gmin the least
+    gap, D the span, spread the depth of both densities), with margins of
+    2^-40 and 2^-1000.  Every other level is middle.  A middle frame is all
+    points of its pair, a flat frame the points of its pair at or above its
+    own level's reach -a D; steep rows read no frame (_line_steep).  The
+    flat frames of a pair are nested by reach: the loosest is built once,
+    and serves each flat level that all of its points reach; for the other
+    flat levels its points are ranked by level once, and each takes the
+    points that reach it, back in point order.  Returns the frames as runs
+    of elements (elements, first, length; elements end with size, the
+    table's column of levels -inf, and are taken from ws), the frame of
+    each (pair, level), -1 where steep, and spread and D per pair.  Why a
+    frame holds every source that can win and every target that can reach
+    its inner maximum is in _line_deltas.  A pair whose D and spread fail
+    _check_level at the largest level is refused.
     """
-    k, m = starts.size, ends - starts
+    k, m, size = starts.size, ends - starts, x.size
     span = x[ends - 1]
-    spread = -np.minimum.reduceat(np.where(both > NEG_INF, both, 0.0), starts, axis=1).min(axis=0)
-    with np.errstate(over="ignore"):  # an overflow here is refused just below
-        worst = int(np.argmax(levels.max() * span + spread))
-    _check_level(float(levels.max()), float(span[worst]), float(spread[worst]))
-    gap = np.append(np.diff(x), np.inf)
-    gap[ends - 1] = np.inf
-    gmin = np.where(m > 1, np.minimum.reduceat(gap, starts), 0.0)[:, None]
-    a, d, w = levels[None, :], spread[:, None], span[:, None]
-    steep = a * gmin > _steep_bound(a, d, w)
-    reach = a * w * (1.0 + _MARGIN) + _TINY
-    # the (m // 4 + 1)-th largest of max(l1, l2), by a sort of padded rows
-    top = np.maximum(both[0], both[1])
-    table = np.full((k, m.max()), NEG_INF)
-    table[np.arange(m.max()) < m[:, None]] = top
-    table.sort(axis=1)
-    flat = ~steep & (reach < -table[np.arange(k), -1 - m // 4, None])
-    middle = ~steep & ~flat
-    # a pair's loosest flat frame serves each flat level that every point of it
-    # reaches; the others filter it down to their own reach
-    loose = np.flatnonzero(top >= -np.max(np.where(flat, reach, -np.inf), axis=1)[pid])
-    count = np.bincount(pid[loose], minlength=k)
+    with ws:
+        finite = ws.take(both.shape)
+        np.copyto(finite, both)
+        np.copyto(finite, 0.0, where=np.equal(both, NEG_INF, out=ws.take(both.shape, bool)))
+        spread = -np.minimum.reduceat(finite, starts, axis=1).min(axis=0)
+        with np.errstate(over="ignore"):  # an overflow here is refused just below
+            worst = int(np.argmax(levels.max() * span + spread))
+        _check_level(float(levels.max()), float(span[worst]), float(spread[worst]))
+        gap = ws.take(size)
+        np.subtract(x[1:], x[:-1], out=gap[:-1])
+        gap[-1] = np.inf
+        gap[ends - 1] = np.inf
+        gmin = np.where(m > 1, np.minimum.reduceat(gap, starts), 0.0)[:, None]
+        a, d, w = levels[None, :], spread[:, None], span[:, None]
+        steep = a * gmin > _steep_bound(a, d, w)
+        reach = a * w * (1.0 + _MARGIN) + _TINY
+        # the (m // 4 + 1)-th largest of max(l1, l2), by a sort of padded rows
+        top = np.maximum(both[0], both[1], out=ws.take(size))
+        wide = int(m.max())
+        table = ws.take((k, wide))
+        table.fill(NEG_INF)
+        table[np.less(np.arange(wide), m[:, None], out=ws.take((k, wide), bool))] = top
+        table.sort(axis=1)
+        flat = ~steep & (reach < -table[np.arange(k), -1 - m // 4, None])
+        middle = ~steep & ~flat
+        # each pair's loosest flat frame: its points at or above the largest flat reach
+        bar = -np.max(np.where(flat, reach, -np.inf), axis=1)
+        bar = np.take(bar, pid, out=ws.take(size), mode="clip")
+        loose = np.flatnonzero(np.greater_equal(top, bar, out=ws.take(size, bool)))
+        level = top[loose]
+    owner = pid[loose]
+    count = np.bincount(owner, minlength=k)
     begin = np.cumsum(count) - count
-    lowest = np.zeros(k)
-    lowest[count > 0] = np.minimum.reduceat(top[loose], begin[count > 0])
-    fp, fl = np.nonzero(flat & (lowest[:, None] < -reach))
-    at = loose[_runs(begin[fp], count[fp])]
-    cell = np.repeat(np.arange(fp.size), count[fp])
-    keep = top[at] >= -reach[fp, fl][cell]
+    # the loose points by pair, then by level, highest first (ties share a
+    # rank), through sorted integer keys: a flat level's points are a prefix
+    # of its pair's run, cut where the ranks of the levels at or above its
+    # reach end
+    neg = np.sort(-level)
+    key = owner * loose.size + np.searchsorted(neg, -level)
+    ranked = np.sort(key * loose.size + np.arange(loose.size))
+    key = ranked // loose.size
+    ranked %= loose.size
+    fp, fl = np.nonzero(flat)
+    cut = np.searchsorted(neg, reach[fp, fl], side="right")
+    kept = np.searchsorted(key, fp * loose.size + cut) - begin[fp]
+    part = kept < count[fp]  # the loosest frame serves the flat levels that all of it reaches
+    fp, fl, kept = fp[part], fl[part], kept[part]
+    cell = np.repeat(np.arange(fp.size), kept)
+    at = np.sort(cell * size + loose[ranked[_runs(begin[fp], kept)]]) - cell * size
+    elements = ws.take(size + loose.size + at.size + 1, np.intp)
+    _count_up(elements[:size])  # every point of every pair: the middle frames
+    elements[size : size + loose.size] = loose
+    elements[size + loose.size : -1] = at
+    elements[-1] = size
     has_middle = middle.any(axis=1)
-    elements = np.concatenate([np.flatnonzero(has_middle[pid]), loose, at[keep]])
-    length = np.concatenate(
-        [np.where(has_middle, m, 0), count, np.bincount(cell[keep], minlength=fp.size)]
-    )
+    length = np.concatenate([np.where(has_middle, m, 0), count, kept])
+    first = np.concatenate([starts, size + begin, size + loose.size + np.cumsum(kept) - kept])
     frame = np.where(middle, np.arange(k)[:, None], np.where(flat, k + np.arange(k)[:, None], -1))
     frame[fp, fl] = 2 * k + np.arange(fp.size)
-    return elements, np.cumsum(length) - length, length, frame, spread, span
+    return elements, first, length, frame, spread, span
 
 
 def _steep_bound(a, spread, span):
@@ -529,16 +626,17 @@ def _steep_bound(a, spread, span):
     return 2.0 * spread + _MARGIN * (spread + a * span) + _TINY
 
 
-def _line_steep(both, x, coord, starts, ends, pid, levels, steep, spread, span, delta) -> None:
+def _line_steep(both, x, coord, starts, ends, pid, levels, steep, spread, span, delta, ws) -> None:
     """Fill delta[:, p, l] with (delta12, delta21) of each steep (pair p, level l).
 
     both holds l1 and l2 of the chunk, x and coord the shifted and the
-    plain coordinates, as in _line_frames.  At a steep level every target
-    beyond a nearer one on the same side trails it by at least
-    a gmin - spread > spread at every point, so the inner maximum of a
-    source is the larger of the dense formula's terms of its nearest target
-    on either side, and a source that is a target is its own nearest, at
-    distance 0.  A source's value lies within spread of a near, near its
+    plain coordinates, each with the table's last column (levels -inf at
+    coordinate 0: no target), and ws is the workspace, as in _line_frames.
+    At a steep level every target beyond a nearer one on the same side
+    trails it by at least a gmin - spread > spread at every point, so the
+    inner maximum of a source is the larger of the dense formula's terms of
+    its nearest target on either side, and a source that is a target is its
+    own nearest, at distance 0.  A source's value lies within spread of a near, near its
     distance to its nearest target, so a source with
     a (far - near) > _steep_bound, far the largest near, never wins.  That
     bound over a falls as a grows, so the sources kept once per pair, at
@@ -547,10 +645,7 @@ def _line_steep(both, x, coord, starts, ends, pid, levels, steep, spread, span, 
     dense formula's own arithmetic against their two nearest targets, and
     one maximum per pair: the dense maximum over all merged points.
     """
-    size = x.size
-    idx = np.arange(size)
-    first_of, end_of = starts[pid], ends[pid]
-    xs = np.append(x, 0.0)  # position size: no target
+    size = x.size - 1
     has = steep.any(axis=1)
     pairs = np.flatnonzero(has)
     # far - near at most the bound over a at the pair's least steep level,
@@ -558,30 +653,50 @@ def _line_steep(both, x, coord, starts, ends, pid, levels, steep, spread, span, 
     amin = np.min(np.where(steep[has], levels, np.inf), axis=1)
     slack = np.full(starts.size, -1.0)
     slack[has] = _steep_bound(amin, spread[has], span[has]) / amin * (1.0 + _MARGIN)
-    for d in (0, 1):
-        lf, g = both[d], np.append(both[1 - d], NEG_INF)
-        is_to = g[:-1] > NEG_INF
-        # the nearest target on each side, the point itself if it is a target
-        left = np.maximum.accumulate(np.where(is_to, idx, -1))
-        left[left < first_of] = size
-        right = np.minimum.accumulate(np.where(is_to, idx, size)[::-1])[::-1]
-        right[right >= end_of] = size
-        near = np.minimum(
-            np.where(left < size, x - xs[left], np.inf),
-            np.where(right < size, xs[right] - x, np.inf),
-        )
-        far = np.maximum.reduceat(np.where(lf > NEG_INF, near, -np.inf), starts)
-        src = np.flatnonzero((lf > NEG_INF) & (far[pid] - near <= slack[pid]))
-        seg = np.searchsorted(pid[src], pairs)  # each steep pair keeps its farthest source
-        # the level and distance of the nearest target on each side; a missing
-        # target reads distance 0 at level -inf
-        lf_src, t = lf[src], np.stack([left[src], right[src]])
-        gt, dt = g[t], np.abs(coord[src] - coord[np.where(t < size, t, src)])
-        best = np.empty((pairs.size, levels.size))
-        for k in np.flatnonzero(steep.any(axis=0)):
-            value = lf_src - (gt - levels[k] * dt).max(axis=0)
-            np.maximum.reduceat(value, seg, out=best[:, k])
-        delta[d, pairs] = np.where(steep[has], best, delta[d, pairs])
+    with ws:
+        idx = _count_up(ws.take(size, np.intp))
+        first_of, end_of, left, right = (ws.take(size, np.intp) for _ in range(4))
+        np.take(starts, pid, out=first_of, mode="clip")
+        np.take(ends, pid, out=end_of, mode="clip")
+        lower, upper, near = (ws.take(size) for _ in range(3))
+        is_to, out = ws.take(size, bool), ws.take(size, bool)
+        for d in (0, 1):
+            lf, g = both[d, :size], both[1 - d]
+            np.greater(g[:-1], NEG_INF, out=is_to)
+            # the nearest target on each side, the point itself if it is a
+            # target: where(is_to, idx, -1) and where(is_to, idx, size), by
+            # integer arithmetic, which no random mask slows down
+            np.add(idx, 1, out=left)
+            left *= is_to
+            left -= 1
+            np.maximum.accumulate(left, out=left)
+            np.copyto(left, size, where=np.less(left, first_of, out=out))
+            np.subtract(idx, size, out=right)
+            right *= is_to
+            right += size
+            np.minimum.accumulate(right[::-1], out=right[::-1])
+            np.copyto(right, size, where=np.greater_equal(right, end_of, out=out))
+            np.subtract(x[:size], np.take(x, left, out=lower, mode="clip"), out=lower)
+            np.copyto(lower, np.inf, where=np.equal(left, size, out=out))
+            np.subtract(np.take(x, right, out=upper, mode="clip"), x[:size], out=upper)
+            np.copyto(upper, np.inf, where=np.equal(right, size, out=out))
+            np.minimum(lower, upper, out=near)  # finite: every pair has a target
+            source = np.greater(lf, NEG_INF, out=is_to)
+            # the largest near over the pair's sources; 0 at the others is no larger
+            far = np.maximum.reduceat(np.multiply(near, source, out=upper), starts)
+            np.subtract(np.take(far, pid, out=upper, mode="clip"), near, out=upper)
+            np.less_equal(upper, np.take(slack, pid, out=lower, mode="clip"), out=out)
+            src = np.flatnonzero(np.logical_and(out, source, out=out))
+            seg = np.searchsorted(pid[src], pairs)  # each steep pair keeps its farthest source
+            # the level and distance of the nearest target on each side; a missing
+            # target reads distance 0 at level -inf
+            lf_src, t = lf[src], np.stack([left[src], right[src]])
+            gt, dt = g[t], np.abs(coord[src] - coord[np.where(t < size, t, src)])
+            best = np.empty((pairs.size, levels.size))
+            for k in np.flatnonzero(steep.any(axis=0)):
+                value = lf_src - (gt - levels[k] * dt).max(axis=0)
+                np.maximum.reduceat(value, seg, out=best[:, k])
+            delta[d, pairs] = np.where(steep[has], best, delta[d, pairs])
 
 
 def _dense_inner(x, c, g, a, work) -> np.ndarray:
@@ -620,23 +735,28 @@ def _line_deltas(space, pairs, levels) -> np.ndarray:
     The margins cover every rounding these bounds skip, so each row is the
     dense maximum over all merged points, bit for bit.
     Frames of similar length share a block of at most _LINE_CELLS cells,
-    padded past their ends with -inf levels, and every block works in one
-    scratch buffer, grown only when a chunk of pairs needs more: block
-    temporaries never meet the allocator's thresholds.
+    padded past their ends with -inf levels.  Every chunk-sized temporary,
+    of the frames, the steep pass and the blocks, is a view of the call's
+    one workspace (_line_layout), and the envelopes scan whole rows of
+    contiguous buffers, so no numpy iterator buffers a strided operand.
     """
-    out = []
-    index, scratch = np.empty(0, dtype=np.intp), np.empty(0)
-    for pid, starts, ends, table, _ in _line_layout(space, pairs, 1):
-        size = pid.size  # rows 3 - d and 2 + d: target and source levels of direction d
-        shift, coord, both = table[0, :size], table[1, :size], table[2:, :size]
+    n, levels_at = space.n_points, levels.size
+    out, lo = np.empty((2, len(pairs), levels_at)), 0
+
+    def work(cap):  # elements, then the steep pass or the blocks' index and row buffers
+        return 10 * (cap + 1) + 12 * min(max(_LINE_CELLS, n), cap)
+
+    for pid, starts, ends, table, ws in _line_layout(space, pairs, 1, work):
+        size, k = pid.size, starts.size  # rows 3 - d and 2 + d: target and source levels of d
         elements, first, length, frame, spread, span = _line_frames(
-            both, shift, starts, ends, pid, levels
+            table[2:, :size], table[0, :size], starts, ends, pid, levels, ws
         )
         steep = frame < 0
-        delta = np.empty((2, starts.size, levels.size))
+        delta = ws.take((2, k, levels_at))
         if steep.any():
-            _line_steep(both, shift, coord, starts, ends, pid, levels, steep, spread, span, delta)
-        elements = np.append(elements, size)
+            _line_steep(
+                table[2:], table[0], table[1], starts, ends, pid, levels, steep, spread, span, delta, ws
+            )
         # frames by length, and the rows of every non-steep (pair, level) by
         # frame, through sorted integer keys; row (d, p, l) is d * k * L + p * L + l
         by_len = np.sort(length * length.size + np.arange(length.size)) % length.size
@@ -650,8 +770,7 @@ def _line_deltas(space, pairs, levels) -> np.ndarray:
         row_rank, row_len = rank[row_frame[by]], length[row_frame[by]]
         blocks = _packed(row_len, _LINE_CELLS)
         need = max(((r1 - r0) * int(row_len[r1 - 1]) for r0, r1 in blocks), default=0)
-        if index.size < 2 * need:  # scratch that every block reuses
-            index, scratch = np.empty(2 * need, dtype=np.intp), np.empty(10 * need)
+        index, scratch = ws.take(2 * need, np.intp), ws.take(10 * need)  # every block reuses them
         delta = delta.reshape(-1)  # in row order: (direction, pair, level)
         for r0, r1 in blocks:
             r = rows[r0:r1]
@@ -661,7 +780,7 @@ def _line_deltas(space, pairs, levels) -> np.ndarray:
             col = np.arange(cols)
             at = index[: nf * cols].reshape(nf, cols)
             np.add(first[frames, None], col, out=at)
-            at[col >= length[frames, None]] = elements.size - 1
+            at[col >= length[frames, None]] = elements.size - 1  # the -inf column
             out_at = index[need : need + nf * cols].reshape(nf, cols)
             at = np.take(elements, at, out=out_at, mode="clip")
             # the table's rows over each frame, then six row buffers
@@ -669,22 +788,27 @@ def _line_deltas(space, pairs, levels) -> np.ndarray:
             np.take(table, at, axis=1, out=frame_rows, mode="clip")
             frame_rows = frame_rows.reshape(4 * nf, cols)
             ax, g, lf, inner, s, t = (
-                scratch[k * need : k * need + nr * cols].reshape(nr, cols) for k in range(4, 10)
+                scratch[j * need : j * need + nr * cols].reshape(nr, cols) for j in range(4, 10)
             )
             d, a = r // steep.size, levels[r % levels.size, None]
             np.take(frame_rows, local, axis=0, out=ax, mode="clip")
             ax *= a
             np.take(frame_rows, (3 - d) * nf + local, axis=0, out=g, mode="clip")
             np.take(frame_rows, (2 + d) * nf + local, axis=0, out=lf, mode="clip")
-            np.add(g[:, :-1], ax[:, :-1], out=s[:, :-1])
-            np.fmax.accumulate(s[:, :-1], axis=1, out=t[:, :-1])
-            t[:, :-1] -= ax[:, 1:]
+            # the envelopes over whole rows, shifted as flat arrays (no strided
+            # operand, so no iterator buffer): what crosses a row end is never
+            # read, is overwritten, or meets -inf in a maximum
+            ft, fa, fi = t.reshape(-1), ax.reshape(-1), inner.reshape(-1)
+            np.add(g, ax, out=s)
+            np.fmax.accumulate(s, axis=1, out=t)
+            ft[:-1] -= fa[1:]
+            np.maximum(g.reshape(-1)[1:], ft[:-1], out=fi[1:])
             inner[:, 0] = g[:, 0]
-            np.maximum(g[:, 1:], t[:, :-1], out=inner[:, 1:])
             np.subtract(g, ax, out=s)
-            np.fmax.accumulate(s[:, :0:-1], axis=1, out=t[:, :0:-1])
-            t[:, 1:] += ax[:, :-1]
-            np.maximum(inner[:, :-1], t[:, 1:], out=inner[:, :-1])
+            np.fmax.accumulate(s[:, ::-1], axis=1, out=t[:, ::-1])
+            ft[1:] += fa[:-1]
+            t[:, 0] = -np.inf
+            np.maximum(fi[:-1], ft[1:], out=fi[:-1])
             np.subtract(lf, inner, out=s)
             row, best = np.arange(nr), np.argmax(s, axis=1)
             p = r % steep.size // levels.size
@@ -696,11 +820,12 @@ def _line_deltas(space, pairs, levels) -> np.ndarray:
             delta[r] = lf[row, best] - _dense_inner(c[row, best], c, g, a, s)
             for e0 in range(0, e_row.size, nr):  # at most nr rows of buffers at once
                 e, col = e_row[e0 : e0 + nr], e_col[e0 : e0 + nr]
-                ce = np.take(c, e, axis=0, out=t[: e.size])
-                ge = np.take(g, e, axis=0, out=inner[: e.size])
+                ce = np.take(c, e, axis=0, out=t[: e.size], mode="clip")
+                ge = np.take(g, e, axis=0, out=inner[: e.size], mode="clip")
                 np.maximum.at(delta, r[e], lf[e, col] - _dense_inner(c[e, col], ce, ge, a[e], s))
-        out.append(delta.reshape(2, starts.size, levels.size))
-    return np.concatenate(out, axis=1)
+        out[:, lo : lo + k] = delta.reshape(2, k, levels_at)
+        lo += k
+    return out
 
 
 def _directed_deltas(space, lam_from, lam_to, levels) -> np.ndarray:

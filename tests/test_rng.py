@@ -59,3 +59,24 @@ def test_random_measure_refuses_bad_point_indices(points, message):
         mp.random_measure(space, rng, points=points)
     assert rng.state == mp.Lcg64(0).state  # refused before any draw
     assert mp.random_measure(space, rng, points=[0, 3, np.int64(3)]).support().tolist() in ([0], [3], [0, 3])
+
+
+@pytest.mark.parametrize("support_prob", [0.7, 0.002])
+def test_seeded_stream_does_not_depend_on_the_block_budget(monkeypatch, support_prob):
+    # verify's 200 draws on the 244 exactly mapped points of the 730-point
+    # Cantor grid (2c = 488 states a measure): blocks of one state hold one
+    # measure, of 976 two, of 2^13 sixteen (the budget) and of 2^16 134 (the
+    # budget before); at support_prob 0.002 most measures miss every
+    # candidate, so fallback draws land inside a block
+    ifs = cantor_ifs(6)
+    points = ifs.exactly_mapped_points()
+    assert points.size == 244
+    for seed in (0, 2**64 - 1):
+        slow = mp.Lcg64(seed)
+        want = [random_measure_scalar(ifs.space, slow, support_prob, 3.0, points) for _ in range(200)]
+        for budget in (1, 976, 1 << 13, 1 << 16):
+            monkeypatch.setattr(mp.rng, "_BLOCK_DRAWS", budget)
+            fast = mp.Lcg64(seed)
+            got = mp.random_measures(ifs.space, fast, 200, support_prob, 3.0, points)
+            assert [mu.density.tobytes() for mu in got] == [mu.density.tobytes() for mu in want]
+            assert fast.state == slow.state

@@ -484,3 +484,26 @@ def test_hausdorff_reads_row_blocks_of_the_sweep_budget(monkeypatch):
         for budget in (1, 1000, 1 << 18):
             monkeypatch.setattr(mp.metrics, "_TABLE_ELEMS", budget)
             assert mp.hausdorff(sa, sb, space) == want
+
+
+def test_distance_tables_are_symmetric_bit_for_bit_on_every_space_kind():
+    # d(a, b) is d(b, a).T in every bit, so one table can serve both
+    # directions of a pair: grids and random points in 1-D to 4-D at three
+    # scales ((x - y)^2 is (y - x)^2 exactly, summed in axis order), an
+    # explicit matrix (checked symmetric when built) and a product space
+    rng = np.random.default_rng(44)
+    spaces = []
+    for dim in (1, 2, 3, 4):
+        cells = [6, 5, 4, 3][dim - 1]
+        for scale in (1e-150, 1.0, 1e150):
+            spaces.append(mp.build_grid([-0.3 * scale] * dim, [0.7 * scale] * dim, [cells] * dim))
+            spaces.append(mp.FiniteMetricSpace.from_coords(rng.uniform(-scale, scale, (60, dim))))
+    spaces.append(random_matrix_space(rng, 40))
+    spaces.append(mp.product(random_euclidean_space(rng, 8), mp.build_grid([0.0], [1.0], [6])))
+    for space in spaces:
+        n = space.n_points
+        for _ in range(3):
+            a = rng.choice(n, int(rng.integers(1, n + 1)), replace=False)
+            b = rng.choice(n, int(rng.integers(1, n + 1)), replace=False)
+            ab, ba = space.distance_submatrix(a, b), space.distance_submatrix(b, a)
+            assert ab.tobytes() == np.ascontiguousarray(ba.T).tobytes(), space
