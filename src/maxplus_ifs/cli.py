@@ -316,7 +316,7 @@ def _parser() -> argparse.ArgumentParser:
     p = sub.add_parser("render", help="density file to binary portable graymap")
     p.add_argument("density_file")
     p.add_argument("out")
-    p.add_argument("--floor", type=float, required=True, help="density mapped to black")
+    p.add_argument("--floor", type=float, required=True, help="density mapped to black, as --floor=-1e-3")
     return parser
 
 

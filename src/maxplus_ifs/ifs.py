@@ -21,7 +21,8 @@ import numpy as np
 
 from .measures import IdempotentMeasure, TestFunction, pushforward
 from .semiring import NEG_INF
-from .spaces import _BLOCK_ELEMS, FiniteMetricSpace, _euclidean_table, product
+from . import spaces
+from .spaces import FiniteMetricSpace, _euclidean_table, product
 
 # float round-off headroom for certificate comparisons; genuine violations
 # on a finite space are at least a fraction of the minimal distance
@@ -177,7 +178,7 @@ def snap_affine(space: FiniteMetricSpace, matrix, offset) -> ContractionMap:
         target = np.ravel_multi_index(tuple(axis_idx.T), tuple(cells + 1))
     else:
         # argmin over row blocks of the sweep budget takes the lowest index on ties
-        step = max(1, _BLOCK_ELEMS // space.n_points)
+        step = max(1, spaces._BLOCK_ELEMS // space.n_points)
         target = np.concatenate([
             np.argmin(_euclidean_table(images[i : i + step], space.coords), axis=1)
             for i in range(0, space.n_points, step)
@@ -261,8 +262,8 @@ def markov_many(ifs: MaxPlusIFS, measures) -> list[IdempotentMeasure]:
     images in the running maximum: the values of weighted_oplus of the
     pushforwards, bit for bit (a weight added to a fiber's maximum is the
     maximum of the weighted fiber).  Rows go in chunks of at most
-    _BLOCK_ELEMS / 4 entries.  The call has one workspace, made once: the
-    index rows and the weighted rows (the density stack, plus the map's
+    spaces._BLOCK_ELEMS / 4 entries.  The call has one workspace, made once:
+    the index rows and the weighted rows (the density stack, plus the map's
     weight) at the first chunk's size, which every chunk writes into, and
     the running maximum of all rows, which one from_rows call copies out.
     """
@@ -270,7 +271,7 @@ def markov_many(ifs: MaxPlusIFS, measures) -> list[IdempotentMeasure]:
     n = space.n_points
     if any(mu.space is not space for mu in measures):
         raise ValueError("measure lives on a different space")
-    step = max(1, _BLOCK_ELEMS // (4 * n))
+    step = max(1, spaces._BLOCK_ELEMS // (4 * n))
     rows = min(step, len(measures))
     weighted, index = np.empty((rows, n)), np.empty((rows, n), dtype=np.intp)
     base = np.arange(0, rows * n, n)[:, None]

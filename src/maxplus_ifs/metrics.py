@@ -36,20 +36,20 @@
 
 Both line kernels read one layout of each pair's merged supports
 (_line_layout), and ragged blocks, of the table sweep and of the line
-dual kernel, come from one packer (_packed).  Workspace rule: a batch
-call has one workspace (_Workspace), sized once from the chunk budget the
-call already uses, and every chunk-sized temporary of its chunk loop is a
-view of it, written through out=; no chunk-sized temporary is allocated
-inside a chunk loop.  Arrays that numpy makes without out= (index
-compaction, sorts) stay a fraction of a chunk.  A fresh array of 128 KB or
-more is mapped by glibc and faulted in page by page on each use, and
-whether it is depends on what was freed before.  Slower exact routes
-(threshold search over the dense feasibility sweep, subset enumeration,
-the dense per-level dual formula) are test oracles; sampled
-inf-convolution certificates validate the dual closed form.  scipy is
-never imported here; off the line the distance table
-loads it for cdist, so 1-D runs, and plane-kernel d1 that leaves no source
-to the table sweep, never do.
+dual kernel, come from one packer (_packed).  Both memory budgets live in
+`spaces`, read when a call runs.  Workspace rule: a chunk holds at most
+spaces._BLOCK_ELEMS entries, a batch call has one workspace (_Workspace)
+sized once from it, and every chunk-sized temporary of its chunk loop is
+a view of it, written through out=.  Fresh-array rule: what numpy makes
+without out= in a chunk loop holds at most spaces._FRESH_ELEMS entries
+(index compaction) or a fraction of a chunk (sorts): glibc maps a fresh
+array of 128 KB or more and faults it in page by page on each use.
+Slower exact routes (threshold search over the dense feasibility sweep,
+subset enumeration, the dense per-level dual formula) are test oracles;
+sampled inf-convolution certificates validate the dual closed form.
+scipy is never imported here; off the line the distance table loads it
+for cdist, so 1-D runs, and plane-kernel d1 that leaves no source to the
+table sweep, never do.
 """
 
 from __future__ import annotations
@@ -63,7 +63,7 @@ import numpy as np
 
 from .measures import IdempotentMeasure, TestFunction, pushforward
 from .semiring import NEG_INF
-from .spaces import _BLOCK_ELEMS as _TABLE_ELEMS
+from . import spaces
 from .spaces import FiniteMetricSpace, ProductSpace
 
 Pair = tuple[IdempotentMeasure, IdempotentMeasure]
@@ -161,9 +161,9 @@ def _directed_d1(space, s_from, l_from, s_to, l_to) -> float:
 
     With the targets sorted by level, descending, x searches the prefix of
     the p(x) targets at or above its level.  The sources, sorted by p, read
-    row blocks of at most _TABLE_ELEMS entries of the distance table against
-    the widest prefix of the block: the narrowest prefix is read whole and
-    only the ragged tail past it is masked (O(|s_from| |s_to|) time).
+    row blocks of at most spaces._BLOCK_ELEMS entries of the distance table
+    against the widest prefix of the block: the narrowest prefix is read
+    whole and only the ragged tail past it is masked (O(|s_from| |s_to|)).
     """
     order = np.argsort(-l_to, kind="stable")
     targets = s_to[order]
@@ -171,7 +171,7 @@ def _directed_d1(space, s_from, l_from, s_to, l_to) -> float:
     by = np.argsort(p, kind="stable")
     rows, p = s_from[by], p[by]
     best = 0.0
-    for start, end in _packed(p, _TABLE_ELEMS):
+    for start, end in _packed(p, spaces._BLOCK_ELEMS):
         w = p[start:end]
         d = space.distance_submatrix(rows[start:end], targets[: w[-1]])
         d[:, w[0] :][np.arange(w[0], w[-1]) >= w[:, None]] = np.inf
@@ -359,8 +359,8 @@ def _line_layout(space, pairs, depth, work):
     """Chunks of line pairs, each pair on its merged supports in the space's point order.
 
     A chunk is the most pairs (one at least) whose depth rows of both
-    densities over all n points fit _TABLE_ELEMS entries, so it has at most
-    cap = (pairs per chunk) * n merged points.  The call has one
+    densities over all n points fit spaces._BLOCK_ELEMS entries, so it has
+    at most cap = (pairs per chunk) * n merged points.  The call has one
     _Workspace: five rows of cap + 1 entries for pid and the table, then
     the larger of the six rows that building a chunk's table takes and the
     work(cap) entries that the caller takes per chunk.  Yields, in pair
@@ -369,15 +369,15 @@ def _line_layout(space, pairs, depth, work):
     the coordinate, l1, l2; a last column of levels -inf at 0) and the
     workspace; what the caller takes from it for a chunk is given back at
     the next chunk.  Index compaction, which numpy gives no out= for, reads
-    the chunk's support mask in pieces of _LINE_CELLS / 4 entries (a row at
-    least), so that no index array of its own meets the mmap threshold.
+    the chunk's support mask in pieces of spaces._FRESH_ELEMS entries (a row
+    at least), so that no index array of its own meets the mmap threshold.
     """
     n = space.n_points
-    step = max(1, _TABLE_ELEMS // (2 * depth * n))
+    step = max(1, spaces._BLOCK_ELEMS // (2 * depth * n))
     cap = min(step, len(pairs)) * n
     ws = _Workspace(5 * (cap + 1) + max(6 * (cap + 1), work(cap)))
     pid_rows, table_rows = ws.take(cap, np.intp), ws.take(4 * (cap + 1))
-    piece = max(1, _LINE_CELLS // 4 // n)  # rows of the support mask per compaction
+    piece = max(1, spaces._FRESH_ELEMS // n)  # rows of the support mask per compaction
     for lo in range(0, len(pairs), step):
         chunk = [mu.density for pair in pairs[lo : lo + step] for mu in pair]
         k = len(chunk) // 2
@@ -464,11 +464,11 @@ def coupling_distances(pairs: Sequence[Pair]) -> list[float]:
     support-pair distance, so also the largest distance in the support of
     the optimal maximal coupling.  On the line the batch is one exact kernel
     (_line_d1).  On 2-D and 3-D Euclidean spaces a pair whose support table
-    has more than _TABLE_ELEMS entries takes the plane kernel (_plane_d1),
-    numpy only.  Elsewhere, for smaller pairs, and for the sources left past
-    the ring budget, each term is one sweep of the support distance table
-    over level-ordered prefixes (_directed_d1): at most one pass over the
-    table, in row blocks of at most _TABLE_ELEMS entries.
+    has more than spaces._BLOCK_ELEMS entries takes the plane kernel
+    (_plane_d1), numpy only.  Elsewhere, for smaller pairs, and for the
+    sources left past the ring budget, each term is one sweep of the support
+    distance table over level-ordered prefixes (_directed_d1), in row
+    blocks: at most one pass over the table.
     """
     if not pairs:
         return []
@@ -479,7 +479,7 @@ def coupling_distances(pairs: Sequence[Pair]) -> list[float]:
     out = []
     for mu1, mu2 in pairs:
         s1, s2, l1, l2 = _supports(mu1, mu2)
-        if plane and s1.size * s2.size > _TABLE_ELEMS:
+        if plane and s1.size * s2.size > spaces._BLOCK_ELEMS:
             out.append(_plane_d1(space, s1, l1, s2, l2))
         else:
             out.append(max(_directed_d1(space, s1, l1, s2, l2), _directed_d1(space, s2, l2, s1, l1)))
@@ -562,7 +562,7 @@ def _line_frames(both, x, starts, ends, pid, levels, ws):
         finite = ws.take(both.shape)
         np.copyto(finite, both)
         np.copyto(finite, 0.0, where=np.equal(both, NEG_INF, out=ws.take(both.shape, bool)))
-        spread = -np.minimum.reduceat(finite, starts, axis=1).min(axis=0)
+        spread = 0.0 - np.minimum.reduceat(finite, starts, axis=1).min(axis=0)
         with np.errstate(over="ignore"):  # an overflow here is refused just below
             worst = int(np.argmax(levels.max() * span + spread))
         _check_level(float(levels.max()), float(span[worst]), float(spread[worst]))
@@ -837,7 +837,7 @@ def _directed_deltas(space, lam_from, lam_to, levels) -> np.ndarray:
     Preparata, 1975), can reach its inner maximum.  A running minimum per
     source over the row blocks of d(targets, sources) marks them; every
     level reads them alone, by the dense formula's own arithmetic in chunks
-    of _TABLE_ELEMS values: bit-equal, O(|s_from| |s_to| + levels * entries).
+    of spaces._BLOCK_ELEMS values: bit-equal, O(|s_from| |s_to| + levels * entries).
     """
     s_from, s_to = np.flatnonzero(lam_from > NEG_INF), np.flatnonzero(lam_to > NEG_INF)
     targets = s_to[np.argsort(-lam_to[s_to], kind="stable")]
@@ -851,7 +851,7 @@ def _directed_deltas(space, lam_from, lam_to, levels) -> np.ndarray:
         at = at[np.argsort(at % s_from.size, kind="stable")]  # by source, then by target
         cols, first = np.unique(at % s_from.size, return_index=True)
         dist, lam = d.reshape(-1)[at], lam_to[rows[at // s_from.size]]
-        step = max(1, _TABLE_ELEMS // (at.size + 1))  # + 1: a block can hold no staircase entry
+        step = max(1, spaces._BLOCK_ELEMS // (at.size + 1))  # + 1: a block may hold no entry
         for lo in range(0, levels.size, step):
             best = np.maximum.reduceat(lam - levels[lo : lo + step, None] * dist, first, axis=1)
             np.maximum(best, inner[lo : lo + step, cols], out=best)
@@ -862,7 +862,7 @@ def _directed_deltas(space, lam_from, lam_to, levels) -> np.ndarray:
 
 def _depth(pairs: Sequence[Pair]) -> float:
     """Minus the lowest finite density of the pairs' measures."""
-    return -min(float(mu.density[mu.support()].min()) for pair in pairs for mu in pair)
+    return 0.0 - min(float(mu.density[mu.support()].min()) for pair in pairs for mu in pair)
 
 
 def _dual_distances(pairs: Sequence[Pair], levels) -> np.ndarray:

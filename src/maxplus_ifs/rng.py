@@ -8,13 +8,13 @@ mod 2^64 (Brown's jump-ahead, 1994), so it gives the numbers and the end
 state of one scalar `uniform` call per draw; `random_measure` is a batch
 of one.
 
-A block holds at most _BLOCK_DRAWS = 2^13 states, so each of its draw
-arrays takes at most 64 KB, and its density rows (2^12 / c measures of n
-points, c candidates) stay near that size: on `verify`'s 244 candidates
-of the 730-point Cantor grid, 16 rows take 93 KB.  Both stay under
-glibc's 128 KB mmap threshold, so a block reuses the memory that the
-block before freed instead of mapping and faulting in fresh pages.  The
-block size does not change the stream.
+A block holds the most measures (one at least) whose states, 2 per
+candidate, fit the fresh-array budget spaces._FRESH_ELEMS = 2^13, read
+from `spaces` when a call runs.  So each draw array takes at most 64 KB,
+and the density rows stay near that size (on `verify`'s 244 candidates of
+the 730-point Cantor grid, 16 rows take 93 KB): under glibc's 128 KB mmap
+threshold, a block reuses the memory that the block before freed instead
+of faulting in fresh pages.  Where blocks are cut does not change the stream.
 """
 
 from __future__ import annotations
@@ -23,12 +23,12 @@ import numpy as np
 
 from .measures import IdempotentMeasure
 from .semiring import NEG_INF
+from . import spaces
 from .spaces import FiniteMetricSpace
 
 _MULT = 6364136223846793005
 _INC = 1442695040888963407
 _MASK = (1 << 64) - 1
-_BLOCK_DRAWS = 1 << 13  # states per block of random_measures
 
 
 class Lcg64:
@@ -61,10 +61,10 @@ def random_measures(
     """`count` random_measure calls in a row, drawn from blocks of the stream.
 
     A block holds the 2 draws per candidate that each of its measures may
-    use, at most _BLOCK_DRAWS states (one measure at least).  Its tests are
-    read off as in one long random_measure call; at the first measure
-    without a hit the block stops, that measure takes its randint/uniform
-    fallback from the stream, and the next block starts after it.
+    use, as many measures in every block as spaces._FRESH_ELEMS allows.  Its
+    tests are read off as in one long random_measure call; at the first
+    measure without a hit the block stops, that measure takes its
+    randint/uniform fallback from the stream, and the next block starts after it.
     """
     candidates = space.point_indices(
         np.arange(space.n_points) if points is None else points, "random_measure"
@@ -72,16 +72,15 @@ def random_measures(
     if candidates.size == 0:
         raise ValueError("random_measure needs at least one candidate point")
     c = candidates.size
-    most = max(1, _BLOCK_DRAWS // (2 * c))
+    most = max(1, spaces._FRESH_ELEMS // (2 * c))  # measures per block
     # A^k and C (1 + A + ... + A^(k-1)) for the largest block
     powers = np.full(2 * c * min(count, most) + 1, _MULT, dtype=np.uint64)
     powers[0] = 1
     np.multiply.accumulate(powers, out=powers)
     sums = np.uint64(_INC) * np.cumsum(powers[:-1])
     out: list[IdempotentMeasure] = []
-    batch = most
     while len(out) < count:
-        k = min(count - len(out), batch)
+        k = min(count - len(out), most)
         pos = np.arange(2 * c * k)
         states = powers[1 : pos.size + 1] * np.uint64(rng.state) + sums[: pos.size]
         u = (states >> np.uint64(11)).astype(float)
@@ -90,7 +89,7 @@ def random_measures(
         # a draw tests the next candidate unless it follows a test that hit:
         # along a run of hits, tests alternate, restarting after each miss
         restart = np.append(0, np.maximum.accumulate(np.where(hit, 0, pos + 1))[:-1])
-        tests = np.flatnonzero((pos - restart) % 2 == 0)[: c * k].reshape(k, c)
+        tests = np.flatnonzero((pos - restart) & 1 == 0)[: c * k].reshape(k, c)
         take = hit[tests]
         some = take.any(axis=1)
         if not some.all():  # the block ends with the first measure that has no hit
@@ -99,11 +98,8 @@ def random_measures(
         rows, cols = np.nonzero(take[:k])
         raw[rows, candidates[cols]] = -depth + (0.0 + depth) * u[tests[:k][take[:k]] + 1]
         rng.state = int(states[tests[k - 1, -1] + take[k - 1, -1]])
-        if some[k - 1]:
-            batch = min(2 * batch, most)
-        else:  # uniform(-depth, 0.0) at a randint-drawn candidate
+        if not some[k - 1]:  # uniform(-depth, 0.0) at a randint-drawn candidate
             raw[-1, candidates[rng.randint(c)]] = rng.uniform(-depth, 0.0)
-            batch = k
         # normalize() row by row: every row has a finite entry
         raw -= raw.max(axis=1, keepdims=True)
         out.extend(IdempotentMeasure.from_rows(space, raw))

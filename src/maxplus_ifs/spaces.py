@@ -30,8 +30,11 @@ import numpy as np
 
 # Full distance matrices are materialized (and cached) only below this size.
 _DENSE_LIMIT = 2048
-# Distances per block of the all-pairs sweeps (rows = this // n, at least 1).
+# The package's two memory budgets, read from here at each call: entries per table
+# block or chunk (the all-pairs sweeps take rows = this // n, at least 1), and entries
+# (64 KB, under glibc's 128 KB mmap threshold) of an array made anew inside a loop.
 _BLOCK_ELEMS = 1 << 18
+_FRESH_ELEMS = 1 << 13
 
 
 class FiniteMetricSpace:

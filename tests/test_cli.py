@@ -291,6 +291,18 @@ def test_series_refusal_names_the_depth_of_the_files(tmp_path, capsys):
         assert "series metric alpha=" in err and words in err
 
 
+def test_level_refusals_of_flat_densities_name_a_depth_of_0(tmp_path, capsys):
+    # uniform densities have no finite entry below 0, on the line and on a
+    # grid: the refusals of one level and of a series say "0 deep", not "-0 deep"
+    spaces = {"line": mp.build_grid([0], [1], [8]), "grid": mp.build_grid([0, 0], [1, 1], [3, 3])}
+    for name, space in spaces.items():
+        f = tmp_path / f"{name}.density"
+        mp.write_density_file(f, mp.uniform(space))
+        for spec in ("da:a=1e308", "dtilde:alpha=1e-300,q=0.5,tol=1e-6"):
+            assert main(["metric", str(f), str(f), spec]) == 2
+            assert "densities 0 deep" in capsys.readouterr().err
+
+
 def test_coordinates_outside_the_float_range_are_config_errors(tmp_path, capsys):
     # squared distances that overflow (or a grid step that squares to 0)
     # are refused when the space is built; before, verify and solve reported
@@ -744,6 +756,15 @@ def test_render_rejects_bad_floor_and_high_dim(tmp_path):
     g3 = mp.build_grid([0, 0, 0], [1, 1, 1], [1, 1, 1])
     mp.write_density_file(f, mp.dirac(g3, 0))
     assert main(["render", str(f), str(tmp_path / "x.pgm"), "--floor", "-1"]) == 2
+
+
+def test_render_reads_a_floor_with_an_exponent_after_an_equals_sign(tmp_path, capsys):
+    # argparse takes "-1e-3" after a space for an option; "--floor=-1e-3" is a value
+    g = mp.build_grid([0], [1], [3])
+    f, out = tmp_path / "d.density", tmp_path / "d.pgm"
+    mp.write_density_file(f, mp.normalize(g, [0.0, -5e-4, -1e-3, -1.0]))
+    assert main(["render", str(f), str(out), "--floor=-1e-3"]) == 0
+    assert out.read_bytes()[-4:] == bytes([255, 128, 0, 0])
 
 
 def test_cantor_render_matches_attractor(tmp_path, capsys):

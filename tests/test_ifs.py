@@ -238,7 +238,7 @@ def test_off_grid_snap_memory_is_bounded():
 def test_off_grid_snap_blocks_equal_the_full_table(monkeypatch, block):
     # lattices given as point sets (not grids) put images exactly halfway
     # between points: ties must still go to the lowest index in every block
-    monkeypatch.setattr(mp.ifs, "_BLOCK_ELEMS", block)
+    monkeypatch.setattr(mp.spaces, "_BLOCK_ELEMS", block)
     rng = np.random.default_rng(11)
     lattice = mp.build_grid([0, 0], [1, 1], [8, 6]).coords
     cases = [

@@ -254,7 +254,7 @@ def test_table_sweep_equals_threshold_search(monkeypatch, budget):
     # bit for bit on 4-D and 5-D grids and random points and on product
     # spaces, with row blocks of one row, of a few rows, and of 2^18 entries
     if budget is not None:
-        monkeypatch.setattr(mp.metrics, "_TABLE_ELEMS", budget)
+        monkeypatch.setattr(mp.spaces, "_BLOCK_ELEMS", budget)
     rng = np.random.default_rng(44)
     spaces = [
         mp.build_grid([0.0] * 4, [1.0] * 4, [3] * 4),
@@ -615,7 +615,7 @@ def test_line_d1_chunks_stay_inside_the_table_budget(monkeypatch):
     assert peak < 3 << 20  # a 2 MB table plus the lifting arrays
     assert got == [mp.coupling_distance(m1, m2) for m1, m2 in pairs]
     for budget in (1, 40_000, 1 << 22):
-        monkeypatch.setattr(mp.metrics, "_TABLE_ELEMS", budget)
+        monkeypatch.setattr(mp.spaces, "_BLOCK_ELEMS", budget)
         assert mp.coupling_distances(pairs) == got
 
 
@@ -1073,7 +1073,6 @@ def test_kernel_blocking_does_not_change_values(monkeypatch):
         m1, m2 = np_random_measure(s, rng), np_random_measure(s, rng)
         want = _dual_distances([(m1, m2)], levels)
         for budget in (1, 64, 1 << 18):
-            monkeypatch.setattr(mp.metrics, "_TABLE_ELEMS", budget)
             monkeypatch.setattr(mp.spaces, "_BLOCK_ELEMS", budget)
             monkeypatch.setattr(mp.metrics, "_LINE_CELLS", 64)
             got = _dual_distances([(m1, m2)], levels)

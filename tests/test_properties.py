@@ -911,7 +911,6 @@ def test_off_line_dual_kernel_equals_the_dense_formula(case, drawn, budget):
     with pytest.MonkeyPatch.context() as patch:
         if budget is not None:
             patch.setattr(mp.spaces, "_BLOCK_ELEMS", budget)
-            patch.setattr(mp.metrics, "_TABLE_ELEMS", budget)
         got = _dual_distances([(m1, m2), (m2, m1)], levels)
     want = [float.hex(max(*dense_deltas(m1, m2, a), 0.0)) for a in levels.tolist()]
     assert _hex(got[0]) == _hex(got[1]) == want

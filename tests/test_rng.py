@@ -75,7 +75,7 @@ def test_seeded_stream_does_not_depend_on_the_block_budget(monkeypatch, support_
         slow = mp.Lcg64(seed)
         want = [random_measure_scalar(ifs.space, slow, support_prob, 3.0, points) for _ in range(200)]
         for budget in (1, 976, 1 << 13, 1 << 16):
-            monkeypatch.setattr(mp.rng, "_BLOCK_DRAWS", budget)
+            monkeypatch.setattr(mp.spaces, "_FRESH_ELEMS", budget)
             fast = mp.Lcg64(seed)
             got = mp.random_measures(ifs.space, fast, 200, support_prob, 3.0, points)
             assert [mu.density.tobytes() for mu in got] == [mu.density.tobytes() for mu in want]

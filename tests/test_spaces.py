@@ -482,7 +482,7 @@ def test_hausdorff_reads_row_blocks_of_the_sweep_budget(monkeypatch):
         d = space.distance_submatrix(sa, sb)
         want = float(max(d.min(axis=1).max(), d.min(axis=0).max()))
         for budget in (1, 1000, 1 << 18):
-            monkeypatch.setattr(mp.metrics, "_TABLE_ELEMS", budget)
+            monkeypatch.setattr(mp.spaces, "_BLOCK_ELEMS", budget)
             assert mp.hausdorff(sa, sb, space) == want
 
 

@@ -20,7 +20,7 @@ out through one helper, ``metrics._line_layout``; a second layout must not
 come back beside it.
 
 Off the line, a 2-D or 3-D pair takes the plane kernel ``metrics._plane_d1``
-only when its support table would pass one block of ``_TABLE_ELEMS``
+only when its support table would pass one block of ``spaces._BLOCK_ELEMS``
 entries, and the table sweep in both directions otherwise; the per-direction
 ring search the plane kernel replaced must not come back beside it.
 
@@ -145,14 +145,14 @@ def test_both_line_kernels_read_one_layout(monkeypatch):
     assert run() == want
     assert calls == [line.n_points.bit_length(), 1]  # d1, then the series
     for budget in (1, 5_000, 40_000, 1 << 22):
-        monkeypatch.setattr(mp.metrics, "_TABLE_ELEMS", budget)
+        monkeypatch.setattr(mp.spaces, "_BLOCK_ELEMS", budget)
         assert run() == want
     assert np.all(np.array(want) > 0.0)
 
 
 def test_plane_pairs_take_the_plane_kernel_by_support_size(monkeypatch):
     # the plane kernel has a fixed cost of a grid per pair, so a pair whose
-    # support table fits one block of _TABLE_ELEMS entries takes the table
+    # support table fits one block of spaces._BLOCK_ELEMS entries takes the table
     # sweep in both directions instead; the ring search has no second route
     plane = mp.build_grid([0.0, 0.0], [1.0, 1.0], [80, 80])
     rng = np.random.default_rng(71)
@@ -161,8 +161,8 @@ def test_plane_pairs_take_the_plane_kernel_by_support_size(monkeypatch):
         for _ in "ab"
     ]
     small = [mp.normalize(plane, np.where(np.arange(plane.n_points) % 40 == k, 0.0, -np.inf)) for k in (0, 1)]
-    assert big[0].support().size * big[1].support().size > mp.metrics._TABLE_ELEMS
-    assert small[0].support().size * small[1].support().size <= mp.metrics._TABLE_ELEMS
+    assert big[0].support().size * big[1].support().size > mp.spaces._BLOCK_ELEMS
+    assert small[0].support().size * small[1].support().size <= mp.spaces._BLOCK_ELEMS
     calls = []
     for name in ("_plane_d1", "_directed_d1"):
         kernel = getattr(mp.metrics, name)

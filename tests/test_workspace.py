@@ -80,9 +80,8 @@ def test_large_allocations_of_a_verify_call_do_not_grow_with_its_chunks(monkeypa
 
     counts = []
     for share in (1, 2):
-        monkeypatch.setattr(mp.rng, "_BLOCK_DRAWS", mp.rng._BLOCK_DRAWS // share)
-        monkeypatch.setattr(mp.ifs, "_BLOCK_ELEMS", mp.ifs._BLOCK_ELEMS // share)
-        monkeypatch.setattr(mp.metrics, "_TABLE_ELEMS", mp.metrics._TABLE_ELEMS // share)
+        monkeypatch.setattr(mp.spaces, "_FRESH_ELEMS", mp.spaces._FRESH_ELEMS // share)
+        monkeypatch.setattr(mp.spaces, "_BLOCK_ELEMS", mp.spaces._BLOCK_ELEMS // share)
         monkeypatch.setattr(mp.metrics, "_line_layout", counted)
         counts.append(
             [
