@@ -140,8 +140,12 @@ def cmd_attractor(args) -> int:
     space = build_space(cfg)
     ifs = build_ifs(cfg, space, renormalize=args.renormalize)
     start = build_initial(cfg, space).support()
-    points = sorted(attractor(ifs, start))
     print(f"attractor: {args.config}")
+    try:
+        points = sorted(attractor(ifs, start))
+    except RuntimeError as exc:  # a non-contractive table can cycle: non-convergence
+        print(f"warning: {exc}", file=sys.stderr)
+        return 4
     print(f"attractor ({len(points)} points): {' '.join(str(i) for i in points)}")
     return 0
 

@@ -424,7 +424,7 @@ def attractor(ifs: MaxPlusIFS, start) -> frozenset[int]:
     Starting from the full space the sequence is decreasing and stabilizes
     within n steps; arbitrary starts of a contractive system also settle.
     A cycle without a fixed set (possible only for non-contractive tables)
-    raises after the iteration cap.
+    raises a RuntimeError after the iteration cap.
     """
     mask = np.zeros(ifs.space.n_points, dtype=bool)
     idx = ifs.space.point_indices(start, "attractor")

@@ -20,13 +20,15 @@
   a batch of pairs and an array of levels, each value the dense
   formula's maximum, bit for bit.  On the line every (pair, direction,
   level) row ranks the sources of the pair's merged supports by cone
-  envelopes in point order: all of them on middle levels and the points
-  near the top, per level, on flat levels, in padded blocks of frames of
-  similar length, and the dense formula finishes the sources ranked near
-  the top; each steep level takes one vector pass of the dense formula
-  over the sources that can win, kept once per pair, each against its two
-  nearest targets, with no block (O(levels * n) per pair, and a frame more
-  per finished source).
+  envelopes in point order: all of them on middle levels, and on flat
+  levels those of one of two frames per pair, each holding every point
+  at or above the reach -a D of each level it serves (the points below
+  can neither reach an inner maximum nor beat the top source), in padded
+  blocks of frames of similar length, and the dense formula finishes the
+  sources ranked near the top; each steep level takes one vector pass of
+  the dense formula over the sources that can win, kept once per pair,
+  each against its two nearest targets, with no block (O(levels * n) per
+  pair, and a frame more per finished source).
   Elsewhere one pass per pair and direction over the support distance
   table marks each source's staircase, and every level reads it alone
   (O(|s1| |s2| + levels * entries), bounded memory);
@@ -539,22 +541,23 @@ def _line_frames(both, x, starts, ends, pid, levels, ws):
     """The kind of each (pair, level) of the line kernel, and the frames of its blocks.
 
     both (l1, l2), x (shifted), starts, ends, pid and the workspace ws come
-    from _line_layout.  A (pair, level) is steep when a gmin > 2 spread and
-    flat when at most a quarter of the points reach -a D (gmin the least
-    gap, D the span, spread the depth of both densities), with margins of
-    2^-40 and 2^-1000.  Every other level is middle.  A middle frame is all
-    points of its pair, a flat frame the points of its pair at or above its
-    own level's reach -a D; steep rows read no frame (_line_steep).  The
-    flat frames of a pair are nested by reach: the loosest is built once,
-    and serves each flat level that all of its points reach; for the other
-    flat levels its points are ranked by level once, and each takes the
-    points that reach it, back in point order.  Returns the frames as runs
-    of elements (elements, first, length; elements end with size, the
-    table's column of levels -inf, and are taken from ws), the frame of
-    each (pair, level), -1 where steep, and spread and D per pair.  Why a
-    frame holds every source that can win and every target that can reach
-    its inner maximum is in _line_deltas.  A pair whose D and spread fail
-    _check_level at the largest level is refused.
+    from _line_layout.  A (pair, level) is steep when a gmin > 2 spread,
+    flat when at most a quarter of the points reach -a D, and tight when it
+    is flat and at most a thirty-second of them do (gmin the least gap, D
+    the span, spread the depth of both densities), with margins of 2^-40
+    and 2^-1000.  Every other level is middle.  Each pair has three frames:
+    the middle frame, all its points; the flat frame, its points at or
+    above the largest reach -a D of its flat levels; and the tight frame,
+    the same over its tight levels.  A tight level reads the tight frame,
+    any other flat level the flat frame, and steep rows read no frame
+    (_line_steep).  Each frame holds every point at or above its level's
+    own reach, which is all that the level's row needs: why, and why the
+    extra points never change the row, is in _line_deltas.  Returns the
+    frames as runs of elements (elements, first, length; elements end with
+    size, the table's column of levels -inf, and are taken from ws), the
+    frame of each (pair, level), -1 where steep, and spread and D per pair.
+    A pair whose D and spread fail _check_level at the largest level is
+    refused.
     """
     k, m, size = starts.size, ends - starts, x.size
     span = x[ends - 1]
@@ -574,7 +577,8 @@ def _line_frames(both, x, starts, ends, pid, levels, ws):
         a, d, w = levels[None, :], spread[:, None], span[:, None]
         steep = a * gmin > _steep_bound(a, d, w)
         reach = a * w * (1.0 + _MARGIN) + _TINY
-        # the (m // 4 + 1)-th largest of max(l1, l2), by a sort of padded rows
+        # the (m // 4 + 1)-th and (m // 32 + 1)-th largest of max(l1, l2), by a
+        # sort of padded rows
         top = np.maximum(both[0], both[1], out=ws.take(size))
         wide = int(m.max())
         table = ws.take((k, wide))
@@ -582,41 +586,22 @@ def _line_frames(both, x, starts, ends, pid, levels, ws):
         table[np.less(np.arange(wide), m[:, None], out=ws.take((k, wide), bool))] = top
         table.sort(axis=1)
         flat = ~steep & (reach < -table[np.arange(k), -1 - m // 4, None])
+        tight = flat & (reach < -table[np.arange(k), -1 - m // 32, None])
         middle = ~steep & ~flat
-        # each pair's loosest flat frame: its points at or above the largest flat reach
-        bar = -np.max(np.where(flat, reach, -np.inf), axis=1)
-        bar = np.take(bar, pid, out=ws.take(size), mode="clip")
-        loose = np.flatnonzero(np.greater_equal(top, bar, out=ws.take(size, bool)))
-        level = top[loose]
-    owner = pid[loose]
-    count = np.bincount(owner, minlength=k)
-    begin = np.cumsum(count) - count
-    # the loose points by pair, then by level, highest first (ties share a
-    # rank), through sorted integer keys: a flat level's points are a prefix
-    # of its pair's run, cut where the ranks of the levels at or above its
-    # reach end
-    neg = np.sort(-level)
-    key = owner * loose.size + np.searchsorted(neg, -level)
-    ranked = np.sort(key * loose.size + np.arange(loose.size))
-    key = ranked // loose.size
-    ranked %= loose.size
-    fp, fl = np.nonzero(flat)
-    cut = np.searchsorted(neg, reach[fp, fl], side="right")
-    kept = np.searchsorted(key, fp * loose.size + cut) - begin[fp]
-    part = kept < count[fp]  # the loosest frame serves the flat levels that all of it reaches
-    fp, fl, kept = fp[part], fl[part], kept[part]
-    cell = np.repeat(np.arange(fp.size), kept)
-    at = np.sort(cell * size + loose[ranked[_runs(begin[fp], kept)]]) - cell * size
-    elements = ws.take(size + loose.size + at.size + 1, np.intp)
+        kept = []  # the points of the flat, then the tight, frames, by pair
+        for kind in (flat, tight):
+            bar = -np.max(np.where(kind, reach, -np.inf), axis=1)  # inf where none
+            bar = np.take(bar, pid, out=ws.take(size), mode="clip")
+            kept.append(np.flatnonzero(np.greater_equal(top, bar, out=ws.take(size, bool))))
+    elements = ws.take(size + kept[0].size + kept[1].size + 1, np.intp)
     _count_up(elements[:size])  # every point of every pair: the middle frames
-    elements[size : size + loose.size] = loose
-    elements[size + loose.size : -1] = at
+    np.concatenate(kept, out=elements[size:-1])
     elements[-1] = size
-    has_middle = middle.any(axis=1)
-    length = np.concatenate([np.where(has_middle, m, 0), count, kept])
-    first = np.concatenate([starts, size + begin, size + loose.size + np.cumsum(kept) - kept])
-    frame = np.where(middle, np.arange(k)[:, None], np.where(flat, k + np.arange(k)[:, None], -1))
-    frame[fp, fl] = 2 * k + np.arange(fp.size)
+    length = np.concatenate([m, *(np.bincount(pid[f], minlength=k) for f in kept)])
+    first = np.cumsum(length) - length
+    length[:k] *= middle.any(axis=1)
+    p = np.arange(k)[:, None]
+    frame = np.where(tight, 2 * k + p, np.where(flat, k + p, np.where(middle, p, -1)))
     return elements, first, length, frame, spread, span
 
 
@@ -727,9 +712,12 @@ def _line_deltas(space, pairs, levels) -> np.ndarray:
     in that band is finished by the dense formula's own arithmetic over
     the frame's targets, and the row is the largest of them.  The frame
     is all merged points on middle levels.  On flat levels it is the
-    points at or above the level's own reach -a D: every other target
-    stays below the top target's term at every point, and every other
-    source stays below 0, which the top source reaches.  Steep rows take
+    pair's flat or tight frame, which holds every point at or above the
+    level's own reach -a D: a target below that reach, in the frame or
+    not, stays below the top target's term at every point, so never
+    reaches an inner maximum, and a source below it stays below 0, which
+    the top source reaches.  So a frame cut at a looser level's reach,
+    which holds more points, gives the same row.  Steep rows take
     no frame: _line_steep keeps the sources that can win once per pair and
     reads, per steep level, each kept source's two nearest targets.
     The margins cover every rounding these bounds skip, so each row is the

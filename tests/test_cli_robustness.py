@@ -278,3 +278,35 @@ def test_infinite_render_floor_is_refused(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "--floor must be finite and negative" in err and "Traceback" not in err
     assert not (tmp_path / "d.pgm").exists()
+
+
+SWAP_CFG = """[space]
+kind = matrix
+size = 2
+row = 0 1
+row = 1 0
+
+[ifs]
+map = table 1 0
+weights = 0
+
+[initial]
+kind = dirac
+index = 0
+
+[run]
+max_iter = 50
+out = swap.density
+"""
+
+
+def test_attractor_that_cycles_is_non_convergence(tmp_path, capsys):
+    # the swap of two points sends {0} to {1} and back: the set iteration
+    # never settles, and its RuntimeError escaped as a traceback (exit 1)
+    cfg = tmp_path / "swap.cfg"
+    cfg.write_text(SWAP_CFG)
+    assert main(["attractor", str(cfg)]) == 4
+    captured = capsys.readouterr()
+    assert captured.err == "warning: set iteration did not stabilize; system may not contract\n"
+    assert main(["solve", str(cfg)]) == 4
+    assert capsys.readouterr().err.startswith("warning: no fixed point within 50 iterations")

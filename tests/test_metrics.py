@@ -1314,7 +1314,10 @@ def test_line_dual_frames_keep_the_winning_source_at_each_bound():
     # a source gmin from its target wins; a steep level (a gmin = 3 spread),
     # where a source 1.5 gmin from its target beats the farthest one, 2 gmin
     # from its own; and a flat level, where the top source loses to a point
-    # at -0.7 a D
+    # at -0.7 a D; and on 64 points, tight levels 0.0125 and 0.025 (at most 2
+    # points reach -a D), where a source at -0.75 a D of the larger wins but
+    # lies below the reach of the smaller, and a flat level 0.05 (3 points),
+    # where a source at -0.6 a D, below the tight reach, wins
     def pair(x, lam1, lam2):
         space = mp.FiniteMetricSpace.from_coords(np.array(x, dtype=float))
         return space, mp.IdempotentMeasure(space, lam1), mp.IdempotentMeasure(space, lam2)
@@ -1326,6 +1329,10 @@ def test_line_dual_frames_keep_the_winning_source_at_each_bound():
             [1.5, 3.0],
         ),
         (pair(np.arange(16.0), [0.0] + [-5.0] * 14 + [-0.105], [0.0] + [-5.0] * 15), [0.01, 0.005]),
+        (
+            pair(np.arange(64.0), [0.0] + [-5.0] * 47 + [-1.18125] + [-5.0] * 14 + [-1.89], [0.0] + [-5.0] * 63),
+            [0.0125, 0.025, 0.05, 0.1],
+        ),
     ]
     for (space, m1, m2), levels in cases:
         levels = np.array(levels)

@@ -419,6 +419,30 @@ def test_metric_on_mutated_files_exits_0_or_2_naming_a_file(tmp_path, capsys, n,
         assert np.isfinite(float(out)) and err == ""
 
 
+@settings(PROPERTY, max_examples=100)
+@given(st.integers(1, 5), st.data())
+def test_solve_and_attractor_of_table_systems_exit_0_or_4(tmp_path, capsys, n, data):
+    # arbitrary tables need not contract: the fixed-point loop and the set
+    # iteration may cycle, which is non-convergence (4), never a traceback
+    n_maps = data.draw(st.integers(1, 3))
+    maps = [data.draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n)) for _ in range(n_maps)]
+    weights = [0.0] + [-data.draw(st.sampled_from([0.0, 0.5, 2.0])) for _ in range(n_maps - 1)]
+    start = data.draw(st.sampled_from(["uniform"] + [f"dirac\nindex = {i}" for i in range(n)]))
+    rows = [" ".join("0" if i == j else "1" for j in range(n)) for i in range(n)]
+    cfg = tmp_path / "table.cfg"
+    cfg.write_text(
+        f"[space]\nkind = matrix\nsize = {n}\n" + "".join(f"row = {r}\n" for r in rows)
+        + "[ifs]\n" + "".join(f"map = table {' '.join(map(str, t))}\n" for t in maps)
+        + f"weights = {' '.join(map(str, weights))}\n[initial]\nkind = {start}\n"
+        + "[run]\nmax_iter = 50\nout = table.density\n"
+    )
+    for command in ("solve", "attractor"):
+        code = main([command, str(cfg)])
+        err = capsys.readouterr().err
+        assert code in (0, 4), (command, err)
+        assert err == "" if code == 0 else err.startswith("warning: ")
+
+
 # --- the batched line d1 kernel -----------------------------------------------
 
 @st.composite

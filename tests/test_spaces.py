@@ -113,6 +113,16 @@ def test_from_coords_coincidence_is_computed_distance_zero():
         mp.FiniteMetricSpace.from_coords([[0.0, 0.0], [0.0, 2e-162], [0.0, 1e-162]])
 
 
+def test_points_chained_on_every_axis_without_a_twin_are_accepted():
+    # steps of 1e-162 square to 0, so the four points form one run on axis 0
+    # and, sorted inside it, one on axis 1; yet every pair is at least
+    # 2e-162 apart on some axis, whose square is a subnormal above 0
+    coords = np.array([[0.0, 1.0], [1.0, 3.0], [2.0, 0.0], [3.0, 2.0]]) * 1e-162
+    assert mp.spaces._coincident_pair(coords, None) is None
+    assert coincident_pair_kdtree(coords) is None
+    assert mp.FiniteMetricSpace.from_coords(coords).n_points == 4
+
+
 def test_line_coincidence_names_the_pair_of_a_radius_zero_pair_query():
     # one sort on the line refuses exactly the pairs whose squared gap is 0
     # (a gap below about 1.57e-162 squares to 0), and names the least pair,

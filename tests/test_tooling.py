@@ -17,7 +17,9 @@ passes one.
 
 Both line kernels, ``d1`` and the dual series, lay their chunks of pairs
 out through one helper, ``metrics._line_layout``; a second layout must not
-come back beside it.
+come back beside it.  The dual series' line kernel reads three frames per
+pair of a chunk (all its points, and the points that reach its flat or its
+tight levels); a frame per flat level must not come back.
 
 Off the line, a 2-D or 3-D pair takes the plane kernel ``metrics._plane_d1``
 only when its support table would pass one block of ``spaces._BLOCK_ELEMS``
@@ -36,6 +38,7 @@ from pathlib import Path
 import numpy as np
 
 import maxplus_ifs as mp
+from conftest import cantor_ifs
 
 ROOT = Path(__file__).resolve().parent.parent
 TRACING = ROOT / "perfbench" / "tracing.py"
@@ -148,6 +151,31 @@ def test_both_line_kernels_read_one_layout(monkeypatch):
         monkeypatch.setattr(mp.spaces, "_BLOCK_ELEMS", budget)
         assert run() == want
     assert np.all(np.array(want) > 0.0)
+
+
+def test_line_dual_kernel_builds_three_frames_per_pair(monkeypatch):
+    # the verify batch of seed 0 on the 730-point Cantor grid, in chunks of
+    # about 9 pairs: every chunk has 3 k frames, and its rows read all kinds
+    ifs = cantor_ifs(6)
+    measures = mp.random_measures(ifs.space, mp.Lcg64(0), 80, 0.7, 3.0, ifs.exactly_mapped_points())
+    images = mp.markov_many(ifs, measures)
+    pairs = list(zip(measures[::2], measures[1::2])) + list(zip(images[::2], images[1::2]))
+    frames, seen = mp.metrics._line_frames, []
+
+    def kept(both, x, starts, *args):
+        out = frames(both, x, starts, *args)
+        seen.append((starts.size, out[2].size, out[3]))
+        return out
+
+    monkeypatch.setattr(mp.metrics, "_line_frames", kept)
+    monkeypatch.setattr(mp.spaces, "_BLOCK_ELEMS", 1 << 14)
+    mp.series_distances(pairs, mp.SeriesParams(alpha=1 / 3, q=0.5, tol=1e-6))
+    assert len(seen) > 4
+    kinds = set()
+    for k, length, frame in seen:
+        assert length == 3 * k
+        kinds |= set(np.unique(np.where(frame < 0, -1, frame // k), return_counts=True)[0].tolist())
+    assert kinds == {-1, 0, 1, 2}  # steep, middle, flat and tight rows
 
 
 def test_plane_pairs_take_the_plane_kernel_by_support_size(monkeypatch):
