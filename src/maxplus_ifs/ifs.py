@@ -3,14 +3,14 @@
 Maps are explicit point tables on a finite space.  A map may carry a
 contraction witness (a comparison function); the discrete certificate
 d(f(i), f(j)) <= witness(d(i, j)) is then verified over all pairs at
-construction and violations abort with the worst pair.  Snapping a
-continuous affine contraction to a grid can and does break the discrete
-certificate (any non-constant map on a uniform grid moves some adjacent
-pair a full grid step), so snapped maps carry the continuous constant in
-`declared_lip` and per-point snap errors instead of a witness.  The Markov
-operator steps a list of measures at once (`markov_many`: one
-`maximum.at` scatter per map over their stacked densities); `markov` is a
-list of one.
+construction, in the pass that computes the discrete Lipschitz constant,
+and violations abort with the worst pair.  Snapping a continuous affine
+contraction to a grid can and does break the discrete certificate (any
+non-constant map on a uniform grid moves some adjacent pair a full grid
+step), so snapped maps carry the continuous constant in `declared_lip` and
+per-point snap errors instead of a witness.  The Markov operator steps a
+list of measures at once (`markov_many`: one `maximum.at` scatter per map
+over their stacked densities); `markov` is a list of one.
 """
 
 from __future__ import annotations
@@ -73,9 +73,9 @@ class ContractionMap:
     computed here unless a trusted value is supplied: on 1-D Euclidean
     spaces from neighbours in the space's point order (O(n); the triangle
     inequality makes it the all-pairs maximum), elsewhere from all pairs
-    in one sweep over the space's row blocks (O(n^2)).  Witness
-    certificates are always checked on all pairs, in a second sweep: a
-    concave witness does not add up along neighbours.
+    (O(n^2)).  Witness certificates are always checked on all pairs (a
+    concave witness does not add up along neighbours), in the same pass
+    over the row blocks of image distances.
     `declared_lip` is an externally known constant (e.g. of the continuous
     map a snapped table approximates); it is reported, never used as a
     certificate.
@@ -97,47 +97,45 @@ class ContractionMap:
             raise ValueError("target table leaves the space")
         tgt.flags.writeable = False
         object.__setattr__(self, "target", tgt)
-        if self.discrete_lip is None:
-            object.__setattr__(self, "discrete_lip", self._compute_lip())
-        if verify and self.witness is not None:
-            self._verify_certificate()
+        if self.discrete_lip is None or (verify and self.witness is not None):
+            object.__setattr__(self, "discrete_lip", self._sweep(self.witness if verify else None))
 
-    def _compute_lip(self) -> float:
-        space = self.space
-        if space.n_points == 1:
-            return 0.0
-        if space.line:
-            # on the line the steepest pair is a neighbouring one: a pair's
-            # image distance is at most the sum over the neighbours between
+    def _sweep(self, witness: ComparisonFunction | None) -> float:
+        """discrete_lip (unless trusted) and the witness check (if any), in one pass.
+
+        Each row block of image distances gives the ratios and the gaps above
+        the witness.  Tables are bit-symmetric, so a gap below the diagonal
+        equals its mirror in an earlier row, and a gap on it is d(f(i), f(i))
+        - witness(0) = 0, never above the starting worst: with no mask, the
+        first maximum over whole rows that beats the earlier blocks is the
+        first worst pair i < j in row-major order."""
+        space, target, lip = self.space, self.target, self.discrete_lip
+        if lip is None and space.line:
+            # a pair's image distance is at most the sum over the neighbours between
             x, order = space.coords[:, 0], space.order
-            return float(np.max(np.abs(np.diff(x[self.target[order]])) / np.diff(x[order])))
-        blocks = []
+            lip = float(np.max(np.abs(np.diff(x[target[order]])) / np.diff(x[order]), initial=0.0))
+            if witness is None:
+                return lip
+        worst, pair, ratios = 0.0, None, []
         for rows, d_in in space._row_blocks():
-            d_in[np.arange(rows.size), rows] = np.inf  # i = j contributes 0
-            ratio = space.distance_submatrix(self.target[rows], self.target)
-            ratio /= d_in  # in place: a block holds at most 2^18 floats
-            blocks.append(ratio.max())
-        return float(np.max(blocks))  # NaN from non-finite distances propagates
-
-    def _verify_certificate(self) -> None:
-        space = self.space
-        n = space.n_points
-        worst, pair = 0.0, None
-        for rows, d_in in space._row_blocks():
-            gap = space.distance_submatrix(self.target[rows], self.target)
-            gap -= self.witness(d_in)
-            gap[np.arange(n) <= rows[:, None]] = -np.inf  # pairs i < j only
-            k = int(np.argmax(gap))  # first maximum in row-major order
-            if gap.flat[k] > worst:
-                worst, pair = float(gap.flat[k]), (int(rows[k // n]), k % n)
+            d_out = space.distance_submatrix(target[rows], target)
+            if witness is not None:
+                slack = witness(d_in) - d_out  # the gaps, negated
+                k = int(np.argmin(slack))  # first worst gap in row-major order
+                if -slack.flat[k] > worst:
+                    worst, pair = float(-slack.flat[k]), (int(rows[k // target.size]), k % target.size)
+            if lip is None:
+                d_in[np.arange(rows.size), rows] = np.inf  # i = j contributes 0
+                ratios.append(np.divide(d_out, d_in, out=d_out).max())  # in place
         if pair is not None and worst > _CERT_SLACK * max(1.0, space.diameter()):
             i, j = pair
             raise CertificateError(
                 "contraction certificate fails: "
-                f"d(f({i}), f({j})) = {space.dist(self.target[i], self.target[j]):.6g} "
-                f"> witness(d({i}, {j})) = {float(self.witness(space.dist(i, j))):.6g} "
+                f"d(f({i}), f({j})) = {space.dist(target[i], target[j]):.6g} "
+                f"> witness(d({i}, {j})) = {float(witness(space.dist(i, j))):.6g} "
                 f"(worst pair ({i}, {j}))"
             )
+        return float(np.max(ratios)) if lip is None else lip
 
     def __call__(self, mu: IdempotentMeasure) -> IdempotentMeasure:
         return pushforward(mu, self.target, self.space)

@@ -22,22 +22,23 @@ from .semiring import NEG_INF
 from .spaces import FiniteMetricSpace
 
 
-def _as_density(space: FiniteMetricSpace, values, rows: bool = False) -> np.ndarray:
-    """values as a float array of one density, or of one per row if rows."""
+def _as_density(space: FiniteMetricSpace, values, rows: bool = False):
+    """values as a float array of one density, or of one per row if rows, and their maxima."""
     arr = np.array(values, dtype=float)
     if arr.ndim != 1 + rows or arr.shape[-1:] != (space.n_points,):
         raise ValueError(
             f"density must have one entry per point ({space.n_points}), got {arr.shape[rows:]}"
         )
-    if np.any(np.isnan(arr)) or np.any(arr == np.inf):
+    top = arr.max(axis=-1)
+    if not np.all(top < np.inf):  # a NaN or +inf entry is its density's maximum
         raise ValueError("density entries must be in [-inf, 0]")
-    return arr
+    return arr, top
 
 
 def _normalized(space: FiniteMetricSpace, values, rows: bool = False) -> np.ndarray:
     """_as_density, read-only, after checking that each density tops at exactly 0."""
-    arr = _as_density(space, values, rows)
-    if np.any(arr.max(axis=-1) != 0.0):  # NaN is refused, so no entry is above 0 either
+    arr, top = _as_density(space, values, rows)
+    if np.any(top != 0.0):
         raise ValueError("density maximum must be exactly 0; use normalize()")
     arr.flags.writeable = False
     return arr
@@ -114,8 +115,7 @@ def normalize(space: FiniteMetricSpace, raw) -> IdempotentMeasure:
 
     Rejects the all-bottom table, which is the density of no measure.
     """
-    arr = _as_density(space, raw)
-    top = arr.max()
+    arr, top = _as_density(space, raw)
     if top == NEG_INF:
         raise ValueError("cannot normalize an all--inf density")
     return IdempotentMeasure(space, arr - top)  # -inf - top stays -inf
@@ -276,7 +276,7 @@ def read_density_file(path, space: FiniteMetricSpace | None = None) -> Idempoten
     if not lines or not lines[0].startswith("space "):
         raise ValueError(f"{path}: missing 'space <n>' header")
     head = lines[0].split()
-    if len(head) < 2 or not _INDEX.fullmatch(head[1]):
+    if len(head) < 2 or not _INDEX.fullmatch(head[1]) or int(head[1]) < 0:
         raise ValueError(f"{path}: bad space header: {lines[0]!r}")
     n = int(head[1])
     if space is not None and space.n_points != n:

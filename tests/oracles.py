@@ -118,6 +118,45 @@ def all_pairs_lip(space, target) -> float:
     return best
 
 
+def two_sweep_lip(space, target) -> float:
+    """discrete_lip in a sweep of its own: from neighbours on the line, else by row blocks."""
+    if space.n_points == 1:
+        return 0.0
+    if space.line:
+        x, order = space.coords[:, 0], space.order
+        return float(np.max(np.abs(np.diff(x[target[order]])) / np.diff(x[order])))
+    blocks = []
+    for rows, d_in in space._row_blocks():
+        d_in[np.arange(rows.size), rows] = np.inf
+        ratio = space.distance_submatrix(target[rows], target)
+        ratio /= d_in
+        blocks.append(ratio.max())
+    return float(np.max(blocks))
+
+
+def two_sweep_certificate(space, target, witness):
+    """The CertificateError message of a witness, or None, in a sweep of its own
+    over the pairs i < j (the lower triangle masked), by row blocks."""
+    n = space.n_points
+    worst, pair = 0.0, None
+    for rows, d_in in space._row_blocks():
+        gap = space.distance_submatrix(target[rows], target)
+        gap -= witness(d_in)
+        gap[np.arange(n) <= rows[:, None]] = -np.inf
+        k = int(np.argmax(gap))
+        if gap.flat[k] > worst:
+            worst, pair = float(gap.flat[k]), (int(rows[k // n]), k % n)
+    if pair is None or worst <= mp.ifs._CERT_SLACK * max(1.0, space.diameter()):
+        return None
+    i, j = pair
+    return (
+        "contraction certificate fails: "
+        f"d(f({i}), f({j})) = {space.dist(target[i], target[j]):.6g} "
+        f"> witness(d({i}, {j})) = {float(witness(space.dist(i, j))):.6g} "
+        f"(worst pair ({i}, {j}))"
+    )
+
+
 def coincident_pair_kdtree(coords):
     """Least pair i < j at computed distance 0, by a radius-0 k-d tree pair query."""
     from scipy.spatial import cKDTree
@@ -187,6 +226,8 @@ def read_density_file_lines(path, space=None):
         raise ValueError(f"{path}: missing 'space <n>' header")
     try:
         n = int(lines[0].split()[1])
+        if n < 0:
+            raise ValueError("negative point count")
     except (IndexError, ValueError) as exc:
         raise ValueError(f"{path}: bad space header: {lines[0]!r}") from exc
     if space is not None and space.n_points != n:

@@ -574,6 +574,13 @@ def test_verify_certificate_failure_exit_code(tmp_path, capsys):
         ),
     )
     assert main(["verify", str(cfg)]) == 3
+    # run as a module, the interpreter exits with main's code
+    src = str(Path(mp.__file__).resolve().parent.parent)
+    done = subprocess.run(
+        [sys.executable, "-m", "maxplus_ifs.cli", "verify", str(cfg)],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, cwd=tmp_path,
+    )
+    assert done.returncode == 3 and done.stderr.startswith("certificate failure:"), done.stderr
 
 
 def test_verify_without_a_contraction_factor_exits_3(tmp_path, capsys):
@@ -626,19 +633,19 @@ weights = 0
 
 
 def test_witnessed_affine_map_computes_discrete_lip_once(tmp_path, monkeypatch):
-    calls = []
-    compute = mp.ContractionMap._compute_lip
+    calls = []  # per pass: whether it computes the constant
+    sweep = mp.ContractionMap._sweep
 
-    def counted(self):
-        calls.append(self)
-        return compute(self)
+    def counted(self, witness):
+        calls.append(self.discrete_lip is None)
+        return sweep(self, witness)
 
-    monkeypatch.setattr(mp.ContractionMap, "_compute_lip", counted)
+    monkeypatch.setattr(mp.ContractionMap, "_sweep", counted)
     cfg = _write(tmp_path, "plane.cfg", WITNESSED_PLANE_CFG.format(matrix="0 0 0 0"))
     raw = mp.config.parse_config(str(cfg))
     space = mp.config.build_space(raw)
     (m,) = mp.config.build_ifs(raw, space).maps
-    assert len(calls) == 1
+    assert calls == [True, False]  # snap_affine's constant, then the witness alone
     assert m.witness == mp.ComparisonFunction("linear", 0.5) and m.discrete_lip == 0.0
     assert m.declared_lip == 0.0 and m.snap_error is not None
     # the witness is still checked: a snapped half-scaling breaks it (exit 3)
@@ -646,7 +653,7 @@ def test_witnessed_affine_map_computes_discrete_lip_once(tmp_path, monkeypatch):
     raw = mp.config.parse_config(str(cfg))
     with pytest.raises(mp.CertificateError):
         mp.config.build_ifs(raw, space)
-    assert len(calls) == 2
+    assert calls == [True, False] * 2
 
 
 def test_config_parse_error_reports_line(tmp_path, capsys):

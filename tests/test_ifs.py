@@ -149,6 +149,25 @@ def test_certificate_failure_reports_worst_pair():
     assert str(err.value).endswith("= 5 > witness(d(9, 10)) = 0.5 (worst pair (9, 10))")
 
 
+def test_witnessed_table_map_reads_the_row_blocks_in_one_pass(monkeypatch):
+    # the constant and the certificate come from one sweep of the image distances
+    blocks = mp.FiniteMetricSpace._row_blocks
+    passes = []
+
+    def counted(self, *args):
+        passes.append(self)
+        return blocks(self, *args)
+
+    monkeypatch.setattr(mp.FiniteMetricSpace, "_row_blocks", counted)
+    rational = mp.ComparisonFunction("rational", 1.0)
+    for space in (random_matrix_space(np.random.default_rng(3), 12), mp.build_grid([0, 0], [1, 1], [9, 9])):
+        passes.clear()
+        m = mp.ContractionMap(space, np.full(space.n_points, 5), witness=rational)
+        assert passes == [space] and m.discrete_lip == 0.0
+    assert not hasattr(mp.ContractionMap, "_compute_lip")
+    assert not hasattr(mp.ContractionMap, "_verify_certificate")
+
+
 def test_contraction_map_validation():
     g = mp.build_grid([0], [1], [2])
     with pytest.raises(ValueError):

@@ -65,6 +65,16 @@ def test_measures_from_rows_equal_one_by_one_and_refuse_alike():
     with pytest.raises(ValueError) as batch:
         mp.IdempotentMeasure.from_rows(g, np.zeros((3, 6)))
     assert str(batch.value) == str(one.value)
+    # NaN or +inf anywhere is named before a maximum other than 0
+    with pytest.raises(ValueError, match=re.escape("density entries must be in [-inf, 0]")):
+        mp.IdempotentMeasure.from_rows(g, [[-1.0] * 7, [0.0] * 6 + [float("nan")]])
+
+
+def test_measures_compare_and_hash_by_space_and_density():
+    g = mp.build_grid([0], [1], [3])
+    mu, same = mp.dirac(g, 1), mp.IdempotentMeasure(g, [NEG, 0.0, NEG, NEG])
+    assert mu.__eq__(0) is NotImplemented and (mu == 0) is False
+    assert mu == same and hash(mu) == hash(same) and len({mu, same}) == 1
 
 
 def test_dirac_and_integrate_examples():
@@ -401,12 +411,15 @@ def test_an_index_spelled_as_a_float_is_refused_whatever_numpy_parses(tmp_path, 
 
 
 def test_the_space_count_is_read_in_numpys_integer_grammar(tmp_path):
-    # Python's int also reads these; the point lines are judged the same way
+    # Python's int also reads these (a negative count too, refused as a header);
+    # the point lines are judged the same way
     p = tmp_path / "py.density"
-    for count in ("\u0662", "0_2", "2.0", "+"):
+    for count in ("\u0662", "0_2", "2.0", "+", "-3"):
         p.write_text(f"space {count}\n0 0.0 0\n1 1.0 -1\n", encoding="utf-8")
         with pytest.raises(ValueError, match=re.escape(f"py.density: bad space header: 'space {count}'")):
             mp.read_density_file(p)
+    with pytest.raises(ValueError, match=re.escape("py.density: bad space header: 'space -3'")):
+        read_density_file_lines(p)  # the line parser refuses a negative count the same way
     p.write_text("space +02\n0 0.0 0\n1 1.0 -1\n")
     assert mp.read_density_file(p).space.n_points == 2
 

@@ -1120,10 +1120,20 @@ def _loop_terms(diam, q, tol):
 def test_series_terms_closed_form_matches_loop():
     for diam in (1e-3, 1.0, np.sqrt(2), 7.5):
         for q in (0.01, 0.3, 0.5, 0.9, 0.99):
-            for tol in (1e-2, 1e-6, 1e-9, 1e-12, 2.0 * diam * q / (1.0 - q)):
+            # one ulp below a term boundary the estimate can fall short of the
+            # count (diam 1, q 0.3: -2.2e-16 for N = 1), and the step up settles it
+            below = [np.nextafter(2.0 * diam * q ** (k + 1) / (1.0 - q), 0.0) for k in range(3)]
+            for tol in (1e-2, 1e-6, 1e-9, 1e-12, 2.0 * diam * q / (1.0 - q), *below):
                 params = SeriesParams(alpha=0.9, q=q, tol=tol)
                 assert params.n_terms(diam) == _loop_terms(diam, q, tol)
     assert SeriesParams(alpha=0.5, q=0.5, tol=1e-9).n_terms(0.0) == 0
+    assert SeriesParams(alpha=0.9, q=0.3, tol=np.nextafter(2 * 0.3 / 0.7, 0)).n_terms(1.0) == 1
+
+
+def test_series_of_no_pairs_and_of_a_one_point_space():
+    assert mp.series_distances([], SeriesParams(alpha=0.5, q=0.5, tol=1e-6)) == []
+    point = mp.dirac(mp.FiniteMetricSpace.from_coords([[0.0, 0.0]]), 0)
+    assert mp.harmonic_series_distance(point, point, 1e-6) == mp.SeriesValue(0.0, 0.0, 0)
 
 
 def test_series_near_one_q_and_tiny_tol():

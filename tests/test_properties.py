@@ -29,6 +29,8 @@ from oracles import (
     random_measure_scalar,
     read_density_file_lines,
     threshold_d1,
+    two_sweep_certificate,
+    two_sweep_lip,
     write_density_file_lines,
 )
 
@@ -125,6 +127,69 @@ def test_stacked_markov_step_equals_the_step_of_each_measure(case):
         oplus = mp.weighted_oplus(ifs.weights, [m(mu) for m in ifs.maps])
         assert _bits(out.density) == _bits(oplus.density) == _bits(mp.markov(ifs, mu).density)
         assert mp.integrate(out, f) == mp.integrate(mu, mp.markov_dual(ifs, f))
+
+
+# --- the discrete Lipschitz constant and the witness certificate ----------------
+
+DEFAULT_BLOCK = mp.spaces._BLOCK_ELEMS
+
+
+@st.composite
+def witnessed_maps(draw):
+    """A table map on a matrix space, 1-D to 3-D points, a 1-D or 2-D grid or
+    a product of matrices; random, onto a few points, or a snapped scaling
+    (a near miss of a witness); with no witness, a linear or a rational one;
+    and a row-block budget of the default or a tiny one."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["matrix", "1-D", "2-D", "3-D", "1-D grid", "2-D grid", "product"]))
+    if kind == "matrix":
+        space = random_matrix_space(rng, draw(st.integers(2, 29)))
+    elif kind == "product":
+        space = mp.product(*(random_matrix_space(rng, draw(st.integers(2, 5))) for _ in "ab"))
+    elif kind == "1-D grid":
+        space = mp.build_grid([0.0], [1.0], [draw(st.integers(1, 60))])
+    elif kind == "2-D grid":
+        space = mp.build_grid([0.0, 0.0], [1.0, 1.0], [draw(st.integers(1, 12)) for _ in "xy"])
+    else:
+        dim, n = int(kind[0]), draw(st.integers(2, 119))
+        if draw(st.booleans()):  # lattice points: many tied distances
+            side = {1: 200, 2: 15, 3: 6}[dim]
+            cells = rng.choice(side**dim, min(n, side**dim), replace=False)
+            x = np.stack(np.unravel_index(cells, (side,) * dim), axis=1).astype(float)
+            x *= draw(st.sampled_from([1.0, 0.1]))
+        else:
+            x = rng.uniform(-10.0, 10.0, (n, dim))
+        space = mp.FiniteMetricSpace.from_coords(x)
+    n = space.n_points
+    how = draw(st.sampled_from(["random", "few"] + (["snapped"] if space.coords is not None else [])))
+    if how == "snapped":
+        c, lo = draw(st.sampled_from([0.1, 1 / 3, 0.5, 0.9])), space.coords.min(axis=0)
+        target = mp.snap_affine(space, c * np.eye(lo.size), (1.0 - c) * lo).target
+    else:
+        target = rng.integers(0, n if how == "random" else draw(st.integers(1, min(3, n))), n)
+    witnesses = [None, ("linear", 0.3), ("linear", 0.5), ("linear", 0.99)]
+    witnesses += [("rational", 0.1), ("rational", 1.0), ("rational", 10.0)]
+    witness = draw(st.sampled_from(witnesses))
+    witness = witness and mp.ComparisonFunction(*witness)
+    return space, target, witness, draw(st.sampled_from([DEFAULT_BLOCK, 7]))
+
+
+@settings(PROPERTY, max_examples=300)
+@given(witnessed_maps())
+def test_one_pass_equals_the_two_sweeps(monkeypatch, case):
+    # discrete_lip float.hex-equal, every CertificateError message byte-identical
+    space, target, witness, block = case
+    monkeypatch.setattr(mp.spaces, "_BLOCK_ELEMS", block)
+    lip = two_sweep_lip(space, target)
+    message = witness and two_sweep_certificate(space, target, witness)
+    assert mp.ContractionMap(space, target).discrete_lip.hex() == lip.hex()
+    for given_lip in (None, lip):  # computed in the pass, or trusted
+        try:
+            m = mp.ContractionMap(space, target, witness, discrete_lip=given_lip)
+        except mp.CertificateError as exc:
+            assert str(exc) == message
+        else:
+            assert message is None and m.discrete_lip.hex() == lip.hex()
 
 
 # --- writer and reader round trip ---------------------------------------------------

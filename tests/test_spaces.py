@@ -391,6 +391,9 @@ def test_distance_matrix_cache_keeps_the_space_kind():
     explicit = mp.FiniteMetricSpace.from_matrix([[0.0, 1.0], [1.0, 0.0]])
     assert explicit.distance_matrix() is explicit.distance_matrix()
     assert repr(explicit) == "FiniteMetricSpace(n=2, kind=matrix)"
+    assert repr(mp.product(grid, explicit)) == (
+        "ProductSpace(FiniteMetricSpace(n=5, kind=grid) x FiniteMetricSpace(n=2, kind=matrix))"
+    )
 
 
 def test_grid_rejects_non_finite_bounds():

@@ -28,11 +28,14 @@ ring search the plane kernel replaced must not come back beside it.
 
 Every public function of ``tests/oracles.py`` is imported by a test module,
 so a reference route that no test reads any more goes with its last test.
+
+The library example in ``README.md`` runs as written.
 """
 
 import ast
 import importlib
 import importlib.util
+import re
 from pathlib import Path
 
 import numpy as np
@@ -218,3 +221,11 @@ def test_every_oracle_is_imported_by_a_test_module():
             if isinstance(node, ast.ImportFrom) and node.module == "oracles":
                 imported |= {alias.name for alias in node.names}
     assert public - imported == set()
+
+
+def test_the_readme_library_example_runs(capsys):
+    text = (ROOT / "README.md").read_text()
+    (example,) = re.findall(r"```python\n(.*?)```", text, flags=re.S)
+    exec(compile(example, "README.md", "exec"), {})
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 2 and float(lines[0]) > 0.0 and lines[1].startswith("SeriesValue(")

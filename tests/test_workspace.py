@@ -65,7 +65,8 @@ def _large_allocations(call, *args) -> int:
 def test_large_allocations_of_a_verify_call_do_not_grow_with_its_chunks(monkeypatch):
     # per call on the seed-0 batch: sampling none (blocks of 2^13 states, 16
     # measures of 93 KB); the Markov step its index and weighted rows, the
-    # running maximum of all measures, and from_rows' copy and two checks;
+    # running maximum of all measures, and from_rows' copy (4 in all, under
+    # a bound of 6);
     # d1 its workspace; the series its workspace and its output.  Half the
     # budgets take about twice the chunks and no more large allocations
     params = mp.SeriesParams(alpha=1 / 3, q=0.5, tol=1e-6)
