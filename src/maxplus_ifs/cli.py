@@ -29,7 +29,7 @@ from .config import (
     verify_params,
 )
 from .ifs import CertificateError, attractor, iterate_fixed_point, markov_many
-from .measures import read_density_file, write_density_file
+from .measures import NoCoordinatesError, read_density_file, write_density_file
 from .metrics import (
     SeriesParams,
     coupling_distance,
@@ -270,7 +270,12 @@ def cmd_render(args) -> int:
     if not -np.inf < args.floor < 0:
         raise ConfigError("--floor must be finite and negative (densities live in [-inf, 0])")
     with reported():
-        mu = read_density_file(args.density_file)
+        try:
+            mu = read_density_file(args.density_file)
+        except NoCoordinatesError:
+            raise ConfigError(
+                f"{args.density_file}: render needs coordinate columns to lay out the points"
+            ) from None
     shape, layout = _grid_layout(mu.space)
     vals = mu.density[layout]
     scaled = np.where(

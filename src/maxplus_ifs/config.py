@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import contextlib
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -163,9 +163,7 @@ def _map(space: FiniteMetricSpace, text: str, witness) -> ContractionMap:
     dim = space.coords.shape[1]
     if len(vals) != dim * dim + dim:
         raise ValueError(f"affine map needs {dim * dim} matrix entries then {dim} offset entries")
-    snapped = snap_affine(space, np.reshape(vals[: dim * dim], (dim, dim)), vals[dim * dim :])
-    # verify the declared witness, keeping discrete_lip; raises CertificateError
-    return snapped if witness is None else replace(snapped, witness=witness)
+    return snap_affine(space, np.reshape(vals[: dim * dim], (dim, dim)), vals[dim * dim :], witness)
 
 
 def build_ifs(cfg: RawConfig, space: FiniteMetricSpace, renormalize: bool = False) -> MaxPlusIFS:

@@ -8,9 +8,9 @@ and violations abort with the worst pair.  Snapping a continuous affine
 contraction to a grid can and does break the discrete certificate (any
 non-constant map on a uniform grid moves some adjacent pair a full grid
 step), so snapped maps carry the continuous constant in `declared_lip` and
-per-point snap errors instead of a witness.  The Markov operator steps a
-list of measures at once (`markov_many`: one `maximum.at` scatter per map
-over their stacked densities); `markov` is a list of one.
+per-point snap errors; a witness given to one is checked in the same pass.
+The Markov operator steps a list of measures at once (`markov_many`: one
+`maximum.at` per map over the stacked densities); `markov` steps one.
 """
 
 from __future__ import annotations
@@ -141,14 +141,14 @@ class ContractionMap:
         return pushforward(mu, self.target, self.space)
 
 
-def snap_affine(space: FiniteMetricSpace, matrix, offset) -> ContractionMap:
+def snap_affine(space: FiniteMetricSpace, matrix, offset, witness=None) -> ContractionMap:
     """Discretize x -> Ax + b by snapping each image to the nearest point.
 
     Ties go to the lowest index.  The image of the bounding box must stay
-    inside it.  The returned map has no witness: its discrete Lipschitz
-    constant is computed from the snapped table and may exceed the
-    continuous constant ||A|| (reported in declared_lip); per-point snap
-    errors are kept for exactness queries.
+    inside it.  The discrete Lipschitz constant of the snapped table may
+    exceed the continuous constant ||A|| (reported in declared_lip), and a
+    witness, if given, is checked in the pass that computes it; per-point
+    snap errors are kept for exactness queries.
     """
     if space.coords is None:
         raise ValueError("snapping needs point coordinates")
@@ -184,7 +184,7 @@ def snap_affine(space: FiniteMetricSpace, matrix, offset) -> ContractionMap:
     snap_error = np.linalg.norm(images - space.coords[target], axis=1)
     declared = float(np.linalg.norm(a, 2))
     return ContractionMap(
-        space, target, witness=None, declared_lip=declared, snap_error=snap_error
+        space, target, witness=witness, declared_lip=declared, snap_error=snap_error
     )
 
 

@@ -264,12 +264,17 @@ def _refusal(path, lines: list[str], n: int, width: int) -> str:
     return f"{path}:{body[good] + 2}: {_line_error(points[good].split(), width, n, above)}"
 
 
+class NoCoordinatesError(ValueError):
+    """A density file without coordinate columns, read without a space."""
+
+
 def read_density_file(path, space: FiniteMetricSpace | None = None) -> IdempotentMeasure:
     """Read a density file; an error names the first bad point line.
 
     Blank lines are skipped; all point lines have the same columns.  With
     no space given, the coordinate columns define a Euclidean space (the
-    metric is not stored, so a file without them needs the space).
+    metric is not stored, so a file without them needs the space, else
+    NoCoordinatesError).
     """
     with open(path) as fh:
         lines = fh.read().splitlines()
@@ -291,10 +296,10 @@ def read_density_file(path, space: FiniteMetricSpace | None = None) -> Idempoten
     order = np.empty(n, dtype=np.intp)
     order[idx] = np.arange(n)  # idx is a permutation of the points by now
     values, coords = nums[order, -1], (nums[order, :-1] if width > 2 else None)
+    if space is None and coords is None:
+        raise NoCoordinatesError(f"{path}: no coordinate columns; pass the space explicitly")
     try:
         if space is None:
-            if coords is None:
-                raise ValueError("no coordinate columns; pass the space explicitly")
             space = FiniteMetricSpace.from_coords(coords)
         elif coords is not None and space.coords is not None:
             scale = 1e-12 * np.abs(space.coords).max()  # the tolerance at the space's scale

@@ -10,7 +10,8 @@ of one.
 
 A block holds the most measures (one at least) whose states, 2 per
 candidate, fit the fresh-array budget spaces._FRESH_ELEMS = 2^13, read
-from `spaces` when a call runs.  So each draw array takes at most 64 KB,
+from `spaces` when a call runs, and no more than a block keeps on average
+(see random_measures).  So each draw array takes at most 64 KB,
 and the density rows stay near that size (on `verify`'s 244 candidates of
 the 730-point Cantor grid, 16 rows take 93 KB): under glibc's 128 KB mmap
 threshold, a block reuses the memory that the block before freed instead
@@ -18,6 +19,8 @@ of faulting in fresh pages.  Where blocks are cut does not change the stream.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -61,7 +64,9 @@ def random_measures(
     """`count` random_measure calls in a row, drawn from blocks of the stream.
 
     A block holds the 2 draws per candidate that each of its measures may
-    use, as many measures in every block as spaces._FRESH_ELEMS allows.  Its
+    use, as many measures in every block as spaces._FRESH_ELEMS allows, but
+    no more than 1 / P(no hit), the expected run before a measure without a
+    hit (all that a low support_prob keeps of a block).  Its
     tests are read off as in one long random_measure call; at the first
     measure without a hit the block stops, that measure takes its
     randint/uniform fallback from the stream, and the next block starts after it.
@@ -73,6 +78,10 @@ def random_measures(
         raise ValueError("random_measure needs at least one candidate point")
     c = candidates.size
     most = max(1, spaces._FRESH_ELEMS // (2 * c))  # measures per block
+    # nor more than the expected run before a measure without a hit, which
+    # has probability miss (clipped, so that no support_prob overflows it)
+    miss = min(max(1.0 - support_prob, 0.0), 1.0) ** c
+    most = min(most, math.ceil(1.0 / max(1.0 / most, miss)))
     # A^k and C (1 + A + ... + A^(k-1)) for the largest block
     powers = np.full(2 * c * min(count, most) + 1, _MULT, dtype=np.uint64)
     powers[0] = 1

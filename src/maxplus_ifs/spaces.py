@@ -11,9 +11,9 @@ never allocate an n^2 matrix.
 A space implements one distance routine, `distance_submatrix(rows, cols)`;
 `dist` and the full matrix are read through it, and every fixed-width
 sweep reads it through `_row_blocks(rows, cols)`, in row blocks of at most
-2^18 distances: the all-pairs checks (Lipschitz constants, contraction
-certificates, the diameter) against all points, or the points left, and
-the largest support distance of a coupling against its support's columns.
+2^18 distances: the all-pairs checks (a map's Lipschitz constant with its
+certificate, a point set's diameter) against all points, or those left,
+and a coupling's largest support distance against its support's columns.
 The Hausdorff distance of point sets is d1 of their indicators, in
 `metrics`.
 
@@ -147,8 +147,6 @@ class FiniteMetricSpace:
                 )
             idx = np.arange(self.n_points)
             m = self.distance_submatrix(idx, idx)
-            # exact zero diagonal (cdist can leave tiny round-off off the line)
-            np.fill_diagonal(m, 0.0)
             m.flags.writeable = False
             self._dense = m
         return self._dense
@@ -175,11 +173,13 @@ class FiniteMetricSpace:
         included, Euclidean points whose farthest corner of the bounding box
         lies nearer than a distance already realized by the extreme points
         along the axes can end no largest pair; the points left are swept
-        against each other, in row blocks.  Explicit matrices are swept whole.
+        against each other, in row blocks.  A stored matrix gives its maximum.
         """
         if self._diameter is None and self.line:
             x = self.coords[:, 0]
             self._diameter = float(x[self.order[-1]] - x[self.order[0]])
+        elif self._diameter is None and self._matrix is not None:
+            self._diameter = float(self._matrix.max())
         elif self._diameter is None:
             keep = None
             if self.euclidean:

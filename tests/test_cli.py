@@ -645,7 +645,7 @@ def test_witnessed_affine_map_computes_discrete_lip_once(tmp_path, monkeypatch):
     raw = mp.config.parse_config(str(cfg))
     space = mp.config.build_space(raw)
     (m,) = mp.config.build_ifs(raw, space).maps
-    assert calls == [True, False]  # snap_affine's constant, then the witness alone
+    assert calls == [True]  # the constant and the witness in one pass
     assert m.witness == mp.ComparisonFunction("linear", 0.5) and m.discrete_lip == 0.0
     assert m.declared_lip == 0.0 and m.snap_error is not None
     # the witness is still checked: a snapped half-scaling breaks it (exit 3)
@@ -653,7 +653,7 @@ def test_witnessed_affine_map_computes_discrete_lip_once(tmp_path, monkeypatch):
     raw = mp.config.parse_config(str(cfg))
     with pytest.raises(mp.CertificateError):
         mp.config.build_ifs(raw, space)
-    assert calls == [True, False] * 2
+    assert calls == [True] * 2
 
 
 def test_config_parse_error_reports_line(tmp_path, capsys):
@@ -763,6 +763,22 @@ def test_render_rejects_bad_floor_and_high_dim(tmp_path):
     g3 = mp.build_grid([0, 0, 0], [1, 1, 1], [1, 1, 1])
     mp.write_density_file(f, mp.dirac(g3, 0))
     assert main(["render", str(f), str(tmp_path / "x.pgm"), "--floor", "-1"]) == 2
+
+
+def test_render_refuses_a_file_without_coordinate_columns(tmp_path, capsys):
+    # render has no way to pass a space: it says what the file lacks
+    space = mp.FiniteMetricSpace.from_matrix([[0.0, 1.0], [1.0, 0.0]])
+    f = tmp_path / "m.density"
+    mp.write_density_file(f, mp.dirac(space, 1))
+    assert main(["render", str(f), str(tmp_path / "m.pgm"), "--floor", "-1"]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {f}: render needs coordinate columns to lay out the points\n"
+    )
+    assert not (tmp_path / "m.pgm").exists()
+    # the library reader still asks for the space it may be given
+    with pytest.raises(ValueError, match="no coordinate columns; pass the space explicitly"):
+        mp.read_density_file(f)
+    assert mp.read_density_file(f, space) == mp.dirac(space, 1)
 
 
 def test_render_reads_a_floor_with_an_exponent_after_an_equals_sign(tmp_path, capsys):

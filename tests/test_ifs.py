@@ -13,7 +13,7 @@ from conftest import (
     random_matrix_space,
     random_table_ifs,
 )
-from oracles import all_pairs_lip
+from oracles import all_pairs_lip, two_sweep_certificate
 
 
 # --- comparison functions ---------------------------------------------------
@@ -166,6 +166,44 @@ def test_witnessed_table_map_reads_the_row_blocks_in_one_pass(monkeypatch):
         assert passes == [space] and m.discrete_lip == 0.0
     assert not hasattr(mp.ContractionMap, "_compute_lip")
     assert not hasattr(mp.ContractionMap, "_verify_certificate")
+
+
+def test_every_certificate_reads_its_table_once(monkeypatch):
+    # a failing certificate reads the n^2 distances and their images once, then
+    # the two distances of its message: a matrix space's diameter (the slack's
+    # scale) reads no distance, and a witnessed snapped map takes no second sweep
+    read = mp.FiniteMetricSpace.distance_submatrix
+    entries = []
+
+    def counted(self, rows, cols):
+        out = read(self, rows, cols)
+        entries.append(out.size)
+        return out
+
+    def reads(build) -> tuple[int, str]:
+        """Distances that build reads, and the message of its CertificateError."""
+        entries.clear()
+        monkeypatch.setattr(mp.FiniteMetricSpace, "distance_submatrix", counted)
+        with pytest.raises(CertificateError) as err:
+            build()
+        monkeypatch.undo()
+        return sum(entries), str(err.value)
+
+    half = mp.ComparisonFunction("linear", 0.5)
+    for space in (random_matrix_space(np.random.default_rng(5), n) for n in (12, 40)):
+        target = np.arange(space.n_points)[::-1]
+        count, message = reads(lambda: mp.ContractionMap(space, target, half))
+        assert count == 2 * space.n_points**2 + 2
+        assert message == two_sweep_certificate(space, target, half)
+    grid = mp.build_grid([0, 0], [1, 1], [20, 20])
+    grid.diameter()  # Euclidean points: a pruned sweep, left out of the count
+    count, message = reads(lambda: mp.snap_affine(grid, np.eye(2) / 2, [0, 0], half))
+    assert count == 2 * grid.n_points**2 + 2
+    target = mp.snap_affine(grid, np.eye(2) / 2, [0, 0]).target
+    assert message == two_sweep_certificate(grid, target, half)
+    # a constant snapped map passes its witness, with the constant of the same pass
+    m = mp.snap_affine(grid, np.zeros((2, 2)), [0.5, 0.5], half)
+    assert m.witness == half and m.discrete_lip == 0.0 and m.snap_error.max() == 0.0
 
 
 def test_contraction_map_validation():

@@ -80,3 +80,36 @@ def test_seeded_stream_does_not_depend_on_the_block_budget(monkeypatch, support_
             got = mp.random_measures(ifs.space, fast, 200, support_prob, 3.0, points)
             assert [mu.density.tobytes() for mu in got] == [mu.density.tobytes() for mu in want]
             assert fast.state == slow.state
+
+
+def test_blocks_stop_near_the_expected_run_of_measures_with_a_hit(monkeypatch):
+    # at support_prob 0.002 a measure misses all 244 candidates with
+    # probability 0.998^244 = 0.61, and the block ends there: blocks of two
+    # measures (2c = 488 states each) compute at most 4c states a kept measure,
+    # where blocks of the full budget (16 measures) computed about 4900.  At
+    # 0.7 a miss is too rare to cap anything: full blocks, then the rest
+    ifs = cantor_ifs(6)
+    points = ifs.exactly_mapped_points()
+    c, sizes = points.size, []
+
+    class Counted:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def arange(self, *args, **kwargs):  # the states of a block: one position each
+            out = np.arange(*args, **kwargs)
+            sizes.append(out.size)
+            return out
+
+    monkeypatch.setattr(mp.rng, "np", Counted())
+    for support_prob in (0.002, 0.7):
+        sizes.clear()
+        fast, slow = mp.Lcg64(0), mp.Lcg64(0)
+        got = mp.random_measures(ifs.space, fast, 200, support_prob, 3.0, points)
+        want = [random_measure_scalar(ifs.space, slow, support_prob, 3.0, points) for _ in range(200)]
+        assert [mu.density.tobytes() for mu in got] == [mu.density.tobytes() for mu in want]
+        assert fast.state == slow.state
+        if support_prob < 0.5:
+            assert max(sizes) == 2 * 2 * c and sum(sizes) <= 4 * c * 200
+        else:
+            assert sizes == [2 * c * 16] * 12 + [2 * c * 8]

@@ -376,6 +376,31 @@ def test_grid_diameter_is_the_table_maximum():
         assert grid.diameter().hex() == diameter_sweep(grid).hex(), trial
 
 
+def test_matrix_diameter_is_its_largest_entry_without_a_read(monkeypatch):
+    # an explicit matrix is stored whole: its diameter reads no distance
+    rng = np.random.default_rng(29)
+    for n in (1, 2, 12, 300):
+        space = random_matrix_space(rng, n)
+        want = diameter_sweep(mp.FiniteMetricSpace.from_matrix(space.distance_matrix()))
+        monkeypatch.setattr(mp.FiniteMetricSpace, "distance_submatrix", None)
+        assert space.diameter().hex() == want.hex()
+        monkeypatch.undo()
+
+
+def test_distance_matrix_diagonal_is_exactly_zero():
+    # x - x is exactly 0 on every axis, so no space kind needs its diagonal
+    # filled: the line, 2-D and 3-D points at three scales, a product and a matrix
+    rng = np.random.default_rng(61)
+    spaces = [mp.build_grid([0.0], [1.0], [40]), random_matrix_space(rng, 30)]
+    for dim in (2, 3):
+        for scale in (1e-150, 1.0, 1e150):
+            spaces.append(mp.FiniteMetricSpace.from_coords(rng.uniform(-scale, scale, (60, dim))))
+    spaces.append(mp.product(random_euclidean_space(rng, 8), mp.build_grid([0.0], [1.0], [6])))
+    for space in spaces:
+        diagonal = np.diagonal(space.distance_matrix())
+        assert diagonal.tobytes() == bytes(8 * space.n_points), space
+
+
 def test_distance_matrix_cache_keeps_the_space_kind():
     # the full table is cached beside the metric, not in place of it
     pts = mp.FiniteMetricSpace.from_coords([[0.0], [1.0], [3.0], [7.0], [15.0]])

@@ -29,7 +29,9 @@ ring search the plane kernel replaced must not come back beside it.
 Every public function of ``tests/oracles.py`` is imported by a test module,
 so a reference route that no test reads any more goes with its last test.
 
-The library example in ``README.md`` runs as written.
+The library example in ``README.md`` runs as written, and so does its
+config block through ``solve``, ``verify`` and ``attractor``, and the
+density that it writes through ``render``.
 """
 
 import ast
@@ -42,6 +44,7 @@ import numpy as np
 
 import maxplus_ifs as mp
 from conftest import cantor_ifs
+from maxplus_ifs.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
 TRACING = ROOT / "perfbench" / "tracing.py"
@@ -229,3 +232,18 @@ def test_the_readme_library_example_runs(capsys):
     exec(compile(example, "README.md", "exec"), {})
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 2 and float(lines[0]) > 0.0 and lines[1].startswith("SeriesValue(")
+
+
+def test_the_readme_config_block_runs(tmp_path, capsys):
+    text = (ROOT / "README.md").read_text()
+    (block,) = re.findall(r"```\n(\[space\]\n.*?)```", text, flags=re.S)
+    cfg = tmp_path / "readme.cfg"
+    cfg.write_text(block)
+    for command in ("solve", "verify", "attractor"):
+        assert main([command, str(cfg)]) == 0, command
+        out = capsys.readouterr().out
+        if command == "verify":
+            assert out.splitlines()[-1] == "verify: PASS"
+    density, image = tmp_path / "cantor.density", tmp_path / "cantor.pgm"
+    assert main(["render", str(density), str(image), "--floor=-5"]) == 0
+    assert image.read_bytes().startswith(b"P5\n82 1\n255\n")

@@ -19,9 +19,10 @@ from conftest import cantor_ifs
 LARGE = 128 << 10  # glibc's default mmap threshold
 
 
-def _verify_batch(pairs: int):
-    """The measures, Markov images and pairs of `verify` with seed 0 on the 730-point Cantor grid."""
-    ifs = cantor_ifs(6)
+def _verify_batch(pairs: int, k: int = 6):
+    """The measures, Markov images and pairs of `verify` with seed 0 on the Cantor grid of
+    3^k cells (730 points by default)."""
+    ifs = cantor_ifs(k)
     draw = (ifs.space, mp.Lcg64(0), 2 * pairs, 0.7, 3.0, ifs.exactly_mapped_points())
     measures = mp.random_measures(*draw)
     images = mp.markov_many(ifs, measures)
@@ -96,3 +97,39 @@ def test_large_allocations_of_a_verify_call_do_not_grow_with_its_chunks(monkeypa
     assert chunks == [12, 2, 25, 3]  # d1 and series chunks at each budget
     assert counts[0] == counts[1]
     assert all(c <= bound for c, bound in zip(counts[0], [0, 6, 1, 2]))
+
+
+def test_line_kernels_take_every_temporary_from_their_workspace(monkeypatch):
+    # no take of a line kernel falls past the end of its call's workspace: a
+    # 6562-point pair at one level and along a series, and the series and d1
+    # of `verify`'s batch on the 28-point and the 730-point Cantor grids, at
+    # the default budgets and at half of them
+    take, outside = mp.metrics._Workspace.take, []
+
+    def checked(ws, shape, dtype=float):
+        view = take(ws, shape, dtype)
+        if not np.shares_memory(view, ws._buf) and view.size:
+            outside.append((sys._getframe(1).f_code.co_name, view.nbytes))
+        return view
+
+    params = mp.SeriesParams(alpha=1 / 3, q=0.5, tol=1e-6)
+    line = mp.build_grid([0.0], [1.0], [6561])
+    rng = np.random.default_rng(0)
+    pair = []
+    for _ in "ab":  # integer levels on about 70 % of the points, as in the benchmark files
+        finite = rng.random(line.n_points) < 0.7
+        raw = np.where(finite, -rng.integers(0, 8, line.n_points).astype(float), -np.inf)
+        pair.append(mp.normalize(line, raw))
+    batches = [_verify_batch(100, k)[3] for k in (3, 6)]
+    for share in (1, 2):
+        monkeypatch.setattr(mp.spaces, "_FRESH_ELEMS", mp.spaces._FRESH_ELEMS // share)
+        monkeypatch.setattr(mp.spaces, "_BLOCK_ELEMS", mp.spaces._BLOCK_ELEMS // share)
+        monkeypatch.setattr(mp.metrics._Workspace, "take", checked)
+        mp.lipschitz_distance(*pair, 3.0)
+        mp.series_distance(*pair, params)
+        mp.coupling_distance(*pair)
+        for batch in batches:
+            mp.series_distances(batch, params)
+            mp.coupling_distances(batch)
+        monkeypatch.undo()
+    assert outside == []
