@@ -723,18 +723,19 @@ def _line_deltas(space, pairs, levels) -> np.ndarray:
     The margins cover every rounding these bounds skip, so each row is the
     dense maximum over all merged points, bit for bit.
     Frames of similar length share a block of at most _LINE_CELLS cells
-    and an eighth of spaces._BLOCK_ELEMS (one row at least), padded past
-    their ends with -inf levels.  Every chunk-sized temporary, of the
-    frames, the steep pass and the blocks, is a view of the call's one
-    workspace (_line_layout), and the envelopes scan whole rows of
-    contiguous buffers, so no numpy iterator buffers a strided operand.
+    (one row at least), padded past their ends with -inf levels.  Every
+    chunk-sized temporary, of the frames, the steep pass and the blocks,
+    is a view of the call's one workspace (_line_layout), and the
+    envelopes scan whole rows of contiguous buffers, so no numpy iterator
+    buffers a strided operand.
     """
     n, levels_at = space.n_points, levels.size
     out, lo = np.empty((2, len(pairs), levels_at)), 0
-    budget = min(_LINE_CELLS, spaces._BLOCK_ELEMS // 8)  # cells a block, of 12 words each
 
     def work(cap):  # elements, delta, then the steep pass or a block; _line_frames takes less
-        return 3 * cap + 1 + 2 * levels_at * (cap // n) + max(9 * (cap + 1), 12 * max(budget, n))
+        # a block's 12 words a cell: no more cells than the chunk's rows, 2 L a pair, of n at most
+        block = 12 * min(max(_LINE_CELLS, n), 2 * levels_at * cap)
+        return 3 * cap + 1 + 2 * levels_at * (cap // n) + max(9 * (cap + 1), block)
 
     for pid, starts, ends, table, ws in _line_layout(space, pairs, 1, work):
         size, k = pid.size, starts.size  # rows 3 - d and 2 + d: target and source levels of d
@@ -758,7 +759,7 @@ def _line_deltas(space, pairs, levels) -> np.ndarray:
         by = np.sort(rank[row_frame] * n_rows + np.arange(n_rows)) % n_rows
         rows = np.concatenate([cells, cells + steep.size])[by]
         row_rank, row_len = rank[row_frame[by]], length[row_frame[by]]
-        blocks = _packed(row_len, budget)
+        blocks = _packed(row_len, _LINE_CELLS)
         need = max(((r1 - r0) * int(row_len[r1 - 1]) for r0, r1 in blocks), default=0)
         index, scratch = ws.take(2 * need, np.intp), ws.take(10 * need)  # every block reuses them
         delta = delta.reshape(-1)  # in row order: (direction, pair, level)

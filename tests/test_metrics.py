@@ -1263,9 +1263,10 @@ def test_steep_rows_of_tied_sources_take_the_dense_maximum():
 def test_steep_entries_stay_inside_a_memory_budget(monkeypatch):
     # equal supports keep every source at every steep level: 32 levels x 2
     # directions x ~4600 sources.  One vector pass per steep level holds a few
-    # source-sized arrays (1.1 MB peak), not one entry per (row, source), and
-    # the frame-block budget, which no steep row reads, changes neither the
-    # peak nor the values
+    # source-sized arrays (1.0 MB peak), not one entry per (row, source).  The
+    # call's workspace reserves a block's buffers up front, 12 words a cell of
+    # max(_LINE_CELLS, n), so the peak grows by that much with the frame-block
+    # budget, whose blocks no steep row reads; the values do not change
     import tracemalloc
 
     rng = np.random.default_rng(43)
@@ -1278,12 +1279,15 @@ def test_steep_entries_stay_inside_a_memory_budget(monkeypatch):
     levels = 10.0 ** np.linspace(6.0, 13.0, 32)
     assert _steep_by_definition(pair, levels).all()
     peaks, values = [], []
-    for budget in (1 << 15, 1 << 22):
+    budgets = (1 << 12, 1 << 15)  # blocks of 6562 and 32768 cells
+    for budget in budgets:
         monkeypatch.setattr(mp.metrics, "_LINE_CELLS", budget)
         tracemalloc.start()
         values.append(_line_deltas(line, [pair], levels))
         peaks.append(tracemalloc.get_traced_memory()[1])
         tracemalloc.stop()
+    blocks = [96 * max(budget, line.n_points) for budget in budgets]  # bytes reserved
+    assert all(peak - block < 3 << 19 for peak, block in zip(peaks, blocks))
     assert max(peaks) < 6 << 20
     assert np.array_equal(values[0], values[1])
     # every source is its own nearest target, and every other target trails
